@@ -1,7 +1,9 @@
 """Reference post-processors: SST, reassignment, SET, and LMSST.
 
-All four start from the same hop-1 STFT. SST, SET and LMSST move (or keep)
-complex coefficients along the frequency axis only; the reassignment method
+All four start from the same hop-1 STFT. SST and LMSST move complex
+coefficients along the frequency axis only: each computes a destination bin
+per cell and hands it to tfr.regroup, the in-frame move the squeeze also
+uses. SET only keeps or drops coefficients in place. The reassignment method
 moves spectrogram energy in both time and frequency and therefore cannot be
 inverted, which its grid records with a NaN reconstruction factor.
 """
@@ -12,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .signals import Signal
-from .tfr import TFRGrid, frame_matrix, stft
+from .tfr import TFRGrid, frame_matrix, regroup, stft
 from .windows import WindowSpec, halfwidth_bins
 
 __all__ = ["phase_if_map", "group_delay_map", "sst", "reassignment",
@@ -64,25 +66,13 @@ def _freq_bins(f_hat: np.ndarray, grid: TFRGrid) -> np.ndarray:
     return np.rint(f_hat / grid.df_hz).astype(np.int64) % grid.n_bins
 
 
-def _scatter_complex(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                     shape: tuple[int, int]) -> np.ndarray:
-    flat = rows * shape[1] + cols
-    acc_re = np.bincount(flat, weights=values.real, minlength=shape[0] * shape[1])
-    acc_im = np.bincount(flat, weights=values.imag, minlength=shape[0] * shape[1])
-    return (acc_re + 1j * acc_im).reshape(shape)
-
-
 def sst(sig: Signal, w: WindowSpec, nfft: int) -> TFRGrid:
     """Synchrosqueezing: add each significant coefficient into the bin
     nearest its phase-derived IF. Frame sums are conserved, so the result
     reconstructs exactly through istft."""
-    grid, f_hat, significant = phase_if_map(sig, w, nfft)
-    target = _freq_bins(f_hat, grid)
-    rows, cols = np.nonzero(significant)
-    out = np.where(significant, 0.0, grid.data)
-    out = out + _scatter_complex(grid.data[rows, cols], rows, target[rows, cols],
-                                 grid.data.shape)
-    return grid.with_data(out, method_tag="sst")
+    grid, f_hat, _ = phase_if_map(sig, w, nfft)
+    # an insignificant cell's f_hat is its own bin's frequency, so it stays put
+    return regroup(grid, _freq_bins(f_hat, grid), "sst")
 
 
 def reassignment(sig: Signal, w: WindowSpec, nfft: int) -> TFRGrid:
@@ -132,11 +122,8 @@ def lmsst(sig: Signal, w: WindowSpec, nfft: int,
         delta_bins = halfwidth_bins(w, sig.sample_rate_hz, nfft)
     if delta_bins < 0:
         raise InvalidParameterError("delta_bins must be >= 0")
-    if delta_bins == 0:
-        return grid.with_data(grid.data.copy(), method_tag="lmsst")
-
     mag = np.abs(grid.data)
-    n_frames, n_bins = mag.shape
+    n_bins = mag.shape[1]
     bins = np.arange(n_bins)
     best_val = np.full(mag.shape, -1.0)
     best_idx = np.zeros(mag.shape, dtype=np.int64)
@@ -150,7 +137,4 @@ def lmsst(sig: Signal, w: WindowSpec, nfft: int,
         better = cand > view_val
         view_val[better] = cand[better]
         view_idx[better] = np.broadcast_to(bins[lo + d : hi + d], cand.shape)[better]
-
-    rows = np.repeat(np.arange(n_frames), n_bins)
-    out = _scatter_complex(grid.data.ravel(), rows, best_idx.ravel(), mag.shape)
-    return grid.with_data(out, method_tag="lmsst")
+    return regroup(grid, best_idx, "lmsst")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,23 +32,6 @@ from .io_export import (
 
 METHODS = ("stft", "sst", "rm", "set", "lmsst", "proposed")
 GENERATORS = ("fmam", "crossover", "chirp", "tone")
-
-
-@dataclass
-class RunConfig:
-    """Validated knobs for one analysis run."""
-
-    method: str
-    input: str
-    sigma_s: float | None
-    nfft: int | None
-    gamma: float
-    delta_bins: int | None
-    seed: int
-    snr_db: float | None
-    output_dir: Path
-    per_frame_max: bool = False
-    if_from: Path | None = None
 
 
 def _resolve_input(name: str, seed: int, snr_db: float | None, opts
@@ -87,10 +69,9 @@ def _default_nfft(n_samples: int) -> int:
 MAX_GRID_CELLS = 1 << 27
 
 
-def _prepare(cfg: RunConfig, sig: signals.Signal
-             ) -> tuple[windows.WindowSpec, int]:
-    sigma = cfg.sigma_s if cfg.sigma_s is not None else _default_sigma(sig.sample_rate_hz)
-    nfft = cfg.nfft if cfg.nfft is not None else _default_nfft(len(sig))
+def _prepare(args, sig: signals.Signal) -> tuple[windows.WindowSpec, int]:
+    sigma = args.sigma if args.sigma is not None else _default_sigma(sig.sample_rate_hz)
+    nfft = args.nfft if args.nfft is not None else _default_nfft(len(sig))
     w = windows.gaussian_window(sigma, sig.sample_rate_hz)
     if nfft < len(w):
         raise InvalidParameterError(
@@ -106,7 +87,7 @@ def _prepare(cfg: RunConfig, sig: signals.Signal
 
 
 def _run_method(method: str, sig: signals.Signal, w: windows.WindowSpec,
-                nfft: int, cfg: RunConfig
+                nfft: int, args
                 ) -> tuple[tfr.TFRGrid, tfr.TFRGrid, ridges.IFEstimate | None]:
     """Returns (reallocated input grid, method output grid, proposed's estimate).
 
@@ -124,11 +105,11 @@ def _run_method(method: str, sig: signals.Signal, w: windows.WindowSpec,
     if method == "set":
         return base, baselines.set_extract(sig, w, nfft), None
     if method == "lmsst":
-        return base, baselines.lmsst(sig, w, nfft, cfg.delta_bins), None
+        return base, baselines.lmsst(sig, w, nfft, args.delta_bins), None
     if method == "proposed":
-        filtered, est = ridges.estimate_ridges(base, cfg.gamma, cfg.per_frame_max)
-        if cfg.if_from is not None:
-            est = ridges.inject_if(filtered, ridges.load_trajectories_csv(cfg.if_from))
+        filtered, est = ridges.estimate_ridges(base, args.gamma, args.per_frame_max)
+        if args.if_from:
+            est = ridges.inject_if(filtered, ridges.load_trajectories_csv(args.if_from))
         return filtered, squeeze.modular_reassign(filtered, est), est
     raise InvalidParameterError(f"unknown method {method!r}")
 
@@ -139,16 +120,16 @@ def _interior_mask(n_frames: int, half: int) -> np.ndarray:
     return mask
 
 
-def _build_report(method: str, base: tfr.TFRGrid, out: tfr.TFRGrid,
-                  sig: signals.Signal, model: signals.ModeModel | None,
-                  w: windows.WindowSpec, cfg: RunConfig) -> metrics.MethodReport:
+def _build_report(base: tfr.TFRGrid, out: tfr.TFRGrid, sig: signals.Signal,
+                  model: signals.ModeModel | None, w: windows.WindowSpec,
+                  gamma: float) -> metrics.MethodReport:
     recon = None
     if out.invertible:
         recon = metrics.recon_rel_l2(sig, tfr.istft(out))
     mae = None
     if model is not None:
         view = tfr.half_circle(out) if sig.is_real else out
-        _, est = ridges.estimate_ridges(view, cfg.gamma)
+        _, est = ridges.estimate_ridges(view, gamma)
         try:
             mae = metrics.ridge_mae(est, model,
                                     frames=_interior_mask(out.n_frames, w.half))
@@ -175,13 +156,14 @@ def _write_trajectory_csv(model: signals.ModeModel, times: np.ndarray, path) -> 
 
 
 def _write_ridge_csv(est: ridges.IFEstimate, path) -> None:
-    width = max((r.size for r in est.ridge_bins), default=0)
+    width = int(est.counts().max(initial=0))
     header = "time_s," + ",".join(f"f{i + 1}_hz" for i in range(width))
     lines = [header]
+    freqs = [f"{f:.17g}" for f in est.freq_axis_hz[est.ridges]]
     for n, t in enumerate(est.time_axis_s):
-        freqs = [f"{f:.17g}" for f in est.freq_axis_hz[est.ridge_bins[n]]]
-        freqs.extend([""] * (width - len(freqs)))
-        lines.append(f"{t:.17g}," + ",".join(freqs))
+        row = freqs[est.offsets[n]:est.offsets[n + 1]]
+        row.extend([""] * (width - len(row)))
+        lines.append(f"{t:.17g}," + ",".join(row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -196,38 +178,23 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _config_from_args(args, method: str) -> RunConfig:
-    return RunConfig(
-        method=method,
-        input=args.input,
-        sigma_s=args.sigma,
-        nfft=args.nfft,
-        gamma=args.gamma,
-        delta_bins=args.delta_bins,
-        seed=args.seed,
-        snr_db=args.snr_db,
-        output_dir=Path(args.out),
-        per_frame_max=args.per_frame_max,
-        if_from=Path(args.if_from) if args.if_from else None,
-    )
-
-
 def cmd_analyze(args) -> int:
-    cfg = _config_from_args(args, args.method)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    sig, model = _resolve_input(cfg.input, cfg.seed, cfg.snr_db, args)
-    w, nfft = _prepare(cfg, sig)
-    base, out, est = _run_method(cfg.method, sig, w, nfft, cfg)
+    sig, model = _resolve_input(args.input, args.seed, args.snr_db, args)
+    w, nfft = _prepare(args, sig)
+    base, out, est = _run_method(args.method, sig, w, nfft, args)
+    # the report refuses degenerate grids, so build it before writing anything
+    report = _build_report(base, out, sig, model, w, args.gamma)
 
-    export_grid_csv(out, cfg.output_dir / "grid.csv")
-    export_heatmap_pgm(out, cfg.output_dir / "heatmap.pgm")
-    report = _build_report(cfg.method, base, out, sig, model, w, cfg)
-    export_report_json([report], cfg.output_dir / "report.json")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    export_grid_csv(out, out_dir / "grid.csv")
+    export_heatmap_pgm(out, out_dir / "heatmap.pgm")
+    export_report_json([report], out_dir / "report.json")
     if est is not None:
-        _write_ridge_csv(est, cfg.output_dir / "ridges.csv")
+        _write_ridge_csv(est, out_dir / "ridges.csv")
     if args.reconstruct:
         recovered = squeeze.reconstruct(out)  # raises on non-invertible grids
-        signals.save_signal_csv(recovered, cfg.output_dir / "recovered.csv")
+        signals.save_signal_csv(recovered, out_dir / "recovered.csv")
         print(f"recon_rel_l2={metrics.recon_rel_l2(sig, recovered):.17g}")
     return 0
 
@@ -239,19 +206,18 @@ def cmd_compare(args) -> int:
         raise InvalidParameterError(f"unknown methods {unknown}; choose from {METHODS}")
     if len(methods) < 2:
         raise InvalidParameterError("compare needs at least two methods")
-    cfg = _config_from_args(args, methods[0])
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    sig, model = _resolve_input(cfg.input, cfg.seed, cfg.snr_db, args)
-    w, nfft = _prepare(cfg, sig)
+    sig, model = _resolve_input(args.input, args.seed, args.snr_db, args)
+    w, nfft = _prepare(args, sig)
 
+    out_dir = Path(args.out)
     reports = []
     for method in methods:
-        cfg.method = method
-        base, out, _ = _run_method(method, sig, w, nfft, cfg)
-        reports.append(_build_report(method, base, out, sig, model, w, cfg))
-        export_heatmap_pgm(out, cfg.output_dir / f"heatmap_{method}.pgm")
+        base, out, _ = _run_method(method, sig, w, nfft, args)
+        reports.append(_build_report(base, out, sig, model, w, args.gamma))
+        out_dir.mkdir(parents=True, exist_ok=True)  # once a report exists
+        export_heatmap_pgm(out, out_dir / f"heatmap_{method}.pgm")
     reports.sort(key=lambda r: r.renyi_entropy_bits)
-    export_report_json(reports, cfg.output_dir / "report.json")
+    export_report_json(reports, out_dir / "report.json")
     return 0
 
 

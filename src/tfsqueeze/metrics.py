@@ -71,23 +71,22 @@ def ridge_mae(ifest: IFEstimate, model: ModeModel,
     """
     if len(model) == 0:
         raise NoGroundTruthError("mode model has no components")
+    if ifest.n_bins < 2:
+        raise NoGroundTruthError("a frequency axis of fewer than 2 bins has no bin width")
     t = ifest.time_axis_s
     f0 = float(ifest.freq_axis_hz[0])
     df = float(ifest.freq_axis_hz[1] - ifest.freq_axis_hz[0])
     true_bins = (model.if_matrix_hz(t) - f0) / df  # (n_modes, n_frames), fractional
 
     selected = np.arange(ifest.n_frames) if frames is None else np.arange(ifest.n_frames)[frames]
-    errors = []
-    for n in selected:
-        ridges = ifest.ridge_bins[n]
-        if ridges.size != len(model):
-            continue
-        for truth in true_bins[:, n]:
-            nearest = ridges[np.argmin(np.abs(ridges - truth))]
-            errors.append(abs(float(nearest) - truth))
-    if not errors:
+    selected = selected[ifest.counts()[selected] == len(model)]
+    if selected.size == 0:
         raise NoGroundTruthError("no frame has a ridge count matching the mode count")
-    return float(np.mean(errors))
+    # (frame, ridge) matrix of the qualifying frames, against (frame, truth)
+    ridges = ifest.ridges[ifest.offsets[selected][:, None] + np.arange(len(model))]
+    truth = true_bins[:, selected].T
+    gaps = np.abs(ridges[:, None, :] - truth[:, :, None]).min(axis=2)
+    return float(np.mean(gaps))
 
 
 def recon_rel_l2(original: Signal, recovered: Signal) -> float:

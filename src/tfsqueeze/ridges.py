@@ -23,29 +23,27 @@ __all__ = ["IFEstimate", "filter_grid", "local_maxima", "inject_if",
 
 @dataclass(frozen=True)
 class IFEstimate:
-    """Per-frame ridge bins and the basin partition of the frequency axis.
+    """Ridge bins of every frame and the basin partition of the frequency axis.
 
-    ridge_bins[n] is a strictly increasing array of bin indices (possibly
-    empty); basin_edges[n] starts at 0, ends at n_bins, and carries one
-    interior edge between consecutive ridges, so basin i is the half-open
-    bin range [edges[i], edges[i+1]) and contains exactly ridge i. A frame
-    with no ridge keeps the single basin [0, n_bins) and is left untouched
-    by the squeeze step.
+    The ridges are flat: ridges lists every ridge bin, frame by frame and
+    strictly increasing inside a frame, and frame n owns
+    ridges[offsets[n]:offsets[n+1]]. Ridge i's basin is the half-open bin
+    range from starts[i] up to the next ridge's start in the same frame (or
+    n_bins); a frame's first basin starts at 0, and every ridge lies inside
+    its own basin. A frame with no ridge keeps the single basin [0, n_bins)
+    and is left untouched by the squeeze step.
     """
 
-    ridge_bins: tuple[np.ndarray, ...]
-    basin_edges: tuple[np.ndarray, ...]
+    ridges: np.ndarray
+    offsets: np.ndarray
+    starts: np.ndarray
     gamma_used: float
     time_axis_s: np.ndarray
     freq_axis_hz: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "ridge_bins", tuple(self.ridge_bins))
-        object.__setattr__(self, "basin_edges", tuple(self.basin_edges))
-
     @property
     def n_frames(self) -> int:
-        return len(self.ridge_bins)
+        return self.offsets.size - 1
 
     @property
     def n_bins(self) -> int:
@@ -53,10 +51,23 @@ class IFEstimate:
 
     def counts(self) -> np.ndarray:
         """Number of ridges per frame."""
-        return np.array([r.size for r in self.ridge_bins])
+        return np.diff(self.offsets)
 
-    def ridge_freqs_hz(self, frame: int) -> np.ndarray:
-        return self.freq_axis_hz[self.ridge_bins[frame]]
+    @property
+    def ridge_bins(self) -> tuple[np.ndarray, ...]:
+        """Per-frame view: the strictly increasing ridge bins of each frame."""
+        return tuple(np.split(self.ridges, self.offsets[1:-1]))
+
+    @property
+    def basin_edges(self) -> tuple[np.ndarray, ...]:
+        """Per-frame view: 0, one interior edge between consecutive ridges,
+        then n_bins, so basin i is [edges[i], edges[i+1])."""
+        counts = self.counts()
+        # a ridgeless frame keeps the lone basin [0, n_bins): give it start 0
+        starts = np.insert(self.starts, self.offsets[:-1][counts == 0], 0)
+        frame_ends = np.cumsum(np.maximum(counts, 1))
+        edges = np.insert(starts, frame_ends, self.n_bins)
+        return tuple(np.split(edges, (frame_ends + np.arange(1, counts.size + 1))[:-1]))
 
 
 def filter_grid(grid: TFRGrid, gamma: float, per_frame: bool = False) -> TFRGrid:
@@ -74,18 +85,6 @@ def filter_grid(grid: TFRGrid, gamma: float, per_frame: bool = False) -> TFRGrid
     return grid.with_data(kept, method_tag=grid.method_tag + "+filtered")
 
 
-def _basin_edges_from_minima(mag_row: np.ndarray, ridges: np.ndarray,
-                             n_bins: int) -> np.ndarray:
-    # a ridgeless frame keeps the single basin [0, n_bins)
-    edges = np.empty(max(ridges.size, 1) + 1, dtype=np.int64)
-    edges[0] = 0
-    edges[-1] = n_bins
-    for i in range(ridges.size - 1):
-        lo, hi = ridges[i] + 1, ridges[i + 1]
-        edges[i + 1] = lo + int(np.argmin(mag_row[lo:hi]))
-    return edges
-
-
 def local_maxima(grid: TFRGrid) -> IFEstimate:
     """Detect per-frame ridges as strict interior local maxima of |G|.
 
@@ -95,16 +94,33 @@ def local_maxima(grid: TFRGrid) -> IFEstimate:
     """
     mag = np.abs(grid.data)
     n_frames, n_bins = mag.shape
-    is_max = np.zeros(mag.shape, dtype=bool)
-    if n_bins >= 3:
-        is_max[:, 1:-1] = (mag[:, 1:-1] > mag[:, :-2]) & (mag[:, 1:-1] > mag[:, 2:])
-    ridge_bins = []
-    basin_edges = []
-    for n in range(n_frames):
-        ridges = np.nonzero(is_max[n])[0]
-        ridge_bins.append(ridges)
-        basin_edges.append(_basin_edges_from_minima(mag[n], ridges, n_bins))
-    return IFEstimate(tuple(ridge_bins), tuple(basin_edges), gamma_used=0.0,
+    inner, left, right = mag[:, 1:-1], mag[:, :-2], mag[:, 2:]
+    mask = np.zeros(mag.shape, dtype=bool)
+    np.logical_and(inner > left, inner > right, out=mask[:, 1:-1])
+    peaks = np.flatnonzero(mask)  # flat cell index, by frame then bin
+    frame, ridges = np.divmod(peaks, n_bins)
+    offsets = np.searchsorted(peaks, np.arange(n_frames + 1) * n_bins)
+
+    # The lowest-bin minimum of a valley between two ridges is strictly below
+    # its left neighbour and not above its right one (the ridges bounding the
+    # valley are strict maxima), so only such candidate cells compete.
+    np.logical_and(inner < left, inner <= right, out=mask[:, 1:-1])
+    lows = np.flatnonzero(mask)
+    # a candidate lies in the valley that ridge i closes when ridges i-1 and i
+    # both sit in the candidate's frame
+    closing = np.searchsorted(peaks, lows)
+    low_frame = lows // n_bins
+    ridge_frame = np.concatenate([[-1], frame, [-1]])  # ridge i-1's frame at [i]
+    inside = (ridge_frame[closing] == low_frame) & (ridge_frame[closing + 1] == low_frame)
+    closing, lows = closing[inside], lows[inside]
+    # per valley: smallest magnitude first, then lowest bin
+    order = np.lexsort((lows, mag.ravel()[lows], closing))
+    closing, lows = closing[order], lows[order]
+    pick = np.ones(closing.size, dtype=bool)
+    pick[1:] = closing[1:] != closing[:-1]
+    starts = np.zeros(ridges.size, dtype=np.int64)
+    starts[closing[pick]] = lows[pick] % n_bins
+    return IFEstimate(ridges, offsets, starts, gamma_used=0.0,
                       time_axis_s=grid.time_axis_s, freq_axis_hz=grid.freq_axis_hz)
 
 
@@ -143,20 +159,16 @@ def inject_if(grid: TFRGrid, trajectories: Sequence[Callable[[np.ndarray], np.nd
             )
         tracks.append(np.clip(np.rint((values - f[0]) / df).astype(np.int64),
                               0, n_bins - 1))
-    bins_per_frame = np.stack(tracks, axis=1)
+    bins_per_frame = np.sort(np.stack(tracks, axis=1), axis=1)
 
-    ridge_bins = []
-    basin_edges = []
-    for n in range(grid.n_frames):
-        ridges = np.unique(bins_per_frame[n])
-        edges = np.empty(ridges.size + 1, dtype=np.int64)
-        edges[0] = 0
-        edges[-1] = n_bins
-        for i in range(ridges.size - 1):
-            edges[i + 1] = max(ridges[i] + 1, (ridges[i] + ridges[i + 1]) // 2)
-        ridge_bins.append(ridges)
-        basin_edges.append(edges)
-    return IFEstimate(tuple(ridge_bins), tuple(basin_edges), gamma_used=0.0,
+    distinct = np.ones(bins_per_frame.shape, dtype=bool)
+    distinct[:, 1:] = bins_per_frame[:, 1:] != bins_per_frame[:, :-1]
+    ridges = bins_per_frame[distinct]
+    offsets = np.concatenate([[0], np.cumsum(distinct.sum(axis=1))])
+    below = np.concatenate([[0], ridges[:-1]])
+    starts = np.maximum(below + 1, (below + ridges) // 2)
+    starts[offsets[:-1]] = 0  # every frame has a ridge; its first basin starts at 0
+    return IFEstimate(ridges, offsets, starts, gamma_used=0.0,
                       time_axis_s=t, freq_axis_hz=f)
 
 

@@ -1,10 +1,11 @@
 """Frequency-axis squeeze of a TFR onto ridge bins, and its inverses.
 
 The squeeze moves every coefficient of a frame into the ridge bin of the
-basin it belongs to. Because each frame's coefficients are only regrouped,
-the frame sum is unchanged, so the same rho that inverts the source grid
-inverts the squeezed one. This works for any grid that reconstructs by a
-frequency sum, not just the STFT; the grid carries its own rho.
+basin it belongs to, through tfr.regroup, the in-frame move that SST and
+LMSST share. Because each frame's coefficients are only regrouped, the frame
+sum is unchanged, so the same rho that inverts the source grid inverts the
+squeezed one. This works for any grid that reconstructs by a frequency sum,
+not just the STFT; the grid carries its own rho.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import IFOutOfRangeError, NonInvertibleGridError, ShapeMismatchError
 from .ridges import IFEstimate
 from .signals import Signal
-from .tfr import TFRGrid, istft
+from .tfr import TFRGrid, istft, regroup
 
 __all__ = ["modular_reassign", "reconstruct", "mode_reconstruct"]
 
@@ -24,24 +25,26 @@ __all__ = ["modular_reassign", "reconstruct", "mode_reconstruct"]
 def modular_reassign(grid: TFRGrid, ifest: IFEstimate) -> TFRGrid:
     """Sum each basin's coefficients into its ridge bin, frame by frame.
 
-    Frames without a detected ridge pass through unchanged; zeroing quiet
-    frames is the gamma filter's job, not the squeeze's. The output keeps
-    the source grid's axes and reconstruction factor.
+    Every cell's destination is its basin's ridge, and tfr.regroup makes the
+    move. Frames without a detected ridge pass through unchanged; zeroing
+    quiet frames is the gamma filter's job, not the squeeze's. The output
+    keeps the source grid's axes and reconstruction factor.
     """
     if ifest.n_frames != grid.n_frames or ifest.n_bins != grid.n_bins:
         raise ShapeMismatchError(
             f"estimate covers ({ifest.n_frames}, {ifest.n_bins}) "
             f"but grid is ({grid.n_frames}, {grid.n_bins})"
         )
-    out = np.zeros_like(grid.data)
-    for n in range(grid.n_frames):
-        ridges = ifest.ridge_bins[n]
-        if ridges.size == 0:
-            out[n] = grid.data[n]
-            continue
-        sums = np.add.reduceat(grid.data[n], ifest.basin_edges[n][:-1])
-        out[n, ridges] = sums
-    return grid.with_data(out, method_tag="proposed")
+    n_bins = grid.n_bins
+    # a frame's first basin, and only that one, starts at bin 0, so a zero
+    # next start marks the last basin of a frame
+    ends = np.append(ifest.starts[1:], 0)
+    ends[ends == 0] = n_bins
+    has_ridge = ifest.counts() > 0
+    dest = np.empty(grid.data.shape, dtype=np.int64)
+    dest[~has_ridge] = np.arange(n_bins)
+    dest[has_ridge] = np.repeat(ifest.ridges, ends - ifest.starts).reshape(-1, n_bins)
+    return regroup(grid, dest, "proposed")
 
 
 def reconstruct(tgrid: TFRGrid) -> Signal:

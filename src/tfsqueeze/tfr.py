@@ -17,7 +17,7 @@ from .errors import InvalidParameterError, NonInvertibleGridError, ShapeMismatch
 from .signals import Signal
 from .windows import WindowSpec
 
-__all__ = ["TFRGrid", "stft", "istft", "energy", "half_circle"]
+__all__ = ["TFRGrid", "stft", "istft", "regroup", "energy", "half_circle"]
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,34 @@ def istft(grid: TFRGrid) -> Signal:
         )
     samples = grid.rho * grid.data.sum(axis=1)
     return Signal(samples, grid.source_fs_hz, float(grid.time_axis_s[0]))
+
+
+def regroup(grid: TFRGrid, dest: np.ndarray, method_tag: str) -> TFRGrid:
+    """Add every coefficient V[n, k] into bin dest[n, k] of its own frame n.
+
+    This is the one move of every invertible post-processor here (SST, LMSST
+    and the squeeze): coefficients never leave their frame, so each frame sum
+    is kept and the output inverts through istft with the source grid's rho.
+    dest is an integer (n_frames, n_bins) array of bins in [0, n_bins).
+
+    Each run of consecutive cells sharing a destination is summed with one
+    reduceat, so a contiguous basin adds up exactly as a per-frame reduceat
+    would; the run sums are then added into the zeroed output.
+    """
+    n_frames, n_bins = grid.data.shape
+    if dest.shape != grid.data.shape:
+        raise ShapeMismatchError(
+            f"destinations {dest.shape} do not match grid {grid.data.shape}")
+    if dest.min() < 0 or dest.max() >= n_bins:
+        raise InvalidParameterError(f"destination bins must lie in [0, {n_bins})")
+    run_start = np.ones(dest.shape, dtype=bool)  # a frame always starts a run
+    run_start[:, 1:] = dest[:, 1:] != dest[:, :-1]
+    starts = np.flatnonzero(run_start)
+    sums = np.add.reduceat(grid.data.ravel(), starts)
+    frame_base = np.repeat(np.arange(n_frames) * n_bins, run_start.sum(axis=1))
+    out = np.zeros(n_frames * n_bins, dtype=np.complex128)
+    np.add.at(out, frame_base + dest.ravel()[starts], sums)
+    return grid.with_data(out.reshape(n_frames, n_bins), method_tag=method_tag)
 
 
 def energy(grid: TFRGrid) -> float:

@@ -193,3 +193,24 @@ class TestReconstruct:
         rc = main(["reconstruct", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path)])
         assert rc == 3
+
+
+class TestDegenerateInputs:
+    def test_one_bin_half_circle_has_no_ridge_mae(self, tmp_path):
+        # nfft 3 leaves a single bin below fs/2: no bin width to measure in
+        for command in ("analyze", "compare"):
+            out = tmp_path / command
+            rc = main([command, "--input", "fmam", "--nfft", "3", "--sigma", "1e-9",
+                       "--out", str(out)])
+            assert rc == 0
+            reports = json.loads((out / "report.json").read_text())
+            assert [r["ridge_mae_bins"] for r in reports] == [None] * len(reports)
+
+    def test_all_zero_input_writes_nothing(self, tmp_path, capsys):
+        signal = tmp_path / "zero.csv"
+        signal.write_text("# fs=128\n" + "0\n" * 64)
+        for command in ("analyze", "compare"):
+            out = tmp_path / command
+            assert main([command, "--input", str(signal), "--out", str(out)]) == 2
+            assert not out.exists() or not any(out.iterdir())
+            assert "error" in capsys.readouterr().err

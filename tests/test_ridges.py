@@ -210,3 +210,38 @@ class TestTrajectoryCsv:
         path.write_text("# nothing\n")
         with pytest.raises(FormatError):
             tq.load_trajectories_csv(path)
+
+
+def inject_oracle(frame_bins, n_bins):
+    """One frame of inject_if by hand: merged ridges, midpoint edges."""
+    ridges = sorted(set(int(b) for b in frame_bins))
+    edges = [0]
+    for low, high in zip(ridges, ridges[1:]):
+        edge = (low + high) // 2  # midpoint, ties to the lower bin
+        if edge <= low:
+            edge = low + 1  # adjacent ridges: the upper one starts its own basin
+        edges.append(edge)
+    edges.append(n_bins)
+    return ridges, edges
+
+
+class TestInjectIfOracle:
+    @pytest.mark.parametrize("n_bins", [1, 2, 5, 16])
+    def test_random_tracks_with_duplicates_and_neighbours(self, n_bins):
+        rng = np.random.default_rng(n_bins)
+        n_frames = 60
+        bins = rng.integers(0, n_bins, size=(n_frames, 4))
+        # second track repeats or neighbours the first on most frames
+        bins[:, 1] = np.clip(bins[:, 0] + rng.integers(-1, 2, size=n_frames), 0, n_bins - 1)
+        grid = make_grid(np.zeros((n_frames, n_bins)))
+        times = grid.time_axis_s
+        tracks = [lambda t, col=col: np.interp(t, times, grid.freq_axis_hz[col])
+                  for col in bins.T]
+        est = tq.inject_if(grid, tracks)
+        assert est.counts().tolist() == [len(set(row)) for row in bins.tolist()]
+        for n in range(n_frames):
+            ridges, edges = inject_oracle(bins[n], n_bins)
+            assert est.ridge_bins[n].tolist() == ridges
+            assert est.basin_edges[n].tolist() == edges
+            for i, r in enumerate(ridges):
+                assert edges[i] <= r < edges[i + 1]
