@@ -22,7 +22,11 @@ from .io_export import (
     export_grid_csv,
     export_heatmap_pgm,
     export_report_json,
+    export_trajectories_csv,
     import_grid_csv,
+    load_signal,
+    load_trajectories_csv,
+    save_signal_csv,
 )
 from .metrics import (
     MethodReport,
@@ -37,7 +41,6 @@ from .ridges import (
     estimate_ridges,
     filter_grid,
     inject_if,
-    load_trajectories_csv,
     local_maxima,
 )
 from .signals import (
@@ -50,10 +53,8 @@ from .signals import (
     gen_fmam,
     gen_tone,
     ideal_tfr,
-    load_signal,
-    save_signal_csv,
 )
-from .squeeze import mode_reconstruct, modular_reassign, reconstruct
+from .squeeze import mode_reconstruct, modular_reassign
 from .tfr import TFRGrid, energy, half_circle, istft, stft
 from .windows import WindowSpec, gaussian_window, window_response_width
 

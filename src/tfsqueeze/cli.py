@@ -27,7 +27,11 @@ from .io_export import (
     export_grid_csv,
     export_heatmap_pgm,
     export_report_json,
+    export_trajectories_csv,
     import_grid_csv,
+    load_signal,
+    load_trajectories_csv,
+    save_signal_csv,
 )
 
 METHODS = ("stft", "sst", "rm", "set", "lmsst", "proposed")
@@ -48,7 +52,7 @@ def _resolve_input(name: str, seed: int, snr_db: float | None, opts
         fs = opts.fs if opts.fs is not None else 128.0
         sig, model = signals.gen_tone(opts.f0, fs, opts.dur)
     else:
-        sig, model = signals.load_signal(name), None
+        sig, model = load_signal(name), None
     if snr_db is not None:
         sig = signals.add_noise(sig, snr_db, seed)
     return sig, model
@@ -109,7 +113,7 @@ def _run_method(method: str, sig: signals.Signal, w: windows.WindowSpec,
     if method == "proposed":
         filtered, est = ridges.estimate_ridges(base, args.gamma, args.per_frame_max)
         if args.if_from:
-            est = ridges.inject_if(filtered, ridges.load_trajectories_csv(args.if_from))
+            est = ridges.inject_if(filtered, load_trajectories_csv(args.if_from))
         return filtered, squeeze.modular_reassign(filtered, est), est
     raise InvalidParameterError(f"unknown method {method!r}")
 
@@ -145,36 +149,20 @@ def _build_report(base: tfr.TFRGrid, out: tfr.TFRGrid, sig: signals.Signal,
     )
 
 
-def _write_trajectory_csv(model: signals.ModeModel, times: np.ndarray, path) -> None:
-    table = model.if_matrix_hz(times)
-    header = "time_s," + ",".join(f"f{i + 1}_hz" for i in range(len(model)))
-    lines = [header]
-    for j, t in enumerate(times):
-        lines.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in table[:, j]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_ridge_csv(est: ridges.IFEstimate, path) -> None:
-    width = int(est.counts().max(initial=0))
-    header = "time_s," + ",".join(f"f{i + 1}_hz" for i in range(width))
-    lines = [header]
-    freqs = [f"{f:.17g}" for f in est.freq_axis_hz[est.ridges]]
-    for n, t in enumerate(est.time_axis_s):
-        row = freqs[est.offsets[n]:est.offsets[n + 1]]
-        row.extend([""] * (width - len(row)))
-        lines.append(f"{t:.17g}," + ",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _out_dir(args) -> Path:
+    """Create the output directory. Commands call this only once every output
+    is computed, so a refusal leaves no directory behind."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def cmd_generate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sig, model = _resolve_input(args.generator, args.seed, args.snr_db, args)
-    signals.save_signal_csv(sig, out_dir / "signal.csv")
-    if model is not None:
-        _write_trajectory_csv(model, sig.times_s, out_dir / "true_if.csv")
+    out_dir = _out_dir(args)
+    save_signal_csv(sig, out_dir / "signal.csv")
+    export_trajectories_csv(sig.times_s, model.if_matrix_hz(sig.times_s).T,
+                            out_dir / "true_if.csv")
     return 0
 
 
@@ -182,20 +170,20 @@ def cmd_analyze(args) -> int:
     sig, model = _resolve_input(args.input, args.seed, args.snr_db, args)
     w, nfft = _prepare(args, sig)
     base, out, est = _run_method(args.method, sig, w, nfft, args)
-    # the report refuses degenerate grids, so build it before writing anything
+    # the report refuses degenerate grids and istft non-invertible ones
     report = _build_report(base, out, sig, model, w, args.gamma)
+    recovered = tfr.istft(out) if args.reconstruct else None
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     export_grid_csv(out, out_dir / "grid.csv")
     export_heatmap_pgm(out, out_dir / "heatmap.pgm")
     export_report_json([report], out_dir / "report.json")
     if est is not None:
-        _write_ridge_csv(est, out_dir / "ridges.csv")
-    if args.reconstruct:
-        recovered = squeeze.reconstruct(out)  # raises on non-invertible grids
-        signals.save_signal_csv(recovered, out_dir / "recovered.csv")
-        print(f"recon_rel_l2={metrics.recon_rel_l2(sig, recovered):.17g}")
+        export_trajectories_csv(est.time_axis_s, est.freq_table_hz(),
+                                out_dir / "ridges.csv")
+    if recovered is not None:
+        save_signal_csv(recovered, out_dir / "recovered.csv")
+        print(f"recon_rel_l2={report.recon_rel_l2:.17g}")
     return 0
 
 
@@ -209,35 +197,46 @@ def cmd_compare(args) -> int:
     sig, model = _resolve_input(args.input, args.seed, args.snr_db, args)
     w, nfft = _prepare(args, sig)
 
+    # holding every method's grid until the last one is done would multiply
+    # peak memory, so each heatmap is written once its report exists, and
+    # removed again if a later method fails
     out_dir = Path(args.out)
-    reports = []
-    for method in methods:
-        base, out, _ = _run_method(method, sig, w, nfft, args)
-        reports.append(_build_report(base, out, sig, model, w, args.gamma))
-        out_dir.mkdir(parents=True, exist_ok=True)  # once a report exists
-        export_heatmap_pgm(out, out_dir / f"heatmap_{method}.pgm")
+    created = not out_dir.exists()
+    reports, written = [], []
+    try:
+        for method in methods:
+            base, out, _ = _run_method(method, sig, w, nfft, args)
+            reports.append(_build_report(base, out, sig, model, w, args.gamma))
+            written.append(_out_dir(args) / f"heatmap_{method}.pgm")
+            export_heatmap_pgm(out, written[-1])
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        if created and written:
+            out_dir.rmdir()
+        raise
     reports.sort(key=lambda r: r.renyi_entropy_bits)
     export_report_json(reports, out_dir / "report.json")
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = import_grid_csv(args.grid)
-    reference = signals.load_signal(args.reference) if args.reference else None
+    reference = load_signal(args.reference) if args.reference else None
 
     if args.mode_track:
-        tracks = ridges.load_trajectories_csv(args.mode_track)
-        for i, track in enumerate(tracks, start=1):
-            mode = squeeze.mode_reconstruct(grid, track, args.gamma_band)
-            signals.save_signal_csv(mode, out_dir / f"mode_{i}.csv")
+        modes = [squeeze.mode_reconstruct(grid, track, args.gamma_band)
+                 for track in load_trajectories_csv(args.mode_track)]
+        out_dir = _out_dir(args)
+        for i, mode in enumerate(modes, start=1):
+            save_signal_csv(mode, out_dir / f"mode_{i}.csv")
         return 0
 
-    recovered = squeeze.reconstruct(grid)
-    signals.save_signal_csv(recovered, out_dir / "recovered.csv")
-    if reference is not None:
-        print(f"recon_rel_l2={metrics.recon_rel_l2(reference, recovered):.17g}")
+    recovered = tfr.istft(grid)
+    err = metrics.recon_rel_l2(reference, recovered) if reference is not None else None
+    save_signal_csv(recovered, _out_dir(args) / "recovered.csv")
+    if err is not None:
+        print(f"recon_rel_l2={err:.17g}")
     return 0
 
 

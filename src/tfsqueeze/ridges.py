@@ -14,11 +14,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FormatError, IFOutOfRangeError, InvalidParameterError
+from .errors import IFOutOfRangeError, InvalidParameterError
 from .tfr import TFRGrid
 
 __all__ = ["IFEstimate", "filter_grid", "local_maxima", "inject_if",
-           "estimate_ridges", "load_trajectories_csv"]
+           "estimate_ridges"]
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,15 @@ class IFEstimate:
     def ridge_bins(self) -> tuple[np.ndarray, ...]:
         """Per-frame view: the strictly increasing ridge bins of each frame."""
         return tuple(np.split(self.ridges, self.offsets[1:-1]))
+
+    def freq_table_hz(self) -> np.ndarray:
+        """Ridge frequencies with one row per frame, left-aligned and padded
+        with NaN to the largest ridge count."""
+        counts = self.counts()
+        columns = np.arange(counts.max(initial=0))
+        table = np.full((self.n_frames, columns.size), np.nan)
+        table[columns < counts[:, None]] = self.freq_axis_hz[self.ridges]
+        return table
 
     @property
     def basin_edges(self) -> tuple[np.ndarray, ...]:
@@ -170,56 +179,3 @@ def inject_if(grid: TFRGrid, trajectories: Sequence[Callable[[np.ndarray], np.nd
     starts[offsets[:-1]] = 0  # every frame has a ridge; its first basin starts at 0
     return IFEstimate(ridges, offsets, starts, gamma_used=0.0,
                       time_axis_s=t, freq_axis_hz=f)
-
-
-def load_trajectories_csv(path) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """Read IF trajectories from CSV columns time_s, f1_hz[, f2_hz, ...].
-
-    Returns one callable per frequency column; lookups interpolate linearly
-    between rows and clamp outside the covered time span.
-    """
-    times: list[float] = []
-    rows: list[list[float]] = []
-    n_cols = None
-    saw_data = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if not saw_data and not _is_number(parts[0]):
-                continue  # column-name header row
-            saw_data = True
-            if len(parts) < 2:
-                raise FormatError(f"{path}: line {lineno}: need time and >= 1 frequency")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise FormatError(f"{path}: line {lineno}: non-numeric cell in {line!r}")
-            if n_cols is None:
-                n_cols = len(values)
-            elif len(values) != n_cols:
-                raise FormatError(f"{path}: line {lineno}: expected {n_cols} columns")
-            times.append(values[0])
-            rows.append(values[1:])
-    if not rows:
-        raise FormatError(f"{path}: no trajectory rows")
-    t = np.array(times)
-    table = np.array(rows)
-    order = np.argsort(t)
-    t = t[order]
-    table = table[order]
-
-    def make(column: np.ndarray):
-        return lambda tt: np.interp(tt, t, column)
-
-    return [make(table[:, j].copy()) for j in range(table.shape[1])]
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False

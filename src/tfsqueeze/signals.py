@@ -1,4 +1,4 @@
-"""Synthetic test signals, file ingestion, and ground-truth oracles.
+"""Synthetic test signals and ground-truth oracles.
 
 Every generator returns both the sampled signal and a mode model carrying
 the exact amplitude, phase, and instantaneous-frequency laws of each
@@ -7,18 +7,12 @@ component, so tests and metrics can compare estimates against truth.
 
 from __future__ import annotations
 
-import wave
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    FormatError,
-    IFOutOfRangeError,
-    InvalidParameterError,
-    UnsupportedFormatError,
-)
+from .errors import IFOutOfRangeError, InvalidParameterError
 
 __all__ = [
     "Signal",
@@ -29,8 +23,6 @@ __all__ = [
     "gen_chirp_surrogate",
     "gen_tone",
     "add_noise",
-    "load_signal",
-    "save_signal_csv",
     "ideal_tfr",
 ]
 
@@ -268,92 +260,6 @@ def add_noise(sig: Signal, snr_db: float | None, seed: int = 0) -> Signal:
     else:
         noise = np.sqrt(p_noise / 2.0) * (re + 1j * im)
     return Signal(sig.samples + noise, sig.sample_rate_hz, sig.t0_s)
-
-
-def save_signal_csv(sig: Signal, path) -> None:
-    """Write a signal as CSV: '# fs=' and '# t0=' headers, one sample per line.
-
-    Real signals write a single 're' column; complex ones write 're,im'.
-    All values carry 17 significant digits so reading back is lossless.
-    """
-    lines = [f"# fs={sig.sample_rate_hz:.17g}", f"# t0={sig.t0_s:.17g}"]
-    if sig.is_real:
-        lines.extend(f"{v:.17g}" for v in sig.samples.real)
-    else:
-        lines.extend(f"{v.real:.17g},{v.imag:.17g}" for v in sig.samples)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _load_signal_csv(path) -> Signal:
-    fs = None
-    t0 = 0.0
-    values: list[complex] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("fs="):
-                    try:
-                        fs = float(body[3:])
-                    except ValueError:
-                        raise FormatError(f"{path}: line {lineno}: bad fs header {body!r}")
-                elif body.startswith("t0="):
-                    try:
-                        t0 = float(body[3:])
-                    except ValueError:
-                        raise FormatError(f"{path}: line {lineno}: bad t0 header {body!r}")
-                continue
-            parts = line.split(",")
-            try:
-                if len(parts) == 1:
-                    values.append(complex(float(parts[0]), 0.0))
-                elif len(parts) == 2:
-                    values.append(complex(float(parts[0]), float(parts[1])))
-                else:
-                    raise ValueError
-            except ValueError:
-                raise FormatError(f"{path}: line {lineno}: expected 're' or 're,im', got {line!r}")
-    if fs is None:
-        raise FormatError(f"{path}: missing mandatory '# fs=<float>' header")
-    if not values:
-        raise FormatError(f"{path}: no samples")
-    return Signal(np.array(values), fs, t0)
-
-
-def _load_signal_wav(path) -> Signal:
-    try:
-        with wave.open(str(path), "rb") as wf:
-            if wf.getnchannels() != 1:
-                raise UnsupportedFormatError(f"{path}: only mono WAV is supported")
-            if wf.getsampwidth() != 2:
-                raise UnsupportedFormatError(f"{path}: only 16-bit PCM WAV is supported")
-            fs = wf.getframerate()
-            raw = wf.readframes(wf.getnframes())
-    except wave.Error as exc:
-        raise FormatError(f"{path}: not a readable WAV file: {exc}")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    if samples.size == 0:
-        raise FormatError(f"{path}: WAV contains no frames")
-    return Signal(samples, float(fs))
-
-
-def load_signal(path, format: str | None = None) -> Signal:
-    """Load a signal from CSV or 16-bit mono PCM WAV.
-
-    The format is inferred from the extension when not given explicitly.
-    """
-    if format is None:
-        name = str(path).lower()
-        format = "wav" if name.endswith(".wav") else "csv"
-    if format == "csv":
-        return _load_signal_csv(path)
-    if format == "wav":
-        return _load_signal_wav(path)
-    raise UnsupportedFormatError(f"unknown signal format {format!r}")
 
 
 def ideal_tfr(model: ModeModel, time_axis_s: Sequence[float],

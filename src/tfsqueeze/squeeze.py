@@ -1,10 +1,10 @@
-"""Frequency-axis squeeze of a TFR onto ridge bins, and its inverses.
+"""Frequency-axis squeeze of a TFR onto ridge bins, and per-mode reconstruction.
 
 The squeeze moves every coefficient of a frame into the ridge bin of the
 basin it belongs to, through tfr.regroup, the in-frame move that SST and
 LMSST share. Because each frame's coefficients are only regrouped, the frame
 sum is unchanged, so the same rho that inverts the source grid inverts the
-squeezed one. This works for any grid that reconstructs by a frequency sum,
+squeezed one through tfr.istft. This works for any grid that reconstructs by a frequency sum,
 not just the STFT; the grid carries its own rho.
 """
 
@@ -17,9 +17,9 @@ import numpy as np
 from .errors import IFOutOfRangeError, NonInvertibleGridError, ShapeMismatchError
 from .ridges import IFEstimate
 from .signals import Signal
-from .tfr import TFRGrid, istft, regroup
+from .tfr import TFRGrid, regroup
 
-__all__ = ["modular_reassign", "reconstruct", "mode_reconstruct"]
+__all__ = ["modular_reassign", "mode_reconstruct"]
 
 
 def modular_reassign(grid: TFRGrid, ifest: IFEstimate) -> TFRGrid:
@@ -45,15 +45,6 @@ def modular_reassign(grid: TFRGrid, ifest: IFEstimate) -> TFRGrid:
     dest[~has_ridge] = np.arange(n_bins)
     dest[has_ridge] = np.repeat(ifest.ridges, ends - ifest.starts).reshape(-1, n_bins)
     return regroup(grid, dest, "proposed")
-
-
-def reconstruct(tgrid: TFRGrid) -> Signal:
-    """Signal from a squeezed grid: rho times each frame's frequency sum.
-
-    Identical to istft; exactness is inherited from frame-sum conservation.
-    Grids flagged non-invertible (reassignment-method output) are refused.
-    """
-    return istft(tgrid)
 
 
 def mode_reconstruct(tgrid: TFRGrid, ridge_track: Callable[[np.ndarray], np.ndarray],

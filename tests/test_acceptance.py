@@ -37,7 +37,7 @@ def test_a1_exact_inverse(gen, request):
     err_istft = rel_l2(sig.samples, tq.istft(tq.stft(sig, w, nfft)).samples)
     grid = tq.stft(sig, w, nfft)
     out = tq.modular_reassign(grid, tq.local_maxima(grid))
-    err_prop = rel_l2(sig.samples, tq.reconstruct(out).samples)
+    err_prop = rel_l2(sig.samples, tq.istft(out).samples)
     elapsed = time.perf_counter() - start
 
     ok = err_istft <= 1e-10 and err_prop <= 1e-10 and elapsed < 1.0
@@ -114,7 +114,7 @@ def test_a5_crossover_modularity(crossover, w1024):
     max_ridges = int(est.counts().max())
     crossing = int(np.argmin(np.abs(grid.time_axis_s - 0.25)))
     merged = est.counts()[crossing] == 1
-    err = rel_l2(sig.samples, tq.reconstruct(out).samples)
+    err = rel_l2(sig.samples, tq.istft(out).samples)
 
     ok = matches and merged and max_ridges == 3 and err <= 1e-10
     report("A5", ok, f"support==ridges on all frames: {matches}; crossing merges "
@@ -151,7 +151,7 @@ def test_a7_set_lossiness(fmam, w128):
     sig, _ = fmam
     grid = tq.stft(sig, w128, 128)
     out = tq.modular_reassign(grid, tq.local_maxima(grid))
-    err_prop = rel_l2(sig.samples, tq.reconstruct(out).samples)
+    err_prop = rel_l2(sig.samples, tq.istft(out).samples)
     err_set = rel_l2(sig.samples, tq.istft(tq.set_extract(sig, w128, 128)).samples)
     ok = err_set >= 1e3 * err_prop
     report("A7", ok, f"set err {err_set:.2e} vs squeezed err {err_prop:.2e} "

@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+import tfsqueeze as tq
 from tfsqueeze.cli import main
 
 
@@ -214,3 +216,30 @@ class TestDegenerateInputs:
             assert main([command, "--input", str(signal), "--out", str(out)]) == 2
             assert not out.exists() or not any(out.iterdir())
             assert "error" in capsys.readouterr().err
+
+
+class TestNoPartialOutput:
+    @pytest.mark.parametrize("argv, code", [
+        (["analyze", "--method", "rm", "--input", "fmam", "--reconstruct"], 4),
+        (["generate", "tone", "--f0", "600", "--fs", "1000"], 2),
+        (["reconstruct", "{inputs}/garbage.csv"], 3),
+        (["reconstruct", "{inputs}/latin1.csv"], 3),
+        # the first track is inside the axis, the second is not
+        (["reconstruct", "{inputs}/grid.csv", "--mode-track", "{inputs}/tracks.csv"], 2),
+        # the first method succeeds before the second is refused
+        (["compare", "--input", "fmam", "--methods", "stft,lmsst", "--delta-bins", "-1"], 2),
+    ], ids=["rm-reconstruct", "nyquist", "unparseable-grid", "non-utf8-grid",
+            "track-off-axis", "compare-second-method"])
+    def test_failure_leaves_no_output_directory(self, tmp_path, argv, code):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        sig, _ = tq.gen_fmam()
+        tq.export_grid_csv(tq.stft(sig, tq.gaussian_window(0.04, 128.0), 128),
+                           inputs / "grid.csv")
+        (inputs / "garbage.csv").write_text("garbage\n")
+        (inputs / "latin1.csv").write_bytes("# method=caf\u00e9\n".encode("latin-1"))
+        (inputs / "tracks.csv").write_text("time_s,f1_hz,f2_hz\n0,20,20\n1,20,500\n")
+        out = tmp_path / "out"
+        argv = [arg.format(inputs=inputs) for arg in argv] + ["--out", str(out)]
+        assert main(argv) == code
+        assert not out.exists()

@@ -1,10 +1,30 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import tfsqueeze as tq
 from tfsqueeze.errors import DegenerateGridError, FormatError
+
+# values that 17-digit text must carry exactly: signed zeros, subnormals and
+# the ends of the finite range
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1)
+finite = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+# a function-scoped tmp_path is fine: every example overwrites the same file
+roundtrip_settings = settings(max_examples=100, deadline=None,
+                              suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def bits(values) -> np.ndarray:
+    """The IEEE 754 bit patterns of float or complex values, as uint64."""
+    return np.ascontiguousarray(values).view(np.uint64)
 
 
 def random_grid(seed=0, n_frames=12, n_bins=16, rho=0.25, tag="stft"):
@@ -76,6 +96,31 @@ class TestGridCsv:
         with pytest.raises(FormatError, match="line 11"):
             tq.import_grid_csv(path)
 
+    def test_header_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        tq.export_grid_csv(random_grid(), path)
+        lines = path.read_text().splitlines()
+        lines.insert(2, "# junk")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="line 3: malformed header '# junk'"):
+            tq.import_grid_csv(path)
+
+    @roundtrip_settings
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 5)), data=st.data(),
+           rho=st.one_of(st.just(float("nan")), finite))
+    def test_roundtrip_bit_exact_property(self, tmp_path, shape, data, rho):
+        parts = hnp.arrays(float, shape, elements=finite)
+        values = np.empty(shape, dtype=np.complex128)
+        values.real, values.imag = data.draw(parts), data.draw(parts)
+        fs = 16.0
+        grid = tq.TFRGrid(values, np.arange(shape[0]) / fs,
+                          np.arange(shape[1]) * fs / shape[1], rho, "proposed", fs)
+        path = tmp_path / "grid.csv"
+        tq.export_grid_csv(grid, path)
+        back = tq.import_grid_csv(path)
+        assert np.array_equal(bits(back.data), bits(grid.data))
+        assert np.array_equal(bits([back.rho, back.source_fs_hz]), bits([rho, fs]))
+
     def test_ragged_rows_report_line(self, tmp_path):
         path = tmp_path / "grid.csv"
         tq.export_grid_csv(random_grid(), path)
@@ -84,6 +129,57 @@ class TestGridCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="line 13"):
             tq.import_grid_csv(path)
+
+
+class TestSignalCsv:
+    @roundtrip_settings
+    @given(re=hnp.arrays(float, st.integers(1, 8), elements=finite),
+           complex_valued=st.booleans(), data=st.data(),
+           fs=st.floats(1e-300, 1e300), t0=finite)
+    def test_roundtrip_bit_exact_property(self, tmp_path, re, complex_valued, data,
+                                          fs, t0):
+        samples = re.astype(np.complex128)
+        if complex_valued:
+            samples.imag = data.draw(hnp.arrays(float, re.shape, elements=finite))
+            assume(np.any(samples.imag != 0.0))  # else it is written as real
+        sig = tq.Signal(samples, fs, t0)
+        path = tmp_path / "sig.csv"
+        tq.save_signal_csv(sig, path)
+        back = tq.load_signal(path)
+        assert np.array_equal(bits(back.samples), bits(sig.samples))
+        assert np.array_equal(bits([back.sample_rate_hz, back.t0_s]), bits([fs, t0]))
+
+
+class TestTrajectoryCsv:
+    def test_comments_and_name_rows_skipped(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("# written by an external tracker\n\n"
+                        "time,mode a,mode b\nseconds,Hz,Hz\n"
+                        "0.0,100,200\n# comment between rows\n1.0,110,180\n")
+        tracks = tq.load_trajectories_csv(path)
+        assert [track(np.array(0.5)) for track in tracks] == [105.0, 190.0]
+
+    def test_nan_padded_rows_written_empty(self, tmp_path):
+        nan = float("nan")
+        path = tmp_path / "ridges.csv"
+        tq.export_trajectories_csv([0.0, 0.5, 1.0],
+                                   [[10.0, 0.1], [12.5, nan], [nan, nan]], path)
+        assert path.read_bytes() == (b"time_s,f1_hz,f2_hz\n"
+                                     b"0,10,0.10000000000000001\n"
+                                     b"0.5,12.5,\n"
+                                     b"1,,\n")
+        # a ragged table is not trajectory input: every track needs every time
+        with pytest.raises(FormatError, match="line 3"):
+            tq.load_trajectories_csv(path)
+
+
+@pytest.mark.parametrize("read", [tq.load_signal, tq.load_trajectories_csv,
+                                  tq.import_grid_csv])
+def test_non_utf8_text_rejected(tmp_path, read):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("# fs=1\n0,caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(FormatError, match="not UTF-8"):
+        read(path)
 
 
 class TestHeatmapPgm:
@@ -167,3 +263,27 @@ class TestReportJson:
         text = path.read_text()
         positions = [text.index(k) for k in tq.MethodReport.FIELD_ORDER]
         assert positions == sorted(positions)
+
+
+def file_access(source: str) -> set[str]:
+    """'open(' if the module calls any open(), plus each of wave and json it
+    imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open":
+                found.add("open(")
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name in ("wave", "json"))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("wave", "json"):
+            found.add(node.module)
+    return found
+
+
+def test_only_io_export_touches_files():
+    # every file format lives in io_export; no other module may read or write
+    package = Path(tq.__file__).parent
+    access = {path.stem: file_access(path.read_text()) for path in package.glob("*.py")}
+    assert access.pop("io_export") == {"open(", "wave", "json"}
+    assert {name: found for name, found in access.items() if found} == {}

@@ -101,6 +101,16 @@ class TestLocalMaxima:
                 assert est.ridge_bins[n].tolist() == ridges
                 assert est.basin_edges[n].tolist() == edges
 
+    def test_freq_table_pads_with_nan_after_each_frames_ridges(self):
+        rng = np.random.default_rng(7)
+        block = rng.random((40, 13)) * (rng.random((40, 13)) > 0.3)
+        est = tq.local_maxima(make_grid(block, df=0.5))
+        table = est.freq_table_hz()
+        assert table.shape == (40, est.counts().max())
+        for n, bins in enumerate(est.ridge_bins):
+            assert table[n, :bins.size].tolist() == (0.5 * bins).tolist()
+            assert np.all(np.isnan(table[n, bins.size:]))
+
     def test_partition_invariants(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)

@@ -244,6 +244,13 @@ class TestWav:
         with pytest.raises(UnsupportedFormatError):
             tq.load_signal(path)
 
+    @pytest.mark.parametrize("blob", [b"", b"RIFF"], ids=["empty", "truncated"])
+    def test_short_file_is_a_format_error(self, tmp_path, blob):
+        path = tmp_path / "short.wav"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="not a readable WAV"):
+            tq.load_signal(path)
+
     def test_8bit_rejected(self, tmp_path):
         path = tmp_path / "b8.wav"
         with wave.open(str(path), "wb") as wf:

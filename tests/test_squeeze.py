@@ -124,21 +124,21 @@ class TestReconstruct:
         w = tq.gaussian_window(0.04 if fs <= 256 else 0.02, fs)
         grid = tq.stft(sig, w, len(sig))
         out = tq.modular_reassign(grid, tq.local_maxima(grid))
-        rec = tq.reconstruct(out)
+        rec = tq.istft(out)
         assert rel_l2(sig.samples, rec.samples) <= 1e-10
 
     def test_refuses_rm_grid(self, tone32, w128):
         sig, _ = tone32
         rm = tq.reassignment(sig, w128, 128)
         with pytest.raises(NonInvertibleGridError):
-            tq.reconstruct(rm)
+            tq.istft(rm)
 
     def test_filtered_pipeline_loses_a_little(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
         filtered, est = tq.estimate_ridges(grid, gamma=0.1)
         out = tq.modular_reassign(filtered, est)
-        err = rel_l2(sig.samples, tq.reconstruct(out).samples)
+        err = rel_l2(sig.samples, tq.istft(out).samples)
         assert 0.0 < err <= 0.05
 
 
@@ -160,7 +160,7 @@ class TestModeReconstruct:
         grid = tq.stft(sig, w128, 128)
         out = tq.modular_reassign(grid, tq.local_maxima(grid))
         full = tq.mode_reconstruct(out, lambda t: 64.0 * np.ones_like(t), 1e6)
-        assert np.array_equal(full.samples, tq.reconstruct(out).samples)
+        assert np.array_equal(full.samples, tq.istft(out).samples)
 
     def test_fmam_mode_two_extraction(self, fmam, w128):
         sig, model = fmam
