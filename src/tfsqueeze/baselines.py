@@ -1,6 +1,7 @@
 """Reference post-processors: SST, reassignment, SET, and LMSST.
 
-All four start from the same hop-1 STFT. SST and LMSST move complex
+All four post-process the grid of one tfr.Analysis, the hop-1 STFT computed
+once per signal, window and DFT size. SST and LMSST move complex
 coefficients along the frequency axis only: each computes a destination bin
 per cell and hands it to tfr.regroup, the in-frame move the squeeze also
 uses. SET only keeps or drops coefficients in place. The reassignment method
@@ -13,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError
-from .signals import Signal
-from .tfr import TFRGrid, frame_matrix, regroup, stft
-from .windows import WindowSpec, halfwidth_bins
+# stft is unused here but stays bound: perfbench asserts baselines.stft is tfr.stft
+from .tfr import Analysis, TFRGrid, frame_matrix, regroup, stft  # noqa: F401
+from .windows import halfwidth_bins
 
 __all__ = ["phase_if_map", "group_delay_map", "sst", "reassignment",
            "set_extract", "lmsst", "SIGNIFICANCE_FLOOR"]
@@ -25,35 +26,34 @@ __all__ = ["phase_if_map", "group_delay_map", "sst", "reassignment",
 SIGNIFICANCE_FLOOR = 1e-8
 
 
-def phase_if_map(sig: Signal, w: WindowSpec, nfft: int
-                 ) -> tuple[TFRGrid, np.ndarray, np.ndarray]:
-    """STFT plus its phase-derived IF estimate.
+def phase_if_map(a: Analysis) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-derived IF estimate of every cell of the analysis grid.
 
-    Returns (grid, f_hat_hz, significant). f_hat[n, k] is the frequency the
+    Returns (f_hat_hz, significant). f_hat[n, k] is the frequency the
     coefficient at bin k belongs to, obtained from the derivative-window
     transform: f_hat = f_k - Im(V_dg / V) / (2*pi). Where the magnitude is
     below the significance floor, f_hat falls back to the bin's own
     frequency and significant is False.
     """
-    grid = stft(sig, w, nfft)
-    v_d = frame_matrix(sig, w.d_values, nfft)
+    grid = a.grid
+    v_d = frame_matrix(a.sig, a.w.d_values, a.nfft)
     mag = np.abs(grid.data)
     significant = mag > SIGNIFICANCE_FLOOR * mag.max()
     f_hat = np.broadcast_to(grid.freq_axis_hz, grid.data.shape).copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.imag(v_d / grid.data) / (2.0 * np.pi)
     f_hat[significant] -= shift[significant]
-    return grid, f_hat, significant
+    return f_hat, significant
 
 
-def group_delay_map(sig: Signal, w: WindowSpec, nfft: int, grid: TFRGrid,
-                    significant: np.ndarray) -> np.ndarray:
+def group_delay_map(a: Analysis, significant: np.ndarray) -> np.ndarray:
     """Reassigned time t_hat = t + Re(V_tg / V), in seconds.
 
     Falls back to the frame's own time where the coefficient is below the
     significance floor.
     """
-    v_t = frame_matrix(sig, w.t_values, nfft)
+    grid = a.grid
+    v_t = frame_matrix(a.sig, a.w.t_values, a.nfft)
     t_hat = np.broadcast_to(grid.time_axis_s[:, None], grid.data.shape).copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.real(v_t / grid.data)
@@ -66,24 +66,25 @@ def _freq_bins(f_hat: np.ndarray, grid: TFRGrid) -> np.ndarray:
     return np.rint(f_hat / grid.df_hz).astype(np.int64) % grid.n_bins
 
 
-def sst(sig: Signal, w: WindowSpec, nfft: int) -> TFRGrid:
+def sst(a: Analysis) -> TFRGrid:
     """Synchrosqueezing: add each significant coefficient into the bin
     nearest its phase-derived IF. Frame sums are conserved, so the result
     reconstructs exactly through istft."""
-    grid, f_hat, _ = phase_if_map(sig, w, nfft)
+    f_hat, _ = phase_if_map(a)
     # an insignificant cell's f_hat is its own bin's frequency, so it stays put
-    return regroup(grid, _freq_bins(f_hat, grid), "sst")
+    return regroup(a.grid, _freq_bins(f_hat, a.grid), "sst")
 
 
-def reassignment(sig: Signal, w: WindowSpec, nfft: int) -> TFRGrid:
+def reassignment(a: Analysis) -> TFRGrid:
     """Classic two-dimensional reassignment of spectrogram energy |V|^2.
 
     Energy moves to (t + Re(V_tg/V), IF estimate); time targets clamp to the
     grid, frequency targets wrap on the DFT circle. Total energy is
     conserved, invertibility is not: rho is NaN and istft refuses the grid.
     """
-    grid, f_hat, significant = phase_if_map(sig, w, nfft)
-    t_hat = group_delay_map(sig, w, nfft, grid, significant)
+    grid = a.grid
+    f_hat, significant = phase_if_map(a)
+    t_hat = group_delay_map(a, significant)
     t0 = float(grid.time_axis_s[0])
     frame_target = np.clip(
         np.rint((t_hat - t0) * grid.source_fs_hz).astype(np.int64),
@@ -98,31 +99,30 @@ def reassignment(sig: Signal, w: WindowSpec, nfft: int) -> TFRGrid:
     return grid.with_data(out, method_tag="rm", rho=float("nan"))
 
 
-def set_extract(sig: Signal, w: WindowSpec, nfft: int) -> TFRGrid:
+def set_extract(a: Analysis) -> TFRGrid:
     """Synchroextracting: keep a coefficient only when its IF estimate rounds
     back onto its own bin; everything else, including the insignificant
     floor, is discarded. Sharp but deliberately lossy."""
-    grid, f_hat, significant = phase_if_map(sig, w, nfft)
+    grid = a.grid
+    f_hat, significant = phase_if_map(a)
     target = _freq_bins(f_hat, grid)
     own = np.arange(grid.n_bins)[None, :]
     keep = significant & (target == own)
     return grid.with_data(np.where(keep, grid.data, 0.0), method_tag="set")
 
 
-def lmsst(sig: Signal, w: WindowSpec, nfft: int,
-          delta_bins: int | None = None) -> TFRGrid:
+def lmsst(a: Analysis, delta_bins: int | None = None) -> TFRGrid:
     """Local-maximum squeezing: each coefficient moves to the largest-magnitude
     bin within delta_bins of its own. Ties pick the lower bin. The move is a
     frequency-only permutation of frame mass, so reconstruction stays exact.
 
     delta_bins defaults to the window's measured -3 dB half width in bins.
     """
-    grid = stft(sig, w, nfft)
     if delta_bins is None:
-        delta_bins = halfwidth_bins(w, sig.sample_rate_hz, nfft)
+        delta_bins = halfwidth_bins(a.w, a.sig.sample_rate_hz, a.nfft)
     if delta_bins < 0:
         raise InvalidParameterError("delta_bins must be >= 0")
-    mag = np.abs(grid.data)
+    mag = np.abs(a.grid.data)
     n_bins = mag.shape[1]
     bins = np.arange(n_bins)
     best_val = np.full(mag.shape, -1.0)
@@ -137,4 +137,4 @@ def lmsst(sig: Signal, w: WindowSpec, nfft: int,
         better = cand > view_val
         view_val[better] = cand[better]
         view_idx[better] = np.broadcast_to(bins[lo + d : hi + d], cand.shape)[better]
-    return regroup(grid, best_idx, "lmsst")
+    return regroup(a.grid, best_idx, "lmsst")

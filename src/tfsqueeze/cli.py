@@ -73,7 +73,7 @@ def _default_nfft(n_samples: int) -> int:
 MAX_GRID_CELLS = 1 << 27
 
 
-def _prepare(args, sig: signals.Signal) -> tuple[windows.WindowSpec, int]:
+def _prepare(args, sig: signals.Signal) -> tfr.Analysis:
     sigma = args.sigma if args.sigma is not None else _default_sigma(sig.sample_rate_hz)
     nfft = args.nfft if args.nfft is not None else _default_nfft(len(sig))
     w = windows.gaussian_window(sigma, sig.sample_rate_hz)
@@ -87,11 +87,10 @@ def _prepare(args, sig: signals.Signal) -> tuple[windows.WindowSpec, int]:
             f"grid of {len(sig)} frames x {nfft} bins exceeds the "
             f"{MAX_GRID_CELLS} cell budget; analyze a shorter slice or lower --nfft"
         )
-    return w, nfft
+    return tfr.Analysis(sig, w, nfft)
 
 
-def _run_method(method: str, sig: signals.Signal, w: windows.WindowSpec,
-                nfft: int, args
+def _run_method(method: str, a: tfr.Analysis, args
                 ) -> tuple[tfr.TFRGrid, tfr.TFRGrid, ridges.IFEstimate | None]:
     """Returns (reallocated input grid, method output grid, proposed's estimate).
 
@@ -99,44 +98,36 @@ def _run_method(method: str, sig: signals.Signal, w: windows.WindowSpec,
     gamma-filtered grid for 'proposed'), which is the right reference for
     the conservation metric.
     """
-    base = tfr.stft(sig, w, nfft)
     if method == "stft":
-        return base, base, None
+        return a.grid, a.grid, None
     if method == "sst":
-        return base, baselines.sst(sig, w, nfft), None
+        return a.grid, baselines.sst(a), None
     if method == "rm":
-        return base, baselines.reassignment(sig, w, nfft), None
+        return a.grid, baselines.reassignment(a), None
     if method == "set":
-        return base, baselines.set_extract(sig, w, nfft), None
+        return a.grid, baselines.set_extract(a), None
     if method == "lmsst":
-        return base, baselines.lmsst(sig, w, nfft, args.delta_bins), None
+        return a.grid, baselines.lmsst(a, args.delta_bins), None
     if method == "proposed":
-        filtered, est = ridges.estimate_ridges(base, args.gamma, args.per_frame_max)
+        filtered, est = ridges.estimate_ridges(a.grid, args.gamma, args.per_frame_max)
         if args.if_from:
             est = ridges.inject_if(filtered, load_trajectories_csv(args.if_from))
         return filtered, squeeze.modular_reassign(filtered, est), est
     raise InvalidParameterError(f"unknown method {method!r}")
 
 
-def _interior_mask(n_frames: int, half: int) -> np.ndarray:
-    mask = np.zeros(n_frames, dtype=bool)
-    mask[half:n_frames - half] = True
-    return mask
-
-
-def _build_report(base: tfr.TFRGrid, out: tfr.TFRGrid, sig: signals.Signal,
-                  model: signals.ModeModel | None, w: windows.WindowSpec,
-                  gamma: float) -> metrics.MethodReport:
+def _build_report(base: tfr.TFRGrid, out: tfr.TFRGrid, a: tfr.Analysis,
+                  model: signals.ModeModel | None, gamma: float) -> metrics.MethodReport:
     recon = None
     if out.invertible:
-        recon = metrics.recon_rel_l2(sig, tfr.istft(out))
+        recon = metrics.recon_rel_l2(a.sig, tfr.istft(out))
     mae = None
     if model is not None:
-        view = tfr.half_circle(out) if sig.is_real else out
-        _, est = ridges.estimate_ridges(view, gamma)
+        view = tfr.half_circle(out) if a.sig.is_real else out
+        est = ridges.local_maxima(view, gamma)
         try:
             mae = metrics.ridge_mae(est, model,
-                                    frames=_interior_mask(out.n_frames, w.half))
+                                    frames=slice(a.w.half, out.n_frames - a.w.half))
         except NoGroundTruthError:
             mae = None
     return metrics.MethodReport(
@@ -168,11 +159,12 @@ def cmd_generate(args) -> int:
 
 def cmd_analyze(args) -> int:
     sig, model = _resolve_input(args.input, args.seed, args.snr_db, args)
-    w, nfft = _prepare(args, sig)
-    base, out, est = _run_method(args.method, sig, w, nfft, args)
+    a = _prepare(args, sig)
+    base, out, est = _run_method(args.method, a, args)
     # the report refuses degenerate grids and istft non-invertible ones
-    report = _build_report(base, out, sig, model, w, args.gamma)
+    report = _build_report(base, out, a, model, args.gamma)
     recovered = tfr.istft(out) if args.reconstruct else None
+    del a, base  # the exports need only out
 
     out_dir = _out_dir(args)
     export_grid_csv(out, out_dir / "grid.csv")
@@ -195,7 +187,7 @@ def cmd_compare(args) -> int:
     if len(methods) < 2:
         raise InvalidParameterError("compare needs at least two methods")
     sig, model = _resolve_input(args.input, args.seed, args.snr_db, args)
-    w, nfft = _prepare(args, sig)
+    a = _prepare(args, sig)
 
     # holding every method's grid until the last one is done would multiply
     # peak memory, so each heatmap is written once its report exists, and
@@ -205,10 +197,11 @@ def cmd_compare(args) -> int:
     reports, written = [], []
     try:
         for method in methods:
-            base, out, _ = _run_method(method, sig, w, nfft, args)
-            reports.append(_build_report(base, out, sig, model, w, args.gamma))
+            base, out, _ = _run_method(method, a, args)
+            reports.append(_build_report(base, out, a, model, args.gamma))
             written.append(_out_dir(args) / f"heatmap_{method}.pgm")
             export_heatmap_pgm(out, written[-1])
+            del base, out  # free this method's grids before the next one runs
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)

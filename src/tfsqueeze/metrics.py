@@ -58,8 +58,9 @@ def renyi_entropy(grid: TFRGrid, alpha: float = 3.0) -> float:
     total = p.sum()
     if total == 0.0:
         raise DegenerateGridError("cannot measure entropy of an all-zero grid")
-    p = p / total
-    return float(np.log2(np.sum(p**alpha)) / (1.0 - alpha))
+    p /= total
+    # in place: one magnitude-sized buffer, however large the grid
+    return float(np.log2(np.sum(np.power(p, alpha, out=p))) / (1.0 - alpha))
 
 
 def nonzero_fraction(grid: TFRGrid) -> float:
@@ -68,13 +69,13 @@ def nonzero_fraction(grid: TFRGrid) -> float:
 
 
 def ridge_mae(ifest: IFEstimate, model: ModeModel,
-              frames: np.ndarray | None = None) -> float:
+              frames: np.ndarray | slice | None = None) -> float:
     """Mean absolute gap, in bins, between detected ridges and true IFs.
 
     Only frames whose ridge count equals the number of modes contribute;
     each true IF is matched to its nearest detected ridge. ``frames`` may
-    restrict the evaluation (boolean mask or index array), e.g. to interior
-    frames. Raises when no frame qualifies.
+    restrict the evaluation (boolean mask, index array or slice), e.g. to
+    interior frames. Raises when no frame qualifies.
     """
     if len(model) == 0:
         raise NoGroundTruthError("mode model has no components")

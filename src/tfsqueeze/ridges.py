@@ -9,13 +9,13 @@ is what makes crossing components tractable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import IFOutOfRangeError, InvalidParameterError
-from .tfr import TFRGrid
+from .errors import InvalidParameterError
+from .tfr import TFRGrid, nearest_bins
 
 __all__ = ["IFEstimate", "filter_grid", "local_maxima", "inject_if",
            "estimate_ridges"]
@@ -86,22 +86,29 @@ def filter_grid(grid: TFRGrid, gamma: float, per_frame: bool = False) -> TFRGrid
     frame's own maximum, which keeps ridges alive in quiet frames at the cost
     of keeping noise there too.
     """
-    if not (0.0 <= gamma < 1.0):
-        raise InvalidParameterError("gamma must lie in [0, 1)")
-    mag = np.abs(grid.data)
-    ref = mag.max(axis=1, keepdims=True) if per_frame else mag.max()
-    kept = np.where(mag > gamma * ref, grid.data, 0.0)
+    kept = np.where(_keep_mask(np.abs(grid.data), gamma, per_frame), grid.data, 0.0)
     return grid.with_data(kept, method_tag=grid.method_tag + "+filtered")
 
 
-def local_maxima(grid: TFRGrid) -> IFEstimate:
+def _keep_mask(mag: np.ndarray, gamma: float, per_frame: bool) -> np.ndarray:
+    if not (0.0 <= gamma < 1.0):
+        raise InvalidParameterError("gamma must lie in [0, 1)")
+    ref = mag.max(axis=1, keepdims=True) if per_frame else mag.max()
+    return mag > gamma * ref
+
+
+def local_maxima(grid: TFRGrid, gamma: float = 0.0,
+                 per_frame: bool = False) -> IFEstimate:
     """Detect per-frame ridges as strict interior local maxima of |G|.
 
     Plateaus yield no ridge and the first and last bins are never ridges.
     Basin boundaries sit at the smallest-magnitude bin strictly between
-    consecutive ridges (ties resolve to the lower bin).
+    consecutive ridges (ties resolve to the lower bin). gamma and per_frame
+    detect on the magnitudes filter_grid would keep, without building the
+    filtered grid; the default gamma of 0 drops nothing.
     """
     mag = np.abs(grid.data)
+    mag[~_keep_mask(mag, gamma, per_frame)] = 0.0
     n_frames, n_bins = mag.shape
     inner, left, right = mag[:, 1:-1], mag[:, :-2], mag[:, 2:]
     mask = np.zeros(mag.shape, dtype=bool)
@@ -129,7 +136,7 @@ def local_maxima(grid: TFRGrid) -> IFEstimate:
     pick[1:] = closing[1:] != closing[:-1]
     starts = np.zeros(ridges.size, dtype=np.int64)
     starts[closing[pick]] = lows[pick] % n_bins
-    return IFEstimate(ridges, offsets, starts, gamma_used=0.0,
+    return IFEstimate(ridges, offsets, starts, gamma_used=gamma,
                       time_axis_s=grid.time_axis_s, freq_axis_hz=grid.freq_axis_hz)
 
 
@@ -138,9 +145,9 @@ def estimate_ridges(grid: TFRGrid, gamma: float = 0.0,
     """Filter-then-detect convenience: gamma-filter the grid, find its local
     maxima, and stamp the gamma that was used. Returns both the filtered grid
     and the estimate, which is the pair the squeeze step consumes."""
-    filtered = filter_grid(grid, gamma, per_frame)
-    est = local_maxima(filtered)
-    return filtered, replace(est, gamma_used=gamma)
+    # detect first, so the magnitudes are freed before the filtered copy exists
+    est = local_maxima(grid, gamma, per_frame)
+    return filter_grid(grid, gamma, per_frame), est
 
 
 def inject_if(grid: TFRGrid, trajectories: Sequence[Callable[[np.ndarray], np.ndarray]]
@@ -154,20 +161,12 @@ def inject_if(grid: TFRGrid, trajectories: Sequence[Callable[[np.ndarray], np.nd
     """
     t = grid.time_axis_s
     f = grid.freq_axis_hz
-    df = grid.df_hz
-    n_bins = grid.n_bins
     if not trajectories:
         raise InvalidParameterError("need at least one trajectory")
     tracks = []
     for traj in trajectories:
         values = np.broadcast_to(np.asarray(traj(t), dtype=float), t.shape)
-        if np.any(values < f[0] - df / 2) or np.any(values > f[-1] + df / 2):
-            raise IFOutOfRangeError(
-                f"trajectory range [{values.min()}, {values.max()}] Hz "
-                f"exceeds the frequency axis [{f[0]}, {f[-1]}] Hz"
-            )
-        tracks.append(np.clip(np.rint((values - f[0]) / df).astype(np.int64),
-                              0, n_bins - 1))
+        tracks.append(nearest_bins(values, f, grid.df_hz, "trajectory"))
     bins_per_frame = np.sort(np.stack(tracks, axis=1), axis=1)
 
     distinct = np.ones(bins_per_frame.shape, dtype=bool)

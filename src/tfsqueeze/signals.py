@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import IFOutOfRangeError, InvalidParameterError
+from .errors import InvalidParameterError
 
 __all__ = [
     "Signal",
@@ -270,19 +270,14 @@ def ideal_tfr(model: ModeModel, time_axis_s: Sequence[float],
     Coinciding modes sum. The result is the target every post-processor is
     judged against; its rho of 1 is nominal, not a reconstruction factor.
     """
-    from .tfr import TFRGrid  # local import to avoid a module cycle
+    from .tfr import TFRGrid, nearest_bins  # local import to avoid a module cycle
 
     t = np.asarray(time_axis_s, dtype=float)
     f = np.asarray(freq_axis_hz, dtype=float)
     df = f[1] - f[0]
     data = np.zeros((t.size, f.size), dtype=np.complex128)
     for mode in model.modes:
-        if_hz = np.broadcast_to(mode.if_hz(t), t.shape)
-        if np.any(if_hz < f[0] - df / 2) or np.any(if_hz > f[-1] + df / 2):
-            raise IFOutOfRangeError(
-                f"mode IF range [{if_hz.min()}, {if_hz.max()}] Hz exceeds the frequency axis"
-            )
-        bins = np.clip(np.rint((if_hz - f[0]) / df).astype(int), 0, f.size - 1)
+        bins = nearest_bins(np.broadcast_to(mode.if_hz(t), t.shape), f, df, "mode IF")
         vals = mode.amplitude(t) * np.exp(1j * mode.phase_rad(t))
         np.add.at(data, (np.arange(t.size), bins), vals)
     fs = 1.0 / (t[1] - t[0]) if t.size > 1 else float(f.size * df)

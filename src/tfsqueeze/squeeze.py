@@ -17,7 +17,7 @@ import numpy as np
 from .errors import IFOutOfRangeError, NonInvertibleGridError, ShapeMismatchError
 from .ridges import IFEstimate
 from .signals import Signal
-from .tfr import TFRGrid, regroup
+from .tfr import TFRGrid, nearest_bins, regroup
 
 __all__ = ["modular_reassign", "mode_reconstruct"]
 
@@ -65,11 +65,7 @@ def mode_reconstruct(tgrid: TFRGrid, ridge_track: Callable[[np.ndarray], np.ndar
     t = tgrid.time_axis_s
     f = tgrid.freq_axis_hz
     track = np.broadcast_to(np.asarray(ridge_track(t), dtype=float), t.shape)
-    if np.any(track < f[0] - tgrid.df_hz / 2) or np.any(track > f[-1] + tgrid.df_hz / 2):
-        raise IFOutOfRangeError(
-            f"mode track range [{track.min()}, {track.max()}] Hz "
-            f"exceeds the frequency axis [{f[0]}, {f[-1]}] Hz"
-        )
+    nearest_bins(track, f, tgrid.df_hz, "mode track")  # refuses off-axis and NaN tracks
     in_band = np.abs(f[None, :] - track[:, None]) <= half_width_hz
     samples = tgrid.rho * np.sum(np.where(in_band, tgrid.data, 0.0), axis=1)
     return Signal(samples, tgrid.source_fs_hz, float(t[0]))

@@ -9,15 +9,21 @@ frequency-only post-processor in this package invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError, NonInvertibleGridError, ShapeMismatchError
+from .errors import (
+    IFOutOfRangeError,
+    InvalidParameterError,
+    NonInvertibleGridError,
+    ShapeMismatchError,
+)
 from .signals import Signal
 from .windows import WindowSpec
 
-__all__ = ["TFRGrid", "stft", "istft", "regroup", "energy", "half_circle"]
+__all__ = ["TFRGrid", "Analysis", "stft", "istft", "regroup", "nearest_bins",
+           "energy", "half_circle"]
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,25 @@ def stft(sig: Signal, w: WindowSpec, nfft: int) -> TFRGrid:
     return TFRGrid(data, sig.times_s, freq_axis, rho, "stft", fs)
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """A signal's hop-1 STFT together with the window and DFT size it came from.
+
+    Every method post-processes this one grid, so it is computed once, at
+    construction, and always belongs to sig, w and nfft. The derivative-window
+    and time-weighted transforms are not kept: each method that needs one
+    computes it, so at most one of them is alive at a time.
+    """
+
+    sig: Signal
+    w: WindowSpec
+    nfft: int
+    grid: TFRGrid = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "grid", stft(self.sig, self.w, self.nfft))
+
+
 def istft(grid: TFRGrid) -> Signal:
     """Per-frame inverse: s[n] = rho * sum_k V[n, k].
 
@@ -172,6 +197,24 @@ def regroup(grid: TFRGrid, dest: np.ndarray, method_tag: str) -> TFRGrid:
     out = np.zeros(n_frames * n_bins, dtype=np.complex128)
     np.add.at(out, frame_base + dest.ravel()[starts], sums)
     return grid.with_data(out.reshape(n_frames, n_bins), method_tag=method_tag)
+
+
+def nearest_bins(values_hz: np.ndarray, freq_axis_hz: np.ndarray, df_hz: float,
+                 what: str) -> np.ndarray:
+    """Index of the bin nearest each frequency on a uniform axis.
+
+    Raises IFOutOfRangeError unless every value is finite and within half a
+    bin of the axis; the check is a conjunction of >= and <=, which NaN fails,
+    so no NaN reaches the integer cast.
+    """
+    values = np.asarray(values_hz, dtype=float)
+    f = freq_axis_hz
+    if not np.all((values >= f[0] - df_hz / 2) & (values <= f[-1] + df_hz / 2)):
+        raise IFOutOfRangeError(
+            f"{what} range [{values.min()}, {values.max()}] Hz must be finite "
+            f"and within the frequency axis [{f[0]}, {f[-1]}] Hz"
+        )
+    return np.clip(np.rint((values - f[0]) / df_hz).astype(np.int64), 0, f.size - 1)
 
 
 def energy(grid: TFRGrid) -> float:

@@ -66,7 +66,7 @@ def test_a3_concentration(fmam, w128, tmp_path):
     filtered, est = tq.estimate_ridges(grid, gamma=0.1)
     proposed = tq.modular_reassign(filtered, est)
     h_prop = tq.renyi_entropy(proposed)
-    h_sst = tq.renyi_entropy(tq.sst(sig, w128, 128))
+    h_sst = tq.renyi_entropy(tq.sst(tq.Analysis(sig, w128, 128)))
     h_stft = tq.renyi_entropy(grid)
 
     path = tmp_path / "proposed.pgm"
@@ -130,7 +130,7 @@ def test_a6_baseline_sanity(tone32, w128, tmp_path, capsys):
     fracs = {}
     for name, fn in [("sst", tq.sst), ("rm", tq.reassignment),
                      ("set", tq.set_extract), ("lmsst", tq.lmsst)]:
-        out = fn(sig, w128, 128)
+        out = fn(tq.Analysis(sig, w128, 128))
         e = np.abs(out.data.real) if name == "rm" else np.abs(out.data) ** 2
         e = e[interior]
         fracs[name] = float(e[:, 31:34].sum() / e.sum())
@@ -152,7 +152,7 @@ def test_a7_set_lossiness(fmam, w128):
     grid = tq.stft(sig, w128, 128)
     out = tq.modular_reassign(grid, tq.local_maxima(grid))
     err_prop = rel_l2(sig.samples, tq.istft(out).samples)
-    err_set = rel_l2(sig.samples, tq.istft(tq.set_extract(sig, w128, 128)).samples)
+    err_set = rel_l2(sig.samples, tq.istft(tq.set_extract(tq.Analysis(sig, w128, 128))).samples)
     ok = err_set >= 1e3 * err_prop
     report("A7", ok, f"set err {err_set:.2e} vs squeezed err {err_prop:.2e} "
                      f"(x{err_set / max(err_prop, 1e-300):.1e})")

@@ -19,7 +19,9 @@ class TestPhaseIfOperator:
         # the operator must return f0 on every significant interior cell;
         # any sign or scale slip moves the estimate by whole bins
         sig, _ = tone32
-        grid, f_hat, _ = tq.phase_if_map(sig, w128, 128)
+        a = tq.Analysis(sig, w128, 128)
+        grid = a.grid
+        f_hat, _ = tq.phase_if_map(a)
         mag = np.abs(grid.data)
         strong = mag >= 0.1 * mag.max()
         strong &= interior_mask(grid.n_frames, w128)[:, None]
@@ -27,7 +29,9 @@ class TestPhaseIfOperator:
 
     def test_insignificant_cells_fall_back_to_own_bin(self, w128):
         sig = tq.Signal(np.zeros(40), 128.0)
-        grid, f_hat, significant = tq.phase_if_map(sig, w128, 128)
+        a = tq.Analysis(sig, w128, 128)
+        grid = a.grid
+        f_hat, significant = tq.phase_if_map(a)
         assert not significant.any()
         assert np.array_equal(f_hat, np.broadcast_to(grid.freq_axis_hz, f_hat.shape))
 
@@ -38,7 +42,9 @@ class TestPhaseIfOperator:
         # mismatch stays under a few permille.
         f0, fs = 2.0, 128.0
         sig, _ = tq.gen_tone(f0, fs, 1.0)
-        grid, f_hat, significant = tq.phase_if_map(sig, w128, 128)
+        a = tq.Analysis(sig, w128, 128)
+        grid = a.grid
+        f_hat, significant = tq.phase_if_map(a)
         v = grid.data
         dv = (v[2:] - v[:-2]) * fs / 2.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -56,23 +62,23 @@ class TestPhaseIfOperator:
 class TestSst:
     def test_tone_concentration(self, tone32, w128):
         sig, _ = tone32
-        out = tq.sst(sig, w128, 128)
+        out = tq.sst(tq.Analysis(sig, w128, 128))
         frames = interior_mask(out.n_frames, w128)
         assert band_energy_fraction(out, 31, 33, frames) >= 0.999
 
     def test_reconstruction_exact_on_fmam(self, fmam, w128):
         sig, _ = fmam
-        out = tq.sst(sig, w128, 128)
+        out = tq.sst(tq.Analysis(sig, w128, 128))
         assert rel_l2(sig.samples, tq.istft(out).samples) <= 1e-9
 
     def test_frame_sums_conserved(self, fmam, w128):
         sig, _ = fmam
         base = tq.stft(sig, w128, 128)
-        out = tq.sst(sig, w128, 128)
+        out = tq.sst(tq.Analysis(sig, w128, 128))
         assert tq.framesum_max_dev(base, out) <= 1e-12
 
     def test_zero_signal(self, w128):
-        out = tq.sst(tq.Signal(np.zeros(50), 128.0), w128, 128)
+        out = tq.sst(tq.Analysis(tq.Signal(np.zeros(50), 128.0), w128, 128))
         assert np.all(out.data == 0)
         assert out.method_tag == "sst"
 
@@ -80,27 +86,27 @@ class TestSst:
 class TestReassignment:
     def test_tone_concentration(self, tone32, w128):
         sig, _ = tone32
-        out = tq.reassignment(sig, w128, 128)
+        out = tq.reassignment(tq.Analysis(sig, w128, 128))
         frames = interior_mask(out.n_frames, w128)
         assert band_energy_fraction(out, 31, 33, frames, energy_valued=True) >= 0.999
 
     def test_impulse_collapses_in_time(self, w128):
         samples = np.zeros(128)
         samples[60] = 1.0
-        out = tq.reassignment(tq.Signal(samples, 128.0), w128, 128)
+        out = tq.reassignment(tq.Analysis(tq.Signal(samples, 128.0), w128, 128))
         e = out.data.real
         assert e[59:62].sum() / e.sum() >= 0.99
 
     def test_total_energy_conserved(self, tone32, w128):
         sig, _ = tone32
         base = tq.stft(sig, w128, 128)
-        out = tq.reassignment(sig, w128, 128)
+        out = tq.reassignment(tq.Analysis(sig, w128, 128))
         e_in = (np.abs(base.data) ** 2).sum()
         assert abs(out.data.real.sum() - e_in) <= 1e-9 * e_in
 
     def test_grid_is_non_invertible(self, tone32, w128):
         sig, _ = tone32
-        out = tq.reassignment(sig, w128, 128)
+        out = tq.reassignment(tq.Analysis(sig, w128, 128))
         assert np.isnan(out.rho) and not out.invertible
         with pytest.raises(NonInvertibleGridError):
             tq.istft(out)
@@ -109,7 +115,7 @@ class TestReassignment:
 class TestSetExtract:
     def test_tone_keeps_exactly_the_ridge_bin(self, tone32, w128):
         sig, _ = tone32
-        out = tq.set_extract(sig, w128, 128)
+        out = tq.set_extract(tq.Analysis(sig, w128, 128))
         interior = interior_mask(out.n_frames, w128)
         cols = np.unique(np.nonzero(np.abs(out.data[interior]))[1])
         assert cols.tolist() == [32]
@@ -117,49 +123,49 @@ class TestSetExtract:
     def test_extraction_only_removes(self, fmam, w128):
         sig, _ = fmam
         base = tq.stft(sig, w128, 128)
-        out = tq.set_extract(sig, w128, 128)
+        out = tq.set_extract(tq.Analysis(sig, w128, 128))
         assert np.count_nonzero(out.data) <= np.count_nonzero(base.data)
         kept = np.abs(out.data) > 0
         assert np.array_equal(out.data[kept], base.data[kept])
 
     def test_reconstruction_is_lossy_on_fmam(self, fmam, w128):
         sig, _ = fmam
-        out = tq.set_extract(sig, w128, 128)
+        out = tq.set_extract(tq.Analysis(sig, w128, 128))
         assert rel_l2(sig.samples, tq.istft(out).samples) > 1e-3
 
 
 class TestLmsst:
     def test_tone_all_energy_at_ridge_with_wide_interval(self, tone32, w128):
         sig, _ = tone32
-        out = tq.lmsst(sig, w128, 128, delta_bins=16)
+        out = tq.lmsst(tq.Analysis(sig, w128, 128), delta_bins=16)
         interior = interior_mask(out.n_frames, w128)
         e = np.abs(out.data[interior]) ** 2
         assert e[:, 32].sum() / e.sum() >= 1.0 - 1e-9
 
     def test_tone_default_interval_concentrates(self, tone32, w128):
         sig, _ = tone32
-        out = tq.lmsst(sig, w128, 128)
+        out = tq.lmsst(tq.Analysis(sig, w128, 128))
         frames = interior_mask(out.n_frames, w128)
         assert band_energy_fraction(out, 31, 33, frames) >= 0.99
 
     def test_column_sums_preserved_and_invertible(self, fmam, w128):
         sig, _ = fmam
         base = tq.stft(sig, w128, 128)
-        out = tq.lmsst(sig, w128, 128)
+        out = tq.lmsst(tq.Analysis(sig, w128, 128))
         assert tq.framesum_max_dev(base, out) <= 1e-12
         assert rel_l2(sig.samples, tq.istft(out).samples) <= 1e-10
 
     def test_delta_zero_is_identity(self, fmam, w128):
         sig, _ = fmam
         base = tq.stft(sig, w128, 128)
-        out = tq.lmsst(sig, w128, 128, delta_bins=0)
+        out = tq.lmsst(tq.Analysis(sig, w128, 128), delta_bins=0)
         assert np.array_equal(out.data, base.data)
         assert out.method_tag == "lmsst"
 
     def test_negative_delta_rejected(self, fmam, w128):
         sig, _ = fmam
         with pytest.raises(InvalidParameterError):
-            tq.lmsst(sig, w128, 128, delta_bins=-1)
+            tq.lmsst(tq.Analysis(sig, w128, 128), delta_bins=-1)
 
     def test_matches_brute_force_move_oracle(self, w128):
         # reimplement the move rule cell by cell and compare whole grids
@@ -167,7 +173,7 @@ class TestLmsst:
         sig = tq.Signal(rng.standard_normal(64) + 1j * rng.standard_normal(64), 128.0)
         delta = 3
         base = tq.stft(sig, w128, 128)
-        out = tq.lmsst(sig, w128, 128, delta_bins=delta)
+        out = tq.lmsst(tq.Analysis(sig, w128, 128), delta_bins=delta)
         mag = np.abs(base.data)
         expect = np.zeros_like(base.data)
         for n in range(base.n_frames):

@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import tfsqueeze as tq
+from tfsqueeze import baselines, tfr
 from tfsqueeze.cli import main
 
 
@@ -139,6 +141,41 @@ class TestCompare:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def _count_calls(monkeypatch, bindings):
+    """Count calls through each (module, name) binding, keyed by name."""
+    counts = Counter()
+    for module, name in bindings:
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+# baselines binds stft and frame_matrix by name, so both bindings are counted
+FRAMING = [(tfr, "stft"), (baselines, "stft"),
+           (tfr, "frame_matrix"), (baselines, "frame_matrix")]
+
+
+class TestOneStftPerCommand:
+    def test_compare_computes_the_stft_once(self, tmp_path, monkeypatch):
+        counts = _count_calls(monkeypatch, FRAMING)
+        assert main(["compare", "--input", "fmam", "--out", str(tmp_path)]) == 0
+        # one STFT, then one derivative-window framing for each of SST, RM and
+        # SET, and RM's time-weighted framing
+        assert counts == {"stft": 1, "frame_matrix": 5}
+
+    def test_analyze_computes_the_stft_once(self, tmp_path, monkeypatch):
+        stft_calls = []
+        for method in ("stft", "sst", "rm", "set", "lmsst", "proposed"):
+            counts = _count_calls(monkeypatch, FRAMING)
+            assert main(["analyze", "--method", method, "--input", "fmam",
+                         "--out", str(tmp_path / method)]) == 0
+            stft_calls.append(counts["stft"])
+            monkeypatch.undo()
+        assert stft_calls == [1] * 6
+
+
 class TestReconstruct:
     def test_roundtrip_prints_tiny_error(self, tmp_path, capsys):
         gen_dir = tmp_path / "gen"
@@ -228,8 +265,11 @@ class TestNoPartialOutput:
         (["reconstruct", "{inputs}/grid.csv", "--mode-track", "{inputs}/tracks.csv"], 2),
         # the first method succeeds before the second is refused
         (["compare", "--input", "fmam", "--methods", "stft,lmsst", "--delta-bins", "-1"], 2),
+        # the trajectory reader accepts nan cells, as float() does
+        (["analyze", "--input", "fmam", "--if-from", "{inputs}/nan.csv"], 2),
+        (["reconstruct", "{inputs}/grid.csv", "--mode-track", "{inputs}/nan.csv"], 2),
     ], ids=["rm-reconstruct", "nyquist", "unparseable-grid", "non-utf8-grid",
-            "track-off-axis", "compare-second-method"])
+            "track-off-axis", "compare-second-method", "nan-if-track", "nan-mode-track"])
     def test_failure_leaves_no_output_directory(self, tmp_path, argv, code):
         inputs = tmp_path / "inputs"
         inputs.mkdir()
@@ -239,6 +279,7 @@ class TestNoPartialOutput:
         (inputs / "garbage.csv").write_text("garbage\n")
         (inputs / "latin1.csv").write_bytes("# method=caf\u00e9\n".encode("latin-1"))
         (inputs / "tracks.csv").write_text("time_s,f1_hz,f2_hz\n0,20,20\n1,20,500\n")
+        (inputs / "nan.csv").write_text("time_s,f1_hz\n0,nan\n1,nan\n")
         out = tmp_path / "out"
         argv = [arg.format(inputs=inputs) for arg in argv] + ["--out", str(out)]
         assert main(argv) == code

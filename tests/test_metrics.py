@@ -172,7 +172,7 @@ class TestFramesumMaxDev:
     def test_set_discards_mass(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
-        out = tq.set_extract(sig, w128, 128)
+        out = tq.set_extract(tq.Analysis(sig, w128, 128))
         assert tq.framesum_max_dev(grid, out) > 1e-3
 
     def test_frame_count_mismatch(self, fmam, tone32, w128):

@@ -144,6 +144,18 @@ class TestLocalMaxima:
         assert tq.ridge_mae(est, model, frames=interior) <= 1.0
 
 
+    @pytest.mark.parametrize("gamma, per_frame", [(0.0, False), (0.1, False),
+                                                  (0.3, True), (0.6, False)])
+    def test_gamma_detects_on_the_filtered_grid(self, gamma, per_frame):
+        rng = np.random.default_rng(7)
+        grid = make_grid(rng.standard_normal((40, 64)) + 1j * rng.standard_normal((40, 64)))
+        est = tq.local_maxima(grid, gamma, per_frame)
+        oracle = tq.local_maxima(tq.filter_grid(grid, gamma, per_frame))
+        for name in ("ridges", "offsets", "starts"):
+            assert np.array_equal(getattr(est, name), getattr(oracle, name)), name
+        assert est.gamma_used == gamma
+
+
 class TestInjectIf:
     def test_constant_trajectory(self, crossover, w1024):
         sig, _ = crossover

@@ -129,7 +129,7 @@ class TestReconstruct:
 
     def test_refuses_rm_grid(self, tone32, w128):
         sig, _ = tone32
-        rm = tq.reassignment(sig, w128, 128)
+        rm = tq.reassignment(tq.Analysis(sig, w128, 128))
         with pytest.raises(NonInvertibleGridError):
             tq.istft(rm)
 
@@ -174,7 +174,7 @@ class TestModeReconstruct:
 
     def test_refuses_rm_grid(self, tone32, w128):
         sig, _ = tone32
-        rm = tq.reassignment(sig, w128, 128)
+        rm = tq.reassignment(tq.Analysis(sig, w128, 128))
         with pytest.raises(NonInvertibleGridError):
             tq.mode_reconstruct(rm, lambda t: 32.0 * np.ones_like(t), 2.0)
 

@@ -3,10 +3,12 @@ import pytest
 
 import tfsqueeze as tq
 from tfsqueeze.errors import (
+    IFOutOfRangeError,
     InvalidParameterError,
     NonInvertibleGridError,
     ShapeMismatchError,
 )
+from tfsqueeze.tfr import nearest_bins
 
 from conftest import interior_mask, rel_l2
 
@@ -107,7 +109,7 @@ class TestIstft:
 
     def test_refuses_non_invertible_grid(self, tone32, w128):
         sig, _ = tone32
-        rm = tq.reassignment(sig, w128, 128)
+        rm = tq.reassignment(tq.Analysis(sig, w128, 128))
         with pytest.raises(NonInvertibleGridError):
             tq.istft(rm)
 
@@ -180,3 +182,44 @@ class TestGridValidation:
         assert half.freq_axis_hz[-1] == 63.0
         assert not half.invertible
         assert np.array_equal(half.data, grid.data[:, :64])
+
+
+class TestAnalysis:
+    def test_grid_is_the_stft_of_its_inputs(self, fmam, w128):
+        sig, _ = fmam
+        a = tq.Analysis(sig, w128, 128)
+        assert (a.sig, a.w, a.nfft) == (sig, w128, 128)
+        assert np.array_equal(a.grid.data, tq.stft(sig, w128, 128).data)
+
+    def test_nfft_below_window_length_refused(self, fmam, w128):
+        sig, _ = fmam
+        with pytest.raises(InvalidParameterError):
+            tq.Analysis(sig, w128, len(w128) - 1)
+
+
+class TestNearestBins:
+    AXIS = np.arange(8) * 2.0  # 0..14 Hz in 2 Hz bins
+
+    def test_rounds_to_nearest_within_half_a_bin_of_the_axis(self):
+        bins = nearest_bins(np.array([-1.0, 0.9, 1.1, 14.0, 15.0]), self.AXIS, 2.0, "x")
+        assert bins.tolist() == [0, 0, 1, 7, 7]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 15.5, -1.5])
+    def test_refuses_non_finite_and_off_axis_values(self, bad):
+        with pytest.raises(IFOutOfRangeError, match="x range"):
+            nearest_bins(np.array([4.0, bad]), self.AXIS, 2.0, "x")
+
+    def test_every_track_consumer_refuses_non_finite_tracks(self, fmam, w128):
+        sig, model = fmam
+        grid = tq.stft(sig, w128, 128)
+        for bad in (np.nan, np.inf):
+            def track(t, bad=bad):
+                return np.where(t < 0.5, 20.0, bad)
+
+            with pytest.raises(IFOutOfRangeError):
+                tq.inject_if(grid, [track])
+            with pytest.raises(IFOutOfRangeError):
+                tq.mode_reconstruct(grid, track, 3.0)
+            mode = tq.Mode(model.modes[0].amplitude, model.modes[0].phase_rad, track)
+            with pytest.raises(IFOutOfRangeError):
+                tq.ideal_tfr(tq.ModeModel((mode,)), sig.times_s, grid.freq_axis_hz)
