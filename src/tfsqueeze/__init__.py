@@ -55,7 +55,7 @@ from .signals import (
     ideal_tfr,
 )
 from .squeeze import mode_reconstruct, modular_reassign
-from .tfr import Analysis, TFRGrid, energy, half_circle, istft, stft
+from .tfr import Analysis, TFRGrid, half_circle, istft, stft
 from .windows import WindowSpec, gaussian_window, window_response_width
 
 __version__ = "0.1.0"

@@ -116,14 +116,15 @@ def lmsst(a: Analysis, delta_bins: int | None = None) -> TFRGrid:
     bin within delta_bins of its own. Ties pick the lower bin. The move is a
     frequency-only permutation of frame mass, so reconstruction stays exact.
 
-    delta_bins defaults to the window's measured -3 dB half width in bins.
+    delta_bins defaults to the window's measured -3 dB half width in bins,
+    cut to the axis; it must lie in [0, n_bins).
     """
+    n_bins = a.grid.n_bins
     if delta_bins is None:
-        delta_bins = halfwidth_bins(a.w, a.sig.sample_rate_hz, a.nfft)
-    if delta_bins < 0:
-        raise InvalidParameterError("delta_bins must be >= 0")
+        delta_bins = min(halfwidth_bins(a.w, a.sig.sample_rate_hz, a.nfft), n_bins - 1)
+    if not 0 <= delta_bins < n_bins:
+        raise InvalidParameterError(f"delta_bins must lie in [0, {n_bins})")
     mag = np.abs(a.grid.data)
-    n_bins = mag.shape[1]
     bins = np.arange(n_bins)
     best_val = np.full(mag.shape, -1.0)
     best_idx = np.zeros(mag.shape, dtype=np.int64)

@@ -16,7 +16,6 @@ import numpy as np
 from . import baselines, metrics, ridges, signals, squeeze, tfr, windows
 from .errors import (
     FormatError,
-    IFOutOfRangeError,
     InvalidParameterError,
     NonInvertibleGridError,
     NoGroundTruthError,
@@ -37,24 +36,32 @@ from .io_export import (
 METHODS = ("stft", "sst", "rm", "set", "lmsst", "proposed")
 GENERATORS = ("fmam", "crossover", "chirp", "tone")
 
+# hop-1 grids are dense (n_samples x nfft complex): cap the cell count so a
+# long recording fails fast instead of exhausting memory
+MAX_GRID_CELLS = 1 << 27
 
-def _resolve_input(name: str, seed: int, snr_db: float | None, opts
-                   ) -> tuple[signals.Signal, signals.ModeModel | None]:
+
+def _resolve_input(name: str, opts) -> tuple[signals.Signal, signals.ModeModel | None]:
+    if name in ("chirp", "tone"):
+        fs = opts.fs if opts.fs is not None else {"chirp": 1024.0, "tone": 128.0}[name]
+        # a grid has at least one bin per sample, so no --nfft admits a longer signal
+        if fs * opts.dur > MAX_GRID_CELLS:
+            raise InvalidParameterError(
+                f"{fs} Hz x {opts.dur} s exceeds the {MAX_GRID_CELLS} cell budget "
+                "even at one bin per frame; lower --fs or --dur")
     if name == "fmam":
         sig, model = signals.gen_fmam()
     elif name == "crossover":
         sig, model = signals.gen_crossover()
     elif name == "chirp":
-        fs = opts.fs if opts.fs is not None else 1024.0
         sig, model = signals.gen_chirp_surrogate(
             opts.f_start, opts.f_end, opts.power, fs, opts.dur)
     elif name == "tone":
-        fs = opts.fs if opts.fs is not None else 128.0
         sig, model = signals.gen_tone(opts.f0, fs, opts.dur)
     else:
         sig, model = load_signal(name), None
-    if snr_db is not None:
-        sig = signals.add_noise(sig, snr_db, seed)
+    if opts.snr_db is not None:
+        sig = signals.add_noise(sig, opts.snr_db, opts.seed)
     return sig, model
 
 
@@ -68,18 +75,14 @@ def _default_nfft(n_samples: int) -> int:
     return min(4096, 1 << int(np.ceil(np.log2(max(2, n_samples)))))
 
 
-# hop-1 grids are dense (n_samples x nfft complex): cap the cell count so a
-# long recording fails fast instead of exhausting memory
-MAX_GRID_CELLS = 1 << 27
-
-
 def _prepare(args, sig: signals.Signal) -> tfr.Analysis:
+    """Check the window length and the grid's cells before building either."""
     sigma = args.sigma if args.sigma is not None else _default_sigma(sig.sample_rate_hz)
     nfft = args.nfft if args.nfft is not None else _default_nfft(len(sig))
-    w = windows.gaussian_window(sigma, sig.sample_rate_hz)
-    if nfft < len(w):
+    taps = windows.gaussian_length(sigma, sig.sample_rate_hz)
+    if nfft < taps:
         raise InvalidParameterError(
-            f"nfft={nfft} is smaller than the window length {len(w)}; "
+            f"nfft={nfft} is smaller than the window length {taps}; "
             "raise --nfft or lower --sigma"
         )
     if len(sig) * nfft > MAX_GRID_CELLS:
@@ -87,7 +90,7 @@ def _prepare(args, sig: signals.Signal) -> tfr.Analysis:
             f"grid of {len(sig)} frames x {nfft} bins exceeds the "
             f"{MAX_GRID_CELLS} cell budget; analyze a shorter slice or lower --nfft"
         )
-    return tfr.Analysis(sig, w, nfft)
+    return tfr.Analysis(sig, windows.gaussian_window(sigma, sig.sample_rate_hz), nfft)
 
 
 def _run_method(method: str, a: tfr.Analysis, args
@@ -149,7 +152,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_generate(args) -> int:
-    sig, model = _resolve_input(args.generator, args.seed, args.snr_db, args)
+    sig, model = _resolve_input(args.generator, args)
     out_dir = _out_dir(args)
     save_signal_csv(sig, out_dir / "signal.csv")
     export_trajectories_csv(sig.times_s, model.if_matrix_hz(sig.times_s).T,
@@ -158,7 +161,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    sig, model = _resolve_input(args.input, args.seed, args.snr_db, args)
+    sig, model = _resolve_input(args.input, args)
     a = _prepare(args, sig)
     base, out, est = _run_method(args.method, a, args)
     # the report refuses degenerate grids and istft non-invertible ones
@@ -186,7 +189,7 @@ def cmd_compare(args) -> int:
         raise InvalidParameterError(f"unknown methods {unknown}; choose from {METHODS}")
     if len(methods) < 2:
         raise InvalidParameterError("compare needs at least two methods")
-    sig, model = _resolve_input(args.input, args.seed, args.snr_db, args)
+    sig, model = _resolve_input(args.input, args)
     a = _prepare(args, sig)
 
     # holding every method's grid until the last one is done would multiply
@@ -244,10 +247,6 @@ def _add_input_options(p: argparse.ArgumentParser):
                    help="magnitude filter threshold, fraction of the grid maximum")
     p.add_argument("--delta-bins", type=int, default=None,
                    help="LMSST search half width in bins (default: window -3 dB half width)")
-    p.add_argument("--snr-db", type=float, default=None,
-                   help="add white Gaussian noise at this SNR")
-    p.add_argument("--seed", type=int, default=0, help="noise seed")
-    p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--if-from", default=None,
                    help="CSV of external IF trajectories to inject (proposed method)")
     p.add_argument("--per-frame-max", action="store_true",
@@ -256,6 +255,9 @@ def _add_input_options(p: argparse.ArgumentParser):
 
 
 def _add_generator_options(p: argparse.ArgumentParser):
+    p.add_argument("--snr-db", type=float, default=None,
+                   help="add white Gaussian noise at this SNR")
+    p.add_argument("--seed", type=int, default=0, help="noise seed")
     p.add_argument("--f0", type=float, default=32.0, help="tone frequency (Hz)")
     p.add_argument("--fs", type=float, default=None,
                    help="tone/chirp sample rate (Hz; default 128 tone, 1024 chirp)")
@@ -274,9 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a synthetic signal and its true IFs")
     p_gen.add_argument("generator", choices=GENERATORS)
-    p_gen.add_argument("--snr-db", type=float, default=None)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", default="out")
     _add_generator_options(p_gen)
     p_gen.set_defaults(func=cmd_generate)
 
@@ -301,8 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trajectory CSV; reconstruct one mode per column")
     p_rec.add_argument("--gamma-band", type=float, default=3.0,
                        help="half width in Hz of the per-mode band")
-    p_rec.add_argument("--out", default="out")
     p_rec.set_defaults(func=cmd_reconstruct)
+
+    for p in (p_gen, p_an, p_cmp, p_rec):
+        p.add_argument("--out", default="out", help="output directory")
     return parser
 
 
@@ -320,7 +321,7 @@ def main(argv=None) -> int:
     except (FormatError, UnsupportedFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidParameterError, IFOutOfRangeError, TFSqueezeError) as exc:
+    except TFSqueezeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

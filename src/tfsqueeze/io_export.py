@@ -11,6 +11,7 @@ it is known, the line.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -30,6 +31,7 @@ __all__ = ["load_signal", "save_signal_csv", "load_trajectories_csv",
            "export_heatmap_pgm", "export_report_json"]
 
 _HEADER_KEYS = ("method", "fs", "nfft", "rho", "freq0", "dfreq", "t0", "dt")
+HEATMAP_FLOOR_DB = -60.0
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:
@@ -223,12 +225,12 @@ def import_grid_csv(path) -> TFRGrid:
     return TFRGrid(data, time_axis, freq_axis, rho, header["method"][1], fs)
 
 
-def export_heatmap_pgm(grid: TFRGrid, path, db_floor: float = -60.0) -> None:
+def export_heatmap_pgm(grid: TFRGrid, path) -> None:
     """Render |G| over [0, fs/2) as a binary 8-bit PGM (P5) image.
 
     One pixel per (frame, bin); magnitude in dB relative to the grid maximum,
-    clipped at db_floor and mapped linearly to 0..255. Row 0 is the highest
-    displayed frequency.
+    clipped at HEATMAP_FLOOR_DB and mapped linearly to 0..255. Row 0 is the
+    highest displayed frequency.
     """
     mag = np.abs(grid.data)
     peak = mag.max()
@@ -237,8 +239,8 @@ def export_heatmap_pgm(grid: TFRGrid, path, db_floor: float = -60.0) -> None:
     keep = grid.n_bins // 2
     with np.errstate(divide="ignore"):
         db = 20.0 * np.log10(mag[:, :keep] / peak)
-    db = np.clip(db, db_floor, 0.0)
-    pixels = np.rint(255.0 * (db - db_floor) / (-db_floor)).astype(np.uint8)
+    db = np.clip(db, HEATMAP_FLOOR_DB, 0.0)
+    pixels = np.rint(255.0 * (db - HEATMAP_FLOOR_DB) / (-HEATMAP_FLOOR_DB)).astype(np.uint8)
     image = pixels.T[::-1]  # rows = bins, flipped so top row is highest frequency
     with open(path, "wb") as fh:
         fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii"))
@@ -246,6 +248,6 @@ def export_heatmap_pgm(grid: TFRGrid, path, db_floor: float = -60.0) -> None:
 
 
 def export_report_json(reports: list[MethodReport], path) -> None:
-    """Write reports as a JSON array with a fixed key order, None as null."""
-    payload = [r.as_dict() for r in reports]
+    """Write reports as a JSON array in MethodReport's field order, None as null."""
+    payload = [dataclasses.asdict(r) for r in reports]
     _write_lines(path, [json.dumps(payload, indent=2, allow_nan=False)])

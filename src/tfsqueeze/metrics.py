@@ -23,7 +23,8 @@ __all__ = ["MethodReport", "renyi_entropy", "ridge_mae", "recon_rel_l2",
 @dataclass(frozen=True)
 class MethodReport:
     """Summary numbers for one method run. None marks a metric that does not
-    apply (no reconstruction factor, or no ground truth)."""
+    apply (no reconstruction factor, or no ground truth). report.json writes
+    the fields in the order they are declared here."""
 
     method_tag: str
     renyi_entropy_bits: float
@@ -31,12 +32,6 @@ class MethodReport:
     recon_rel_l2: float | None
     ridge_mae_bins: float | None
     framesum_max_dev: float
-
-    FIELD_ORDER = ("method_tag", "renyi_entropy_bits", "nonzero_fraction",
-                   "recon_rel_l2", "ridge_mae_bins", "framesum_max_dev")
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELD_ORDER}
 
 
 def renyi_entropy(grid: TFRGrid, alpha: float = 3.0) -> float:

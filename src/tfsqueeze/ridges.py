@@ -37,7 +37,6 @@ class IFEstimate:
     ridges: np.ndarray
     offsets: np.ndarray
     starts: np.ndarray
-    gamma_used: float
     time_axis_s: np.ndarray
     freq_axis_hz: np.ndarray
 
@@ -93,7 +92,8 @@ def filter_grid(grid: TFRGrid, gamma: float, per_frame: bool = False) -> TFRGrid
 def _keep_mask(mag: np.ndarray, gamma: float, per_frame: bool) -> np.ndarray:
     if not (0.0 <= gamma < 1.0):
         raise InvalidParameterError("gamma must lie in [0, 1)")
-    ref = mag.max(axis=1, keepdims=True) if per_frame else mag.max()
+    # initial=0 leaves magnitudes unchanged and lets a 0-bin half circle through
+    ref = mag.max(axis=1, keepdims=True, initial=0.0) if per_frame else mag.max(initial=0.0)
     return mag > gamma * ref
 
 
@@ -136,15 +136,14 @@ def local_maxima(grid: TFRGrid, gamma: float = 0.0,
     pick[1:] = closing[1:] != closing[:-1]
     starts = np.zeros(ridges.size, dtype=np.int64)
     starts[closing[pick]] = lows[pick] % n_bins
-    return IFEstimate(ridges, offsets, starts, gamma_used=gamma,
-                      time_axis_s=grid.time_axis_s, freq_axis_hz=grid.freq_axis_hz)
+    return IFEstimate(ridges, offsets, starts, grid.time_axis_s, grid.freq_axis_hz)
 
 
 def estimate_ridges(grid: TFRGrid, gamma: float = 0.0,
                     per_frame: bool = False) -> tuple[TFRGrid, IFEstimate]:
-    """Filter-then-detect convenience: gamma-filter the grid, find its local
-    maxima, and stamp the gamma that was used. Returns both the filtered grid
-    and the estimate, which is the pair the squeeze step consumes."""
+    """Filter-then-detect convenience: gamma-filter the grid and find its
+    local maxima. Returns both the filtered grid and the estimate, which is
+    the pair the squeeze step consumes."""
     # detect first, so the magnitudes are freed before the filtered copy exists
     est = local_maxima(grid, gamma, per_frame)
     return filter_grid(grid, gamma, per_frame), est
@@ -163,10 +162,8 @@ def inject_if(grid: TFRGrid, trajectories: Sequence[Callable[[np.ndarray], np.nd
     f = grid.freq_axis_hz
     if not trajectories:
         raise InvalidParameterError("need at least one trajectory")
-    tracks = []
-    for traj in trajectories:
-        values = np.broadcast_to(np.asarray(traj(t), dtype=float), t.shape)
-        tracks.append(nearest_bins(values, f, grid.df_hz, "trajectory"))
+    tracks = [nearest_bins(np.broadcast_to(traj(t), t.shape), f, grid.df_hz, "trajectory")
+              for traj in trajectories]
     bins_per_frame = np.sort(np.stack(tracks, axis=1), axis=1)
 
     distinct = np.ones(bins_per_frame.shape, dtype=bool)
@@ -176,5 +173,4 @@ def inject_if(grid: TFRGrid, trajectories: Sequence[Callable[[np.ndarray], np.nd
     below = np.concatenate([[0], ridges[:-1]])
     starts = np.maximum(below + 1, (below + ridges) // 2)
     starts[offsets[:-1]] = 0  # every frame has a ridge; its first basin starts at 0
-    return IFEstimate(ridges, offsets, starts, gamma_used=0.0,
-                      time_axis_s=t, freq_axis_hz=f)
+    return IFEstimate(ridges, offsets, starts, t, f)

@@ -37,7 +37,7 @@ class Signal:
         Sample values; promoted to complex128. Real inputs get a zero
         imaginary part.
     sample_rate_hz : float
-        Sampling rate, > 0.
+        Sampling rate, finite and > 0.
     t0_s : float
         Time of the first sample.
     """
@@ -53,8 +53,8 @@ class Signal:
             raise InvalidParameterError("samples must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(samples)):
             raise InvalidParameterError("samples must all be finite")
-        if not (self.sample_rate_hz > 0):
-            raise InvalidParameterError("sample_rate_hz must be > 0")
+        if not 0.0 < self.sample_rate_hz < np.inf:
+            raise InvalidParameterError("sample_rate_hz must be finite and > 0")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
@@ -94,7 +94,6 @@ class ModeModel:
     """Ground-truth component laws for a multicomponent signal."""
 
     modes: tuple[Mode, ...]
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -107,14 +106,14 @@ class ModeModel:
         t = np.asarray(times_s, dtype=float)
         return np.stack([np.broadcast_to(m.if_hz(t), t.shape) for m in self.modes])
 
-    def max_if_deviation_hz(self, duration_s: float, n_probes: int = 100) -> float:
+    def max_if_deviation_hz(self, duration_s: float) -> float:
         """Largest gap between each mode's stated IF and a finite-difference
-        estimate from its phase, probed on a uniform time set.
+        estimate from its phase, probed at 100 uniformly spaced times.
 
         A correct model keeps this below 1e-3 Hz with h = 1e-6 s.
         """
         h = 1e-6
-        t = np.linspace(h, duration_s - h, n_probes)
+        t = np.linspace(h, duration_s - h, 100)
         worst = 0.0
         for m in self.modes:
             fd = (m.phase_rad(t + h) - m.phase_rad(t - h)) / (4.0 * np.pi * h)
@@ -122,11 +121,17 @@ class ModeModel:
         return worst
 
 
-def _check_nyquist(f_hz: float, fs_hz: float, what: str = "frequency"):
+def _sample_times(fs_hz: float, duration_s: float, f_hz: float, what: str) -> np.ndarray:
+    """Sample times of a generator, once its highest frequency f_hz lies
+    below Nyquist and fs_hz and duration_s are finite and > 0."""
     if not (0.0 < f_hz < fs_hz / 2.0):
         raise InvalidParameterError(
             f"{what} {f_hz} Hz outside the open Nyquist interval (0, {fs_hz / 2}) Hz"
         )
+    for value, name in ((fs_hz, "fs_hz"), (duration_s, "duration_s")):
+        if not 0.0 < value < np.inf:  # NaN fails this too
+            raise InvalidParameterError(f"{name} must be finite and > 0")
+    return np.arange(int(round(fs_hz * duration_s))) / fs_hz
 
 
 def gen_fmam() -> tuple[Signal, ModeModel]:
@@ -143,12 +148,9 @@ def gen_fmam() -> tuple[Signal, ModeModel]:
     phase2 = lambda tt: 2.0 * np.pi * (10.0 * tt + 10.0 * (tt - 0.5) ** 3)
     if2 = lambda tt: 10.0 + 30.0 * (tt - 0.5) ** 2
 
-    one = lambda tt: np.ones_like(tt)
     samples = np.sin(phase1(t)) + np.sin(phase2(t))
-    model = ModeModel(
-        modes=(Mode(one, phase1, if1), Mode(one, phase2, if2)),
-        label="fmam",
-    )
+    model = ModeModel(modes=(Mode(np.ones_like, phase1, if1),
+                             Mode(np.ones_like, phase2, if2)))
     return Signal(samples, fs), model
 
 
@@ -164,7 +166,6 @@ def gen_crossover() -> tuple[Signal, ModeModel]:
 
     p1 = lambda tt: 500.0 * np.pi * tt
     f1 = lambda tt: 250.0 * np.ones_like(tt)
-    a1 = lambda tt: np.ones_like(tt)
 
     p2 = lambda tt: 500.0 * np.pi * tt + 100.0 * np.sin(2.0 * np.pi * tt)
     f2 = lambda tt: 250.0 + 100.0 * np.cos(2.0 * np.pi * tt)
@@ -175,14 +176,11 @@ def gen_crossover() -> tuple[Signal, ModeModel]:
     a3 = lambda tt: 0.8 * np.exp(0.5 * tt)
 
     samples = (
-        a1(t) * np.exp(1j * p1(t))
+        np.ones_like(t) * np.exp(1j * p1(t))
         + a2(t) * np.exp(1j * p2(t))
         + a3(t) * np.exp(1j * p3(t))
     )
-    model = ModeModel(
-        modes=(Mode(a1, p1, f1), Mode(a2, p2, f2), Mode(a3, p3, f3)),
-        label="crossover",
-    )
+    model = ModeModel(modes=(Mode(np.ones_like, p1, f1), Mode(a2, p2, f2), Mode(a3, p3, f3)))
     return Signal(samples, fs), model
 
 
@@ -200,11 +198,8 @@ def gen_chirp_surrogate(
     """
     if not (0.0 < f_start_hz < f_end_hz):
         raise InvalidParameterError("need 0 < f_start_hz < f_end_hz")
-    _check_nyquist(f_end_hz, fs_hz, "f_end_hz")
-    if power < 1.0:
+    if not power >= 1.0:
         raise InvalidParameterError("power must be >= 1")
-    if duration_s <= 0.0:
-        raise InvalidParameterError("duration_s must be > 0")
 
     span = f_end_hz - f_start_hz
 
@@ -217,44 +212,46 @@ def gen_chirp_surrogate(
     def if_hz(tt):
         return f_start_hz + span * (tt / duration_s) ** power
 
-    one = lambda tt: np.ones_like(tt)
-    t = np.arange(int(round(fs_hz * duration_s))) / fs_hz
+    t = _sample_times(fs_hz, duration_s, f_end_hz, "f_end_hz")
     samples = np.exp(1j * phase(t))
-    model = ModeModel(modes=(Mode(one, phase, if_hz),), label="chirp")
+    model = ModeModel(modes=(Mode(np.ones_like, phase, if_hz),))
     return Signal(samples, fs_hz), model
 
 
 def gen_tone(f0_hz: float, fs_hz: float = 128.0, duration_s: float = 1.0
              ) -> tuple[Signal, ModeModel]:
     """Complex exponential exp(j*2*pi*f0*t)."""
-    _check_nyquist(f0_hz, fs_hz, "f0_hz")
-    if duration_s <= 0.0:
-        raise InvalidParameterError("duration_s must be > 0")
-    t = np.arange(int(round(fs_hz * duration_s))) / fs_hz
+    t = _sample_times(fs_hz, duration_s, f0_hz, "f0_hz")
     phase = lambda tt: 2.0 * np.pi * f0_hz * tt
     if_hz = lambda tt: f0_hz * np.ones_like(tt)
-    one = lambda tt: np.ones_like(tt)
     samples = np.exp(1j * phase(t))
-    model = ModeModel(modes=(Mode(one, phase, if_hz),), label="tone")
+    model = ModeModel(modes=(Mode(np.ones_like, phase, if_hz),))
     return Signal(samples, fs_hz), model
 
 
 def add_noise(sig: Signal, snr_db: float | None, seed: int = 0) -> Signal:
     """Add circular white Gaussian noise at the requested signal-to-noise ratio.
 
-    ``snr_db`` of None or +inf returns the input unchanged. The noise draw is
-    complex; for a real carrier only its real part is added, scaled so the
-    power of the noise actually added meets the target SNR. Deterministic for
-    a fixed seed.
+    ``snr_db`` of None or +inf returns the input unchanged; any other value
+    must give a finite noise power. The noise draw is complex; for a real
+    carrier only its real part is added, scaled so the power of the noise
+    actually added meets the target SNR. Deterministic for a fixed seed >= 0.
     """
-    if snr_db is None or np.isinf(snr_db):
+    if snr_db is None or snr_db == np.inf:
         return sig
+    if not seed >= 0:
+        raise InvalidParameterError("seed must be >= 0")
+    p_signal = float(np.mean(np.abs(sig.samples) ** 2))
+    try:
+        p_noise = p_signal / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):  # |snr_db| past the float range
+        p_noise = np.nan
+    if not np.isfinite(p_noise):
+        raise InvalidParameterError(f"snr_db={snr_db} gives no finite noise power")
     rng = np.random.default_rng(seed)
     n = len(sig)
     re = rng.standard_normal(n)
     im = rng.standard_normal(n)
-    p_signal = float(np.mean(np.abs(sig.samples) ** 2))
-    p_noise = p_signal / 10.0 ** (snr_db / 10.0)
     if sig.is_real:
         noise = np.sqrt(p_noise) * re
     else:

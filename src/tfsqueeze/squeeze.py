@@ -14,10 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IFOutOfRangeError, NonInvertibleGridError, ShapeMismatchError
+from .errors import IFOutOfRangeError, ShapeMismatchError
 from .ridges import IFEstimate
 from .signals import Signal
-from .tfr import TFRGrid, nearest_bins, regroup
+from .tfr import TFRGrid, istft, nearest_bins, regroup
 
 __all__ = ["modular_reassign", "mode_reconstruct"]
 
@@ -49,23 +49,19 @@ def modular_reassign(grid: TFRGrid, ifest: IFEstimate) -> TFRGrid:
 
 def mode_reconstruct(tgrid: TFRGrid, ridge_track: Callable[[np.ndarray], np.ndarray],
                      half_width_hz: float) -> Signal:
-    """Recover one mode by summing only bins near its IF track.
+    """Recover one mode by inverting only the bins near its IF track.
 
-    Per frame, bins within half_width_hz of ridge_track(t) contribute; the
-    sum is scaled by rho. The band integral returns the mode's analytic
-    part: for a mode of a real signal, take twice the real part of the
-    result to get the real waveform.
+    Per frame, bins within half_width_hz of ridge_track(t) are kept and the
+    rest zeroed; istft inverts the result, so a non-invertible grid is
+    refused there. The band integral returns the mode's analytic part: for a
+    mode of a real signal, take twice the real part of the result to get the
+    real waveform.
     """
-    if not tgrid.invertible:
-        raise NonInvertibleGridError(
-            f"grid {tgrid.method_tag!r} has no finite reconstruction factor"
-        )
-    if half_width_hz <= 0:
+    if not half_width_hz > 0:  # NaN fails this too
         raise IFOutOfRangeError("half_width_hz must be > 0")
     t = tgrid.time_axis_s
     f = tgrid.freq_axis_hz
     track = np.broadcast_to(np.asarray(ridge_track(t), dtype=float), t.shape)
     nearest_bins(track, f, tgrid.df_hz, "mode track")  # refuses off-axis and NaN tracks
     in_band = np.abs(f[None, :] - track[:, None]) <= half_width_hz
-    samples = tgrid.rho * np.sum(np.where(in_band, tgrid.data, 0.0), axis=1)
-    return Signal(samples, tgrid.source_fs_hz, float(t[0]))
+    return istft(tgrid.with_data(np.where(in_band, tgrid.data, 0.0)))

@@ -23,7 +23,7 @@ from .signals import Signal
 from .windows import WindowSpec
 
 __all__ = ["TFRGrid", "Analysis", "stft", "istft", "regroup", "nearest_bins",
-           "energy", "half_circle"]
+           "half_circle"]
 
 
 @dataclass(frozen=True)
@@ -215,11 +215,6 @@ def nearest_bins(values_hz: np.ndarray, freq_axis_hz: np.ndarray, df_hz: float,
             f"and within the frequency axis [{f[0]}, {f[-1]}] Hz"
         )
     return np.clip(np.rint((values - f[0]) / df_hz).astype(np.int64), 0, f.size - 1)
-
-
-def energy(grid: TFRGrid) -> float:
-    """Cell-weighted energy sum |V|^2 * dt * df."""
-    return float(np.sum(np.abs(grid.data) ** 2) * grid.dt_s * grid.df_hz)
 
 
 def half_circle(grid: TFRGrid) -> TFRGrid:

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-__all__ = ["WindowSpec", "gaussian_window", "window_response_width", "halfwidth_bins"]
+__all__ = ["WindowSpec", "gaussian_length", "gaussian_window", "window_response_width",
+           "halfwidth_bins"]
 
 
 @dataclass(frozen=True)
@@ -23,14 +24,13 @@ class WindowSpec:
 
     values[i] samples g(t) at t = (i - half)/fs; d_values holds g'(t) in 1/s
     and t_values holds t*g(t) in s on the same grid. Length is odd and
-    values[half] is g(0).
+    values[half] is g(0), which must be nonzero for reconstruction.
     """
 
     values: np.ndarray
     d_values: np.ndarray
     t_values: np.ndarray
     sigma_s: float
-    center_value: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -40,13 +40,13 @@ class WindowSpec:
             raise InvalidParameterError("window length must be odd")
         if d_values.shape != values.shape or t_values.shape != values.shape:
             raise InvalidParameterError("window variants must share one length")
-        if self.center_value == 0.0:
-            raise InvalidParameterError("g(0) must be nonzero for reconstruction")
         for arr in (values, d_values, t_values):
             arr.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "d_values", d_values)
         object.__setattr__(self, "t_values", t_values)
+        if self.center_value == 0.0:
+            raise InvalidParameterError("g(0) must be nonzero for reconstruction")
 
     def __len__(self):
         return self.values.size
@@ -55,10 +55,28 @@ class WindowSpec:
     def half(self) -> int:
         return (len(self) - 1) // 2
 
+    @property
+    def center_value(self) -> float:
+        """g(0), the tap the STFT's reconstruction factor divides by."""
+        return float(self.values[self.half])
 
-def gaussian_window(sigma_s: float, fs_hz: float,
-                    half_width_sigmas: float = 6.0) -> WindowSpec:
-    """Sample g(t) = exp(-t^2 / (2 sigma^2)) at t = n/fs, |t| <= half_width_sigmas*sigma.
+
+HALF_WIDTH_SIGMAS = 6.0
+
+
+def gaussian_length(sigma_s: float, fs_hz: float) -> int:
+    """Tap count of gaussian_window(sigma_s, fs_hz), known before it is built.
+
+    sigma_s, fs_hz and their product must be finite and > 0; NaN fails too."""
+    span = HALF_WIDTH_SIGMAS * sigma_s * fs_hz
+    if not (0.0 < sigma_s < np.inf and 0.0 < fs_hz < np.inf and span < np.inf):
+        raise InvalidParameterError(
+            f"sigma_s={sigma_s}, fs_hz={fs_hz} and their product must be finite and > 0")
+    return 2 * int(np.floor(span)) + 1
+
+
+def gaussian_window(sigma_s: float, fs_hz: float) -> WindowSpec:
+    """Sample g(t) = exp(-t^2 / (2 sigma^2)) at t = n/fs, |t| <= 6 sigma.
 
     The derivative taps use the analytic g'(t) = -t/sigma^2 * g(t), not a
     finite difference. The 6 sigma truncation keeps spectral leakage near
@@ -66,18 +84,12 @@ def gaussian_window(sigma_s: float, fs_hz: float,
     operators; a 4 sigma window leaks around 1e-5, enough to leave stray
     cells in extraction-style methods.
     """
-    if sigma_s <= 0.0:
-        raise InvalidParameterError("sigma_s must be > 0")
-    if half_width_sigmas < 3.0:
-        raise InvalidParameterError("half_width_sigmas must be >= 3")
-    if fs_hz <= 0.0:
-        raise InvalidParameterError("fs_hz must be > 0")
-    half = int(np.floor(half_width_sigmas * sigma_s * fs_hz))
+    half = gaussian_length(sigma_s, fs_hz) // 2
     t = np.arange(-half, half + 1) / fs_hz
     values = np.exp(-0.5 * (t / sigma_s) ** 2)
     d_values = -t / sigma_s**2 * values
     t_values = t * values
-    return WindowSpec(values, d_values, t_values, float(sigma_s), 1.0)
+    return WindowSpec(values, d_values, t_values, float(sigma_s))
 
 
 def window_response_width(w: WindowSpec, fs_hz: float, nfft: int) -> float:

@@ -162,6 +162,12 @@ class TestLmsst:
         assert np.array_equal(out.data, base.data)
         assert out.method_tag == "lmsst"
 
+    @pytest.mark.parametrize("delta", [128, 100000])
+    def test_delta_past_the_axis_rejected(self, fmam, w128, delta):
+        sig, _ = fmam
+        with pytest.raises(InvalidParameterError):
+            tq.lmsst(tq.Analysis(sig, w128, 128), delta_bins=delta)
+
     def test_negative_delta_rejected(self, fmam, w128):
         sig, _ = fmam
         with pytest.raises(InvalidParameterError):

@@ -1,12 +1,15 @@
 import json
+import shutil
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tfsqueeze as tq
-from tfsqueeze import baselines, tfr
-from tfsqueeze.cli import main
+from tfsqueeze import baselines, signals, tfr, windows
+from tfsqueeze.cli import METHODS, main
 
 
 def read_pgm(path):
@@ -245,6 +248,15 @@ class TestDegenerateInputs:
             reports = json.loads((out / "report.json").read_text())
             assert [r["ridge_mae_bins"] for r in reports] == [None] * len(reports)
 
+    def test_one_bin_grid_runs_every_method(self, tmp_path):
+        # one bin leaves an empty half circle for the ridge pass, and LMSST's
+        # default radius must stay inside the axis
+        out = tmp_path / "out"
+        assert main(["compare", "--input", "fmam", "--nfft", "1", "--sigma", "1e-9",
+                     "--out", str(out)]) == 0
+        reports = json.loads((out / "report.json").read_text())
+        assert [r["ridge_mae_bins"] for r in reports] == [None] * 6
+
     def test_all_zero_input_writes_nothing(self, tmp_path, capsys):
         signal = tmp_path / "zero.csv"
         signal.write_text("# fs=128\n" + "0\n" * 64)
@@ -268,8 +280,25 @@ class TestNoPartialOutput:
         # the trajectory reader accepts nan cells, as float() does
         (["analyze", "--input", "fmam", "--if-from", "{inputs}/nan.csv"], 2),
         (["reconstruct", "{inputs}/grid.csv", "--mode-track", "{inputs}/nan.csv"], 2),
+        # bad numbers are refused where they are used; NaN fails every check
+        (["analyze", "--input", "fmam", "--sigma", "nan"], 2),
+        (["analyze", "--input", "tone", "--dur", "nan"], 2),
+        (["analyze", "--input", "tone", "--dur", "inf"], 2),
+        (["analyze", "--input", "tone", "--fs", "inf"], 2),
+        (["analyze", "--input", "{inputs}/fs_inf.csv"], 2),
+        (["analyze", "--input", "fmam", "--snr-db", "1e300"], 2),
+        (["analyze", "--input", "fmam", "--snr-db=-1e300"], 2),
+        (["analyze", "--input", "fmam", "--snr-db=-inf"], 2),
+        (["analyze", "--method", "lmsst", "--input", "fmam", "--delta-bins", "100000"], 2),
+        (["analyze", "--input", "fmam", "--snr-db", "10", "--seed", "-1"], 2),
+        (["generate", "fmam", "--snr-db", "10", "--seed", "-1"], 2),
+        (["reconstruct", "{inputs}/grid.csv", "--mode-track", "{inputs}/tone.csv",
+          "--gamma-band", "nan"], 2),
     ], ids=["rm-reconstruct", "nyquist", "unparseable-grid", "non-utf8-grid",
-            "track-off-axis", "compare-second-method", "nan-if-track", "nan-mode-track"])
+            "track-off-axis", "compare-second-method", "nan-if-track", "nan-mode-track",
+            "sigma-nan", "dur-nan", "dur-inf", "fs-inf", "csv-fs-inf", "snr-huge",
+            "snr-minus-huge", "snr-minus-inf", "delta-bins-past-axis", "analyze-seed-negative",
+            "generate-seed-negative", "gamma-band-nan"])
     def test_failure_leaves_no_output_directory(self, tmp_path, argv, code):
         inputs = tmp_path / "inputs"
         inputs.mkdir()
@@ -280,7 +309,79 @@ class TestNoPartialOutput:
         (inputs / "latin1.csv").write_bytes("# method=caf\u00e9\n".encode("latin-1"))
         (inputs / "tracks.csv").write_text("time_s,f1_hz,f2_hz\n0,20,20\n1,20,500\n")
         (inputs / "nan.csv").write_text("time_s,f1_hz\n0,nan\n1,nan\n")
+        (inputs / "tone.csv").write_text("time_s,f1_hz\n0,20\n1,20\n")
+        (inputs / "fs_inf.csv").write_text("# fs=inf\n1\n2\n3\n")
         out = tmp_path / "out"
         argv = [arg.format(inputs=inputs) for arg in argv] + ["--out", str(out)]
         assert main(argv) == code
         assert not out.exists()
+
+
+def _refuse_call(*args, **kwargs):
+    raise AssertionError("called before the run was admitted")
+
+
+class TestAdmissionBeforeAllocation:
+    """Runs the budget refuses exit 2 before their window or signal is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--input", "fmam", "--sigma", "1000"],  # 1.5M taps for 128 bins
+        ["analyze", "--input", "{tmp}/fs_huge.csv"],  # 2.4e299 taps
+    ], ids=["sigma-huge", "csv-fs-huge"])
+    def test_window_is_not_built(self, tmp_path, monkeypatch, argv):
+        (tmp_path / "fs_huge.csv").write_text("# fs=1e300\n1\n2\n3\n")
+        monkeypatch.setattr(windows, "gaussian_window", _refuse_call)
+        out = tmp_path / "out"
+        argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "generate"])
+    def test_signal_is_not_generated(self, tmp_path, monkeypatch, command, capsys):
+        # 8192 Hz x 1e5 s is 8.2e8 samples: past the budget at any --nfft
+        monkeypatch.setattr(signals, "gen_tone", _refuse_call)
+        argv = ([command, "--input", "tone"] if command == "analyze"
+                else [command, "tone"])
+        out = tmp_path / "out"
+        assert main(argv + ["--fs", "8192", "--dur", "1e5", "--out", str(out)]) == 2
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# Every numeric flag of analyze draws from the same hostile list plus one
+# ordinary value. On fmam (128 samples) and tone (the ordinary --fs and --dur
+# give 128 samples; larger products are refused by the budget before
+# anything is generated) no admitted grid exceeds 128 x 128 cells.
+HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e300")
+ORDINARY = {"--sigma": "0.04", "--gamma": "0.1", "--snr-db": "20", "--seed": "1",
+            "--f0": "32", "--fs": "128", "--dur": "1", "--f-start": "30",
+            "--f-end": "400", "--power": "3"}
+FLAG_VALUES = {flag: HOSTILE + (value,) for flag, value in ORDINARY.items()}
+FLAG_VALUES["--nfft"] = ("-1", "0", "1", "3", "128")
+FLAG_VALUES["--delta-bins"] = ("-1", "0", "127", "128", "100000")
+
+
+@st.composite
+def analyze_argv(draw):
+    argv = ["analyze", "--input", draw(st.sampled_from(["fmam", "tone"])),
+            "--method", draw(st.sampled_from(METHODS))]
+    # a few flags per run, so that most runs get past the first refusal; '='
+    # keeps a value such as '-1' from reading as a flag
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=4, unique=True)):
+        argv.append(f"{flag}={draw(st.sampled_from(FLAG_VALUES[flag]))}")
+    for flag in ("--per-frame-max", "--reconstruct"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    return argv
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=analyze_argv())
+    def test_exit_code_and_no_partial_output(self, tmp_path, argv):
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        code = main(argv + ["--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        assert code == 0 or not out.exists()

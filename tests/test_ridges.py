@@ -133,7 +133,6 @@ class TestLocalMaxima:
         interior = interior_mask(grid.n_frames, w128)
         for n in np.nonzero(interior)[0]:
             assert est.ridge_bins[n].tolist() == [32]
-        assert est.gamma_used == 0.1
 
     def test_fmam_two_ridges_below_nyquist(self, fmam, w128):
         sig, model = fmam
@@ -153,7 +152,6 @@ class TestLocalMaxima:
         oracle = tq.local_maxima(tq.filter_grid(grid, gamma, per_frame))
         for name in ("ridges", "offsets", "starts"):
             assert np.array_equal(getattr(est, name), getattr(oracle, name)), name
-        assert est.gamma_used == gamma
 
 
 class TestInjectIf:

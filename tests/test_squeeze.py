@@ -186,3 +186,6 @@ class TestModeReconstruct:
             tq.mode_reconstruct(out, lambda t: 500.0 * np.ones_like(t), 2.0)
         with pytest.raises(IFOutOfRangeError):
             tq.mode_reconstruct(out, lambda t: 32.0 * np.ones_like(t), 0.0)
+        # a NaN half width keeps no bin, which would give an all-zero mode
+        with pytest.raises(IFOutOfRangeError):
+            tq.mode_reconstruct(out, lambda t: 32.0 * np.ones_like(t), np.nan)

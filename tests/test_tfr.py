@@ -136,22 +136,6 @@ class TestIstft:
         assert rel_l2(sig.samples, rec.samples) <= 1e-10
 
 
-class TestEnergy:
-    def test_zero_grid(self, w128):
-        grid = tq.stft(tq.Signal(np.zeros(16), 128.0), w128, 128)
-        assert tq.energy(grid) == 0.0
-
-    def test_quadratic_scaling(self, tone32, w128):
-        sig, _ = tone32
-        grid = tq.stft(sig, w128, 128)
-        scaled = grid.with_data(3.0 * grid.data)
-        assert np.isclose(tq.energy(scaled), 9.0 * tq.energy(grid))
-
-    def test_tone_energy_positive(self, tone32, w128):
-        sig, _ = tone32
-        assert tq.energy(tq.stft(sig, w128, 128)) > 0
-
-
 class TestGridValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):

@@ -3,7 +3,7 @@ import pytest
 
 import tfsqueeze as tq
 from tfsqueeze.errors import InvalidParameterError
-from tfsqueeze.windows import halfwidth_bins
+from tfsqueeze.windows import gaussian_length, halfwidth_bins
 
 
 def scan_width_oracle(values: np.ndarray, fs: float, nfft: int) -> float:
@@ -37,14 +37,34 @@ class TestGaussianWindow:
         with pytest.raises(InvalidParameterError):
             tq.gaussian_window(0.0, 128)
         with pytest.raises(InvalidParameterError):
-            tq.gaussian_window(0.05, 128, half_width_sigmas=2.0)
-        with pytest.raises(InvalidParameterError):
             tq.gaussian_window(0.05, -1.0)
+
+    @pytest.mark.parametrize("sigma, fs", [
+        (np.nan, 128.0), (np.inf, 128.0), (-np.inf, 128.0), (0.05, np.nan),
+        (0.05, np.inf), (1e300, 1e300),  # each finite, but the span is not
+    ])
+    def test_rejects_non_finite(self, sigma, fs):
+        with pytest.raises(InvalidParameterError):
+            gaussian_length(sigma, fs)
+        with pytest.raises(InvalidParameterError):
+            tq.gaussian_window(sigma, fs)
+
+    @pytest.mark.parametrize("sigma, fs", [(0.05, 128), (0.02, 1024), (0.013, 777),
+                                           (1e-9, 128)])
+    def test_length_is_known_before_building(self, sigma, fs):
+        assert gaussian_length(sigma, fs) == len(tq.gaussian_window(sigma, fs))
+
+    def test_center_value_is_the_center_tap(self):
+        # g(0) is read from the taps, so it cannot disagree with them
+        w = tq.WindowSpec(np.array([0.5, 2.0, 0.5]), np.zeros(3), np.zeros(3), 0.1)
+        assert w.center_value == 2.0
+        with pytest.raises(InvalidParameterError):
+            tq.WindowSpec(np.array([1.0, 0.0, 1.0]), np.zeros(3), np.zeros(3), 0.1)
 
     def test_truncation_tail_level(self):
         # the grid snaps inward of 6 sigma by at most one sample, so the
         # edge tap sits within exp(-0.5 * 5.5^2) of zero for sigma*fs >= 2
-        w = tq.gaussian_window(0.05, 128, half_width_sigmas=6.0)
+        w = tq.gaussian_window(0.05, 128)
         assert w.values[0] <= np.exp(-0.5 * 5.5**2)
         edge_t = w.half / 128.0
         assert w.values[0] == np.exp(-0.5 * (edge_t / 0.05) ** 2)
