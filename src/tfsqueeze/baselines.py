@@ -85,9 +85,8 @@ def reassignment(a: Analysis) -> TFRGrid:
     grid = a.grid
     f_hat, significant = phase_if_map(a)
     t_hat = group_delay_map(a, significant)
-    t0 = float(grid.time_axis_s[0])
     frame_target = np.clip(
-        np.rint((t_hat - t0) * grid.source_fs_hz).astype(np.int64),
+        np.rint((t_hat - grid.t0_s) * grid.source_fs_hz).astype(np.int64),
         0, grid.n_frames - 1,
     )
     bin_target = _freq_bins(f_hat, grid)

@@ -45,7 +45,7 @@ def _resolve_input(name: str, opts) -> tuple[signals.Signal, signals.ModeModel |
     if name in ("chirp", "tone"):
         fs = opts.fs if opts.fs is not None else {"chirp": 1024.0, "tone": 128.0}[name]
         # a grid has at least one bin per sample, so no --nfft admits a longer signal
-        if fs * opts.dur > MAX_GRID_CELLS:
+        if signals.sample_count(fs, opts.dur) > MAX_GRID_CELLS:
             raise InvalidParameterError(
                 f"{fs} Hz x {opts.dur} s exceeds the {MAX_GRID_CELLS} cell budget "
                 "even at one bin per frame; lower --fs or --dur")
@@ -112,9 +112,11 @@ def _run_method(method: str, a: tfr.Analysis, args
     if method == "lmsst":
         return a.grid, baselines.lmsst(a, args.delta_bins), None
     if method == "proposed":
-        filtered, est = ridges.estimate_ridges(a.grid, args.gamma, args.per_frame_max)
-        if args.if_from:
+        if args.if_from:  # injected tracks replace detection, so none runs
+            filtered = ridges.filter_grid(a.grid, args.gamma, args.per_frame_max)
             est = ridges.inject_if(filtered, load_trajectories_csv(args.if_from))
+        else:
+            filtered, est = ridges.estimate_ridges(a.grid, args.gamma, args.per_frame_max)
         return filtered, squeeze.modular_reassign(filtered, est), est
     raise InvalidParameterError(f"unknown method {method!r}")
 

@@ -21,7 +21,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import DegenerateGridError, FormatError, UnsupportedFormatError
+from .errors import (DegenerateGridError, FormatError, InvalidParameterError,
+                     UnsupportedFormatError)
 from .metrics import MethodReport
 from .signals import Signal
 from .tfr import TFRGrid
@@ -184,8 +185,8 @@ def _is_number(text: str) -> bool:
 def export_grid_csv(grid: TFRGrid, path) -> None:
     """Write a grid as eight '# key=value' header lines plus one row per
     frame of 're+imj' cells. Reading back reproduces every value exactly."""
-    numbers = (grid.source_fs_hz, grid.n_bins, grid.rho, grid.freq_axis_hz[0],
-               grid.df_hz, grid.time_axis_s[0], grid.dt_s)
+    numbers = (grid.source_fs_hz, grid.n_bins, grid.rho, 0.0, grid.df_hz, grid.t0_s,
+               1.0 / grid.source_fs_hz)
     header = [f"# method={grid.method_tag}"] + [
         f"# {key}={value:.17g}" for key, value in zip(_HEADER_KEYS[1:], numbers)]
     rows = (",".join(f"{c.real:.17g}{c.imag:+.17g}j" for c in row) for row in grid.data)
@@ -193,7 +194,7 @@ def export_grid_csv(grid: TFRGrid, path) -> None:
 
 
 def import_grid_csv(path) -> TFRGrid:
-    """Read a grid written by export_grid_csv."""
+    """Read a grid written by export_grid_csv; freq0 must be 0 and dt 1/fs."""
     header = {}
     rows: list[np.ndarray] = []
     for lineno, cells in _read_rows(path, header):
@@ -220,9 +221,14 @@ def import_grid_csv(path) -> TFRGrid:
         raise FormatError(
             f"{path}: rows carry {data.shape[1]} cells but header says nfft={nfft}"
         )
-    time_axis = t0 + dt * np.arange(data.shape[0])
-    freq_axis = freq0 + dfreq * np.arange(nfft)
-    return TFRGrid(data, time_axis, freq_axis, rho, header["method"][1], fs)
+    if freq0 != 0.0:
+        raise FormatError(f"{path}: line {header['freq0'][0]}: freq0={freq0} must be 0")
+    if not abs(dt * fs - 1.0) <= 1e-9:  # NaN fails this too
+        raise FormatError(f"{path}: line {header['dt'][0]}: dt={dt} must be 1/fs")
+    try:
+        return TFRGrid(data, t0, dfreq, rho, header["method"][1], fs)
+    except InvalidParameterError as exc:
+        raise FormatError(f"{path}: {exc}")
 
 
 def export_heatmap_pgm(grid: TFRGrid, path) -> None:

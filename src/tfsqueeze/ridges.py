@@ -159,10 +159,9 @@ def inject_if(grid: TFRGrid, trajectories: Sequence[Callable[[np.ndarray], np.nd
     adjacent so every ridge stays strictly inside its own basin.
     """
     t = grid.time_axis_s
-    f = grid.freq_axis_hz
     if not trajectories:
         raise InvalidParameterError("need at least one trajectory")
-    tracks = [nearest_bins(np.broadcast_to(traj(t), t.shape), f, grid.df_hz, "trajectory")
+    tracks = [nearest_bins(np.broadcast_to(traj(t), t.shape), grid, "trajectory")
               for traj in trajectories]
     bins_per_frame = np.sort(np.stack(tracks, axis=1), axis=1)
 
@@ -173,4 +172,4 @@ def inject_if(grid: TFRGrid, trajectories: Sequence[Callable[[np.ndarray], np.nd
     below = np.concatenate([[0], ridges[:-1]])
     starts = np.maximum(below + 1, (below + ridges) // 2)
     starts[offsets[:-1]] = 0  # every frame has a ridge; its first basin starts at 0
-    return IFEstimate(ridges, offsets, starts, t, f)
+    return IFEstimate(ridges, offsets, starts, t, grid.freq_axis_hz)

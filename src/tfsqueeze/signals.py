@@ -8,7 +8,7 @@ component, so tests and metrics can compare estimates against truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "gen_tone",
     "add_noise",
     "ideal_tfr",
+    "sample_count",
 ]
 
 
@@ -121,17 +122,26 @@ class ModeModel:
         return worst
 
 
+def sample_count(fs_hz: float, duration_s: float) -> int:
+    """Samples in duration_s at fs_hz, once the rate, then the duration, then
+    their product are finite and > 0 (NaN fails each check)."""
+    product = float(fs_hz) * float(duration_s)
+    for value, name in ((fs_hz, "fs_hz"), (duration_s, "duration_s"),
+                        (product, "fs_hz x duration_s")):
+        if not 0.0 < value < np.inf:
+            raise InvalidParameterError(f"{name}={value} must be finite and > 0")
+    return int(round(product))
+
+
 def _sample_times(fs_hz: float, duration_s: float, f_hz: float, what: str) -> np.ndarray:
-    """Sample times of a generator, once its highest frequency f_hz lies
-    below Nyquist and fs_hz and duration_s are finite and > 0."""
+    """Sample times of a generator, once sample_count admits fs_hz and
+    duration_s and its highest frequency f_hz lies below Nyquist."""
+    n = sample_count(fs_hz, duration_s)
     if not (0.0 < f_hz < fs_hz / 2.0):
         raise InvalidParameterError(
             f"{what} {f_hz} Hz outside the open Nyquist interval (0, {fs_hz / 2}) Hz"
         )
-    for value, name in ((fs_hz, "fs_hz"), (duration_s, "duration_s")):
-        if not 0.0 < value < np.inf:  # NaN fails this too
-            raise InvalidParameterError(f"{name} must be finite and > 0")
-    return np.arange(int(round(fs_hz * duration_s))) / fs_hz
+    return np.arange(n) / fs_hz
 
 
 def gen_fmam() -> tuple[Signal, ModeModel]:
@@ -259,23 +269,19 @@ def add_noise(sig: Signal, snr_db: float | None, seed: int = 0) -> Signal:
     return Signal(sig.samples + noise, sig.sample_rate_hz, sig.t0_s)
 
 
-def ideal_tfr(model: ModeModel, time_axis_s: Sequence[float],
-              freq_axis_hz: Sequence[float]):
-    """Reference time-frequency surface: each mode contributes its complex
-    envelope A(t)*exp(j*phase(t)) at the single bin nearest its IF.
+def ideal_tfr(model: ModeModel, like):
+    """Reference surface on the sampling of grid like: each mode contributes
+    its complex envelope A(t)*exp(j*phase(t)) at the bin nearest its IF.
 
     Coinciding modes sum. The result is the target every post-processor is
     judged against; its rho of 1 is nominal, not a reconstruction factor.
     """
-    from .tfr import TFRGrid, nearest_bins  # local import to avoid a module cycle
+    from .tfr import nearest_bins  # local import to avoid a module cycle
 
-    t = np.asarray(time_axis_s, dtype=float)
-    f = np.asarray(freq_axis_hz, dtype=float)
-    df = f[1] - f[0]
-    data = np.zeros((t.size, f.size), dtype=np.complex128)
+    t = like.time_axis_s
+    data = np.zeros(like.data.shape, dtype=np.complex128)
     for mode in model.modes:
-        bins = nearest_bins(np.broadcast_to(mode.if_hz(t), t.shape), f, df, "mode IF")
+        bins = nearest_bins(np.broadcast_to(mode.if_hz(t), t.shape), like, "mode IF")
         vals = mode.amplitude(t) * np.exp(1j * mode.phase_rad(t))
         np.add.at(data, (np.arange(t.size), bins), vals)
-    fs = 1.0 / (t[1] - t[0]) if t.size > 1 else float(f.size * df)
-    return TFRGrid(data, t, f, rho=1.0, method_tag="ideal", source_fs_hz=fs)
+    return like.with_data(data, method_tag="ideal", rho=1.0)

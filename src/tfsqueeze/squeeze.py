@@ -60,8 +60,7 @@ def mode_reconstruct(tgrid: TFRGrid, ridge_track: Callable[[np.ndarray], np.ndar
     if not half_width_hz > 0:  # NaN fails this too
         raise IFOutOfRangeError("half_width_hz must be > 0")
     t = tgrid.time_axis_s
-    f = tgrid.freq_axis_hz
     track = np.broadcast_to(np.asarray(ridge_track(t), dtype=float), t.shape)
-    nearest_bins(track, f, tgrid.df_hz, "mode track")  # refuses off-axis and NaN tracks
-    in_band = np.abs(f[None, :] - track[:, None]) <= half_width_hz
+    nearest_bins(track, tgrid, "mode track")  # refuses off-axis and NaN tracks
+    in_band = np.abs(tgrid.freq_axis_hz[None, :] - track[:, None]) <= half_width_hz
     return istft(tgrid.with_data(np.where(in_band, tgrid.data, 0.0)))

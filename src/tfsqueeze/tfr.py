@@ -30,44 +30,35 @@ __all__ = ["TFRGrid", "Analysis", "stft", "istft", "regroup", "nearest_bins",
 class TFRGrid:
     """Complex surface over (time frame, frequency bin).
 
-    data[n, k] is the coefficient at time_axis_s[n], freq_axis_hz[k].
-    rho is the scalar that maps a frame's frequency sum back to the signal
+    data[n, k] is the coefficient at time t0_s + n / source_fs_hz (one frame
+    per sample) and frequency k * df_hz; time_axis_s and freq_axis_hz derive
+    from this sampling. rho maps a frame's frequency sum back to the signal
     sample; NaN marks a non-invertible grid (reassignment-method output).
     """
 
     data: np.ndarray
-    time_axis_s: np.ndarray
-    freq_axis_hz: np.ndarray
+    t0_s: float
+    df_hz: float
     rho: float
     method_tag: str
     source_fs_hz: float
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.complex128)
-        t = np.asarray(self.time_axis_s, dtype=float)
-        f = np.asarray(self.freq_axis_hz, dtype=float)
         if data.ndim != 2:
             raise ShapeMismatchError("grid data must be 2-D")
-        if data.shape != (t.size, f.size):
-            raise ShapeMismatchError(
-                f"data shape {data.shape} does not match axes ({t.size}, {f.size})"
-            )
-        for axis, name in ((t, "time"), (f, "frequency")):
-            if axis.size > 1:
-                steps = np.diff(axis)
-                if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
-                    raise InvalidParameterError(f"{name} axis must increase uniformly")
-        if t.size > 1 and abs((t[1] - t[0]) * self.source_fs_hz - 1.0) > 1e-9:
-            raise InvalidParameterError("time axis must advance one sample per frame")
         if not np.all(np.isfinite(data)):
             raise InvalidParameterError("grid entries must be finite")
-        for arr in (data, t, f):
-            arr.setflags(write=False)
+        # written so that NaN fails every comparison
+        if not -np.inf < self.t0_s < np.inf:
+            raise InvalidParameterError(f"t0_s={self.t0_s} must be finite")
+        for value, name in ((self.df_hz, "df_hz"), (self.source_fs_hz, "source_fs_hz")):
+            if not 0.0 < value < np.inf:
+                raise InvalidParameterError(f"{name}={value} must be finite and > 0")
+        data.setflags(write=False)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "time_axis_s", t)
-        object.__setattr__(self, "freq_axis_hz", f)
-        object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "source_fs_hz", float(self.source_fs_hz))
+        for name in ("t0_s", "df_hz", "rho", "source_fs_hz"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def n_frames(self) -> int:
@@ -78,13 +69,12 @@ class TFRGrid:
         return self.data.shape[1]
 
     @property
-    def dt_s(self) -> float:
-        return 1.0 / self.source_fs_hz
+    def time_axis_s(self) -> np.ndarray:
+        return self.t0_s + np.arange(self.n_frames) / self.source_fs_hz
 
     @property
-    def df_hz(self) -> float:
-        return float(self.freq_axis_hz[1] - self.freq_axis_hz[0]) if self.n_bins > 1 \
-            else self.source_fs_hz
+    def freq_axis_hz(self) -> np.ndarray:
+        return np.arange(self.n_bins) * self.df_hz
 
     @property
     def invertible(self) -> bool:
@@ -92,7 +82,7 @@ class TFRGrid:
 
     def with_data(self, data: np.ndarray, method_tag: str | None = None,
                   rho: float | None = None) -> "TFRGrid":
-        """Same axes, new coefficients; optionally a new tag or rho."""
+        """Same sampling, new coefficients; optionally a new tag or rho."""
         return replace(
             self,
             data=data,
@@ -134,9 +124,8 @@ def stft(sig: Signal, w: WindowSpec, nfft: int) -> TFRGrid:
     """
     data = frame_matrix(sig, w.values, nfft)
     fs = sig.sample_rate_hz
-    freq_axis = np.arange(nfft) * fs / nfft
     rho = 1.0 / (nfft * w.center_value)
-    return TFRGrid(data, sig.times_s, freq_axis, rho, "stft", fs)
+    return TFRGrid(data, sig.t0_s, fs / nfft, rho, "stft", fs)
 
 
 @dataclass(frozen=True)
@@ -168,7 +157,7 @@ def istft(grid: TFRGrid) -> Signal:
             f"grid {grid.method_tag!r} has no finite reconstruction factor"
         )
     samples = grid.rho * grid.data.sum(axis=1)
-    return Signal(samples, grid.source_fs_hz, float(grid.time_axis_s[0]))
+    return Signal(samples, grid.source_fs_hz, grid.t0_s)
 
 
 def regroup(grid: TFRGrid, dest: np.ndarray, method_tag: str) -> TFRGrid:
@@ -199,16 +188,15 @@ def regroup(grid: TFRGrid, dest: np.ndarray, method_tag: str) -> TFRGrid:
     return grid.with_data(out.reshape(n_frames, n_bins), method_tag=method_tag)
 
 
-def nearest_bins(values_hz: np.ndarray, freq_axis_hz: np.ndarray, df_hz: float,
-                 what: str) -> np.ndarray:
-    """Index of the bin nearest each frequency on a uniform axis.
+def nearest_bins(values_hz: np.ndarray, grid: TFRGrid, what: str) -> np.ndarray:
+    """Index of the bin nearest each frequency on the grid's frequency axis.
 
     Raises IFOutOfRangeError unless every value is finite and within half a
     bin of the axis; the check is a conjunction of >= and <=, which NaN fails,
     so no NaN reaches the integer cast.
     """
     values = np.asarray(values_hz, dtype=float)
-    f = freq_axis_hz
+    f, df_hz = grid.freq_axis_hz, grid.df_hz
     if not np.all((values >= f[0] - df_hz / 2) & (values <= f[-1] + df_hz / 2)):
         raise IFOutOfRangeError(
             f"{what} range [{values.min()}, {values.max()}] Hz must be finite "
@@ -223,11 +211,5 @@ def half_circle(grid: TFRGrid) -> TFRGrid:
     The slice is not invertible by the frame-sum formula, so rho is dropped.
     """
     keep = grid.n_bins // 2
-    return TFRGrid(
-        grid.data[:, :keep],
-        grid.time_axis_s,
-        grid.freq_axis_hz[:keep],
-        rho=float("nan"),
-        method_tag=grid.method_tag + "+half",
-        source_fs_hz=grid.source_fs_hz,
-    )
+    return replace(grid, data=grid.data[:, :keep], rho=float("nan"),
+                   method_tag=grid.method_tag + "+half")

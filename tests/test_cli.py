@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from collections import Counter
 
@@ -268,43 +269,66 @@ class TestDegenerateInputs:
 
 
 class TestNoPartialOutput:
-    @pytest.mark.parametrize("argv, code", [
-        (["analyze", "--method", "rm", "--input", "fmam", "--reconstruct"], 4),
-        (["generate", "tone", "--f0", "600", "--fs", "1000"], 2),
-        (["reconstruct", "{inputs}/garbage.csv"], 3),
-        (["reconstruct", "{inputs}/latin1.csv"], 3),
+    @pytest.mark.parametrize("argv, code, match", [
+        (["analyze", "--method", "rm", "--input", "fmam", "--reconstruct"], 4,
+         "non-invertible"),
+        (["generate", "tone", "--f0", "600", "--fs", "1000"], 2, "f0_hz 600"),
+        (["reconstruct", "{inputs}/garbage.csv"], 3, "garbage.csv: line 1"),
+        (["reconstruct", "{inputs}/latin1.csv"], 3, "latin1.csv: not UTF-8"),
         # the first track is inside the axis, the second is not
-        (["reconstruct", "{inputs}/grid.csv", "--mode-track", "{inputs}/tracks.csv"], 2),
+        (["reconstruct", "{inputs}/grid.csv", "--mode-track", "{inputs}/tracks.csv"], 2,
+         "mode track range"),
         # the first method succeeds before the second is refused
-        (["compare", "--input", "fmam", "--methods", "stft,lmsst", "--delta-bins", "-1"], 2),
+        (["compare", "--input", "fmam", "--methods", "stft,lmsst", "--delta-bins", "-1"], 2,
+         "delta_bins"),
         # the trajectory reader accepts nan cells, as float() does
-        (["analyze", "--input", "fmam", "--if-from", "{inputs}/nan.csv"], 2),
-        (["reconstruct", "{inputs}/grid.csv", "--mode-track", "{inputs}/nan.csv"], 2),
+        (["analyze", "--input", "fmam", "--if-from", "{inputs}/nan.csv"], 2,
+         "trajectory range"),
+        (["reconstruct", "{inputs}/grid.csv", "--mode-track", "{inputs}/nan.csv"], 2,
+         "mode track range"),
         # bad numbers are refused where they are used; NaN fails every check
-        (["analyze", "--input", "fmam", "--sigma", "nan"], 2),
-        (["analyze", "--input", "tone", "--dur", "nan"], 2),
-        (["analyze", "--input", "tone", "--dur", "inf"], 2),
-        (["analyze", "--input", "tone", "--fs", "inf"], 2),
-        (["analyze", "--input", "{inputs}/fs_inf.csv"], 2),
-        (["analyze", "--input", "fmam", "--snr-db", "1e300"], 2),
-        (["analyze", "--input", "fmam", "--snr-db=-1e300"], 2),
-        (["analyze", "--input", "fmam", "--snr-db=-inf"], 2),
-        (["analyze", "--method", "lmsst", "--input", "fmam", "--delta-bins", "100000"], 2),
-        (["analyze", "--input", "fmam", "--snr-db", "10", "--seed", "-1"], 2),
-        (["generate", "fmam", "--snr-db", "10", "--seed", "-1"], 2),
+        (["analyze", "--input", "fmam", "--sigma", "nan"], 2, "sigma_s=nan"),
+        (["analyze", "--input", "tone", "--dur", "nan"], 2, "duration_s=nan"),
+        (["analyze", "--input", "tone", "--dur", "inf"], 2, "duration_s=inf"),
+        (["analyze", "--input", "tone", "--fs", "inf"], 2, "fs_hz=inf"),
+        (["analyze", "--input", "{inputs}/fs_inf.csv"], 2, "sample_rate_hz"),
+        (["analyze", "--input", "fmam", "--snr-db", "1e300"], 2, "snr_db"),
+        (["analyze", "--input", "fmam", "--snr-db=-1e300"], 2, "snr_db"),
+        (["analyze", "--input", "fmam", "--snr-db=-inf"], 2, "snr_db"),
+        (["analyze", "--method", "lmsst", "--input", "fmam", "--delta-bins", "100000"], 2,
+         "delta_bins"),
+        (["analyze", "--input", "fmam", "--snr-db", "10", "--seed", "-1"], 2, "seed"),
+        (["generate", "fmam", "--snr-db", "10", "--seed", "-1"], 2, "seed"),
         (["reconstruct", "{inputs}/grid.csv", "--mode-track", "{inputs}/tone.csv",
-          "--gamma-band", "nan"], 2),
+          "--gamma-band", "nan"], 2, "half_width_hz"),
+        # the rate is named before the duration, the budget and Nyquist
+        (["analyze", "--input", "tone", "--fs=-inf", "--dur=-1"], 2, "fs_hz=-inf"),
+        (["generate", "tone", "--fs", "nan"], 2, "fs_hz=nan"),
+        (["generate", "tone", "--fs=-5", "--dur=-3"], 2, "fs_hz=-5"),
+        (["analyze", "--input", "tone", "--fs", "1e300", "--dur", "1e300"], 2,
+         "fs_hz x duration_s"),
+        # a grid header the grid refuses is a file fault
+        (["reconstruct", "{inputs}/grid_dt.csv"], 3, "grid_dt.csv: line 8: dt="),
+        (["reconstruct", "{inputs}/grid_freq0.csv"], 3, "grid_freq0.csv: line 5: freq0="),
+        (["reconstruct", "{inputs}/grid_dfreq.csv"], 3, "grid_dfreq.csv: df_hz="),
     ], ids=["rm-reconstruct", "nyquist", "unparseable-grid", "non-utf8-grid",
             "track-off-axis", "compare-second-method", "nan-if-track", "nan-mode-track",
             "sigma-nan", "dur-nan", "dur-inf", "fs-inf", "csv-fs-inf", "snr-huge",
             "snr-minus-huge", "snr-minus-inf", "delta-bins-past-axis", "analyze-seed-negative",
-            "generate-seed-negative", "gamma-band-nan"])
-    def test_failure_leaves_no_output_directory(self, tmp_path, argv, code):
+            "generate-seed-negative", "gamma-band-nan", "fs-minus-inf-dur-negative",
+            "generate-fs-nan", "generate-fs-dur-negative", "fs-dur-product-inf",
+            "grid-dt-not-one-sample", "grid-freq0-nonzero", "grid-dfreq-zero"])
+    def test_failure_leaves_no_output_directory(self, tmp_path, capsys, argv, code, match):
         inputs = tmp_path / "inputs"
         inputs.mkdir()
         sig, _ = tq.gen_fmam()
         tq.export_grid_csv(tq.stft(sig, tq.gaussian_window(0.04, 128.0), 128),
                            inputs / "grid.csv")
+        grid_text = (inputs / "grid.csv").read_text()
+        for name, old, new in (("dt", "# dt=0.0078125", "# dt=0.015625"),
+                               ("freq0", "# freq0=0", "# freq0=5"),
+                               ("dfreq", "# dfreq=1", "# dfreq=0")):
+            (inputs / f"grid_{name}.csv").write_text(grid_text.replace(old, new, 1))
         (inputs / "garbage.csv").write_text("garbage\n")
         (inputs / "latin1.csv").write_bytes("# method=caf\u00e9\n".encode("latin-1"))
         (inputs / "tracks.csv").write_text("time_s,f1_hz,f2_hz\n0,20,20\n1,20,500\n")
@@ -315,6 +339,7 @@ class TestNoPartialOutput:
         argv = [arg.format(inputs=inputs) for arg in argv] + ["--out", str(out)]
         assert main(argv) == code
         assert not out.exists()
+        assert re.search(match, capsys.readouterr().err)
 
 
 def _refuse_call(*args, **kwargs):
@@ -375,13 +400,64 @@ def analyze_argv(draw):
     return argv
 
 
+def run_fuzzed(tmp_path, argv):
+    """Run main with a fresh --out and check the CLI's contract: a stable
+    exit code, no escaping exception, and no output after a refusal."""
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    code = main(argv + ["--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    assert code == 0 or not out.exists()
+
+
+fuzz_settings = settings(deadline=None, derandomize=True,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestCliFuzz:
-    @settings(max_examples=150, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(fuzz_settings, max_examples=150)
     @given(argv=analyze_argv())
     def test_exit_code_and_no_partial_output(self, tmp_path, argv):
-        out = tmp_path / "out"
-        shutil.rmtree(out, ignore_errors=True)
-        code = main(argv + ["--out", str(out)])
-        assert code in (0, 2, 3, 4)
-        assert code == 0 or not out.exists()
+        run_fuzzed(tmp_path, argv)
+
+
+# Each file reader, with the command that reaches it and the file name it reads
+READERS = {
+    "grid": (["reconstruct", "{path}"], "in.csv"),
+    "signal-csv": (["analyze", "--input", "{path}"], "in.csv"),
+    "signal-wav": (["analyze", "--input", "{path}"], "in.wav"),
+    "if-from": (["analyze", "--input", "fmam", "--if-from", "{path}"], "in.csv"),
+}
+GRID_HEADER_KEYS = ("fs", "nfft", "rho", "freq0", "dfreq", "t0", "dt")
+
+
+@pytest.fixture(scope="module")
+def fmam_grid_csv(tmp_path_factory):
+    """The text of the fmam STFT grid, as analyze --method stft writes it."""
+    sig, _ = tq.gen_fmam()
+    path = tmp_path_factory.mktemp("grid") / "grid.csv"
+    tq.export_grid_csv(tq.stft(sig, tq.gaussian_window(0.04, 128.0), 128), path)
+    return path.read_text()
+
+
+class TestFileReaderFuzz:
+    @settings(fuzz_settings, max_examples=120)
+    @given(reader=st.sampled_from(sorted(READERS)), content=st.binary(max_size=2048))
+    def test_arbitrary_bytes(self, tmp_path, reader, content):
+        argv, name = READERS[reader]
+        path = tmp_path / name
+        path.write_bytes(content)
+        run_fuzzed(tmp_path, [arg.format(path=path) for arg in argv])
+
+    @settings(fuzz_settings, max_examples=60)
+    @given(values=st.fixed_dictionaries(
+        {key: st.sampled_from(HOSTILE + (None,)) for key in GRID_HEADER_KEYS}))
+    def test_grid_header_values(self, tmp_path, fmam_grid_csv, values):
+        text = fmam_grid_csv
+        for key, value in values.items():
+            if value is not None:  # None keeps the value the writer wrote
+                text = re.sub(rf"^# {key}=.*$", f"# {key}={value}", text, count=1,
+                              flags=re.M)
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        run_fuzzed(tmp_path, ["reconstruct", str(path)])

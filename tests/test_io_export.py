@@ -33,9 +33,7 @@ def random_grid(seed=0, n_frames=12, n_bins=16, rho=0.25, tag="stft"):
     data = rng.standard_normal((n_frames, n_bins)) * np.exp(
         2j * np.pi * rng.random((n_frames, n_bins)))
     fs = 16.0
-    t = np.arange(n_frames) / fs
-    f = np.arange(n_bins) * fs / n_bins
-    return tq.TFRGrid(data, t, f, rho, tag, fs)
+    return tq.TFRGrid(data, 0.0, fs / n_bins, rho, tag, fs)
 
 
 class TestGridCsv:
@@ -48,8 +46,21 @@ class TestGridCsv:
         assert back.method_tag == grid.method_tag
         assert back.rho == grid.rho
         assert back.source_fs_hz == grid.source_fs_hz
-        assert np.allclose(back.time_axis_s, grid.time_axis_s, rtol=1e-15)
-        assert np.allclose(back.freq_axis_hz, grid.freq_axis_hz, rtol=1e-15)
+        assert np.array_equal(back.time_axis_s, grid.time_axis_s)
+        assert np.array_equal(back.freq_axis_hz, grid.freq_axis_hz)
+
+    # the axes are t0 + n / fs and k * df on both sides of the file; rebuilt
+    # as t0 + n * dt, 144 of 1000 time stamps differ at 1 kHz
+    @pytest.mark.parametrize("fs, n_samples, nfft", [
+        (1000.0, 1000, 1), (44100.0, 44100, 1), (1024.0, 64, 100)])
+    def test_axes_roundtrip_bit_exact(self, tmp_path, fs, n_samples, nfft):
+        sig = tq.Signal(np.ones(n_samples), fs)
+        grid = tq.stft(sig, tq.gaussian_window(1e-9, fs), nfft)
+        path = tmp_path / "grid.csv"
+        tq.export_grid_csv(grid, path)
+        back = tq.import_grid_csv(path)
+        assert np.array_equal(bits(back.time_axis_s), bits(sig.times_s))
+        assert np.array_equal(bits(back.freq_axis_hz), bits(grid.freq_axis_hz))
 
     def test_nan_rho_roundtrips(self, tmp_path):
         grid = random_grid(rho=float("nan"), tag="rm")
@@ -114,8 +125,7 @@ class TestGridCsv:
         values = np.empty(shape, dtype=np.complex128)
         values.real, values.imag = data.draw(parts), data.draw(parts)
         fs = 16.0
-        grid = tq.TFRGrid(values, np.arange(shape[0]) / fs,
-                          np.arange(shape[1]) * fs / shape[1], rho, "proposed", fs)
+        grid = tq.TFRGrid(values, 0.0, fs / shape[1], rho, "proposed", fs)
         path = tmp_path / "grid.csv"
         tq.export_grid_csv(grid, path)
         back = tq.import_grid_csv(path)
@@ -202,7 +212,7 @@ class TestHeatmapPgm:
         data[0, 1] = 1.0     # peak
         data[1, 2] = 1e-9    # far below -60 dB
         fs = 8.0
-        grid = tq.TFRGrid(data, np.arange(2) / fs, np.arange(8) * 1.0, 1.0, "t", fs)
+        grid = tq.TFRGrid(data, 0.0, 1.0, 1.0, "t", fs)
         path = tmp_path / "map.pgm"
         tq.export_heatmap_pgm(grid, path)
         pixels = np.frombuffer(path.read_bytes().split(b"\n", 3)[3], dtype=np.uint8)

@@ -16,10 +16,7 @@ from conftest import interior_mask
 
 
 def make_grid(rows, fs=1.0):
-    data = np.asarray(rows, dtype=complex)
-    t = np.arange(data.shape[0]) / fs
-    f = np.arange(data.shape[1]) * 1.0
-    return tq.TFRGrid(data, t, f, 1.0, "test", fs)
+    return tq.TFRGrid(np.asarray(rows, dtype=complex), 0.0, 1.0, 1.0, "test", fs)
 
 
 class TestRenyiEntropy:

@@ -11,7 +11,7 @@ from tfsqueeze.tfr import regroup
 
 def make_grid(data):
     n_frames, n_bins = data.shape
-    return tq.TFRGrid(data, np.arange(n_frames), np.arange(n_bins), 0.5, "test", 1.0)
+    return tq.TFRGrid(data, 0.0, 1.0, 0.5, "test", 1.0)
 
 
 @st.composite

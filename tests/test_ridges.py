@@ -8,10 +8,7 @@ from conftest import interior_mask
 
 
 def make_grid(rows, fs=1.0, df=1.0):
-    data = np.asarray(rows, dtype=complex)
-    t = np.arange(data.shape[0]) / fs
-    f = np.arange(data.shape[1]) * df
-    return tq.TFRGrid(data, t, f, 1.0, "test", fs)
+    return tq.TFRGrid(np.asarray(rows, dtype=complex), 0.0, df, 1.0, "test", fs)
 
 
 def ridges_and_edges_oracle(column):
@@ -159,8 +156,7 @@ class TestInjectIf:
         sig, _ = crossover
         grid = tq.stft(sig, w1024, 1024)
         est = tq.inject_if(grid, [lambda t: 250.0 * np.ones_like(t)])
-        for n in range(est.n_frames):
-            assert est.ridge_bins[n].tolist() == [250]
+        assert [bins.tolist() for bins in est.ridge_bins] == [[250]] * est.n_frames
 
     def test_crossing_trajectories_merge(self, crossover, w1024):
         sig, model = crossover

@@ -138,6 +138,16 @@ class TestTone:
         with pytest.raises(InvalidParameterError):
             tq.gen_tone(32.0, fs, dur)
 
+    # the rate is checked first, then the duration, then their product, all
+    # before the Nyquist check that needs a valid rate
+    @pytest.mark.parametrize("fs, dur, named", [
+        (np.nan, 1.0, "fs_hz="), (-5.0, -3.0, "fs_hz="), (128.0, -1.0, "duration_s="),
+        (1e300, 1e300, "fs_hz x duration_s"),
+    ])
+    def test_refusal_names_the_bad_parameter(self, fs, dur, named):
+        with pytest.raises(InvalidParameterError, match=named):
+            tq.gen_tone(32.0, fs, dur)
+
 
 class TestGeneratorContracts:
     GENERATORS = {
@@ -278,25 +288,32 @@ class TestWav:
             tq.load_signal(path)
 
 
+def like(sig, n_bins):
+    """An all-zero template grid with one frame per sample and 1 Hz bins."""
+    return tq.TFRGrid(np.zeros((len(sig), n_bins), complex), sig.t0_s, 1.0, 0.5,
+                      "like", sig.sample_rate_hz)
+
+
 class TestIdealTfr:
     def test_on_bin_tone_single_cell_per_frame(self, tone32):
         sig, model = tone32
         t = sig.times_s
-        f = np.arange(128) * 1.0
-        grid = tq.ideal_tfr(model, t, f)
+        grid = tq.ideal_tfr(model, like(sig, 128))
         counts = (np.abs(grid.data) > 0).sum(axis=1)
         assert np.all(counts == 1)
         assert np.allclose(grid.data[:, 32], np.exp(1j * 2 * np.pi * 32 * t))
+        assert (grid.method_tag, grid.rho) == ("ideal", 1.0)
+        assert np.array_equal(grid.time_axis_s, t)
 
     def test_fmam_two_cells_per_frame(self, fmam):
         sig, model = fmam
-        grid = tq.ideal_tfr(model, sig.times_s, np.arange(128) * 1.0)
+        grid = tq.ideal_tfr(model, like(sig, 128))
         counts = (np.abs(grid.data) > 0).sum(axis=1)
         assert np.all(counts == 2)
 
     def test_crossover_modes_merge_at_crossing(self, crossover):
         sig, model = crossover
-        grid = tq.ideal_tfr(model, sig.times_s, np.arange(1024) * 1.0)
+        grid = tq.ideal_tfr(model, like(sig, 1024))
         n = int(np.argmin(np.abs(sig.times_s - 0.25)))
         assert (np.abs(grid.data[n]) > 0).sum() == 1
         counts = (np.abs(grid.data) > 0).sum(axis=1)
@@ -305,4 +322,4 @@ class TestIdealTfr:
     def test_out_of_range_if_rejected(self, fmam):
         sig, model = fmam
         with pytest.raises(IFOutOfRangeError):
-            tq.ideal_tfr(model, sig.times_s, np.arange(32) * 1.0)
+            tq.ideal_tfr(model, like(sig, 32))

@@ -137,26 +137,32 @@ class TestIstft:
 
 
 class TestGridValidation:
-    def test_shape_mismatch(self):
+    def test_data_must_be_2d(self):
         with pytest.raises(ShapeMismatchError):
-            tq.TFRGrid(np.zeros((4, 4), complex), np.arange(4.0), np.arange(5.0),
-                       1.0, "x", 1.0)
-
-    def test_hop_must_be_one_sample(self):
-        with pytest.raises(InvalidParameterError):
-            tq.TFRGrid(np.zeros((4, 4), complex), np.arange(4.0) * 2.0,
-                       np.arange(4.0), 1.0, "x", 1.0)
-
-    def test_nonuniform_axis_rejected(self):
-        bad = np.array([0.0, 1.0, 2.5, 3.0])
-        with pytest.raises(InvalidParameterError):
-            tq.TFRGrid(np.zeros((4, 4), complex), bad, np.arange(4.0), 1.0, "x", 1.0)
+            tq.TFRGrid(np.zeros(4, complex), 0.0, 1.0, 1.0, "x", 1.0)
 
     def test_nonfinite_entries_rejected(self):
         data = np.zeros((2, 3), complex)
         data[0, 0] = np.nan
         with pytest.raises(InvalidParameterError):
-            tq.TFRGrid(data, np.arange(2.0), np.arange(3.0), 1.0, "x", 1.0)
+            tq.TFRGrid(data, 0.0, 1.0, 1.0, "x", 1.0)
+
+    # t0_s may be zero or negative; the rate and the bin width may not.
+    # One frame is enough: no axis step is needed to see a bad rate.
+    @pytest.mark.parametrize("name, value", [
+        *(("t0_s", v) for v in (np.nan, np.inf, -np.inf)),
+        *((name, v) for name in ("df_hz", "source_fs_hz")
+          for v in (np.nan, np.inf, -np.inf, 0.0, -1.0)),
+    ])
+    def test_bad_sampling_refused(self, name, value):
+        sampling = {"t0_s": 0.0, "df_hz": 1.0, "source_fs_hz": 1.0, name: value}
+        with pytest.raises(InvalidParameterError, match=name):
+            tq.TFRGrid(np.zeros((1, 3), complex), rho=1.0, method_tag="x", **sampling)
+
+    def test_axes_follow_the_sampling(self):
+        grid = tq.TFRGrid(np.zeros((3, 4), complex), -0.5, 2.5, 1.0, "x", 4.0)
+        assert grid.time_axis_s.tolist() == [-0.5, -0.25, 0.0]
+        assert grid.freq_axis_hz.tolist() == [0.0, 2.5, 5.0, 7.5]
 
     def test_half_circle_slices_low_bins(self, fmam, w128):
         sig, _ = fmam
@@ -182,16 +188,16 @@ class TestAnalysis:
 
 
 class TestNearestBins:
-    AXIS = np.arange(8) * 2.0  # 0..14 Hz in 2 Hz bins
+    GRID = tq.TFRGrid(np.zeros((1, 8), complex), 0.0, 2.0, 1.0, "x", 16.0)  # 0..14 Hz
 
     def test_rounds_to_nearest_within_half_a_bin_of_the_axis(self):
-        bins = nearest_bins(np.array([-1.0, 0.9, 1.1, 14.0, 15.0]), self.AXIS, 2.0, "x")
+        bins = nearest_bins(np.array([-1.0, 0.9, 1.1, 14.0, 15.0]), self.GRID, "x")
         assert bins.tolist() == [0, 0, 1, 7, 7]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 15.5, -1.5])
     def test_refuses_non_finite_and_off_axis_values(self, bad):
         with pytest.raises(IFOutOfRangeError, match="x range"):
-            nearest_bins(np.array([4.0, bad]), self.AXIS, 2.0, "x")
+            nearest_bins(np.array([4.0, bad]), self.GRID, "x")
 
     def test_every_track_consumer_refuses_non_finite_tracks(self, fmam, w128):
         sig, model = fmam
@@ -206,4 +212,4 @@ class TestNearestBins:
                 tq.mode_reconstruct(grid, track, 3.0)
             mode = tq.Mode(model.modes[0].amplitude, model.modes[0].phase_rad, track)
             with pytest.raises(IFOutOfRangeError):
-                tq.ideal_tfr(tq.ModeModel((mode,)), sig.times_s, grid.freq_axis_hz)
+                tq.ideal_tfr(tq.ModeModel((mode,)), grid)
