@@ -56,6 +56,6 @@ from .signals import (
 )
 from .squeeze import mode_reconstruct, modular_reassign
 from .tfr import Analysis, TFRGrid, half_circle, istft, stft
-from .windows import WindowSpec, gaussian_window, window_response_width
+from .windows import WindowSpec
 
 __version__ = "0.1.0"

@@ -120,7 +120,7 @@ def lmsst(a: Analysis, delta_bins: int | None = None) -> TFRGrid:
     """
     n_bins = a.grid.n_bins
     if delta_bins is None:
-        delta_bins = min(halfwidth_bins(a.w, a.sig.sample_rate_hz, a.nfft), n_bins - 1)
+        delta_bins = min(halfwidth_bins(a.w, a.nfft), n_bins - 1)
     if not 0 <= delta_bins < n_bins:
         raise InvalidParameterError(f"delta_bins must lie in [0, {n_bins})")
     mag = np.abs(a.grid.data)

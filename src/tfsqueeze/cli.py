@@ -79,10 +79,10 @@ def _prepare(args, sig: signals.Signal) -> tfr.Analysis:
     """Check the window length and the grid's cells before building either."""
     sigma = args.sigma if args.sigma is not None else _default_sigma(sig.sample_rate_hz)
     nfft = args.nfft if args.nfft is not None else _default_nfft(len(sig))
-    taps = windows.gaussian_length(sigma, sig.sample_rate_hz)
-    if nfft < taps:
+    w = windows.WindowSpec(sigma, sig.sample_rate_hz)
+    if nfft < w.taps:
         raise InvalidParameterError(
-            f"nfft={nfft} is smaller than the window length {taps}; "
+            f"nfft={nfft} is smaller than the window length {w.taps}; "
             "raise --nfft or lower --sigma"
         )
     if len(sig) * nfft > MAX_GRID_CELLS:
@@ -90,7 +90,7 @@ def _prepare(args, sig: signals.Signal) -> tfr.Analysis:
             f"grid of {len(sig)} frames x {nfft} bins exceeds the "
             f"{MAX_GRID_CELLS} cell budget; analyze a shorter slice or lower --nfft"
         )
-    return tfr.Analysis(sig, windows.gaussian_window(sigma, sig.sample_rate_hz), nfft)
+    return tfr.Analysis(sig, w, nfft)
 
 
 def _run_method(method: str, a: tfr.Analysis, args

@@ -111,7 +111,10 @@ def load_signal(path) -> Signal:
     t0 = _header_value(path, header, "t0") if "t0" in header else 0.0
     if not values:
         raise FormatError(f"{path}: no samples")
-    return Signal(np.array(values), fs, t0)
+    try:
+        return Signal(np.array(values), fs, t0)
+    except InvalidParameterError as exc:
+        raise FormatError(f"{path}: {exc}")
 
 
 def _load_signal_wav(path) -> Signal:

@@ -40,7 +40,7 @@ class Signal:
     sample_rate_hz : float
         Sampling rate, finite and > 0.
     t0_s : float
-        Time of the first sample.
+        Time of the first sample, finite.
     """
 
     samples: np.ndarray
@@ -56,6 +56,9 @@ class Signal:
             raise InvalidParameterError("samples must all be finite")
         if not 0.0 < self.sample_rate_hz < np.inf:
             raise InvalidParameterError("sample_rate_hz must be finite and > 0")
+        # written so that NaN fails
+        if not -np.inf < self.t0_s < np.inf:
+            raise InvalidParameterError(f"t0_s={self.t0_s} must be finite")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))

@@ -22,12 +22,12 @@ def tone32():
 @pytest.fixture(scope="session")
 def w128():
     # default analysis window for the 128 Hz signals
-    return tq.gaussian_window(0.04, 128.0)
+    return tq.WindowSpec(0.04, 128.0)
 
 
 @pytest.fixture(scope="session")
 def w1024():
-    return tq.gaussian_window(0.02, 1024.0)
+    return tq.WindowSpec(0.02, 1024.0)
 
 
 def interior_mask(n_frames: int, w) -> np.ndarray:

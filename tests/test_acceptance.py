@@ -20,7 +20,7 @@ from conftest import interior_mask, rel_l2
 
 def _window_for(sig):
     fs = sig.sample_rate_hz
-    return tq.gaussian_window(0.04 if fs <= 256 else 0.02, fs)
+    return tq.WindowSpec(0.04 if fs <= 256 else 0.02, fs)
 
 
 def report(tag, ok, detail):

@@ -291,7 +291,10 @@ class TestNoPartialOutput:
         (["analyze", "--input", "tone", "--dur", "nan"], 2, "duration_s=nan"),
         (["analyze", "--input", "tone", "--dur", "inf"], 2, "duration_s=inf"),
         (["analyze", "--input", "tone", "--fs", "inf"], 2, "fs_hz=inf"),
-        (["analyze", "--input", "{inputs}/fs_inf.csv"], 2, "sample_rate_hz"),
+        # a signal file's header the signal refuses is a file fault
+        (["analyze", "--input", "{inputs}/fs_inf.csv"], 3, "fs_inf.csv: sample_rate_hz"),
+        (["analyze", "--input", "{inputs}/t0_inf.csv"], 3, "t0_inf.csv: t0_s=inf"),
+        (["analyze", "--input", "{inputs}/t0_nan.csv"], 3, "t0_nan.csv: t0_s=nan"),
         (["analyze", "--input", "fmam", "--snr-db", "1e300"], 2, "snr_db"),
         (["analyze", "--input", "fmam", "--snr-db=-1e300"], 2, "snr_db"),
         (["analyze", "--input", "fmam", "--snr-db=-inf"], 2, "snr_db"),
@@ -313,7 +316,8 @@ class TestNoPartialOutput:
         (["reconstruct", "{inputs}/grid_dfreq.csv"], 3, "grid_dfreq.csv: df_hz="),
     ], ids=["rm-reconstruct", "nyquist", "unparseable-grid", "non-utf8-grid",
             "track-off-axis", "compare-second-method", "nan-if-track", "nan-mode-track",
-            "sigma-nan", "dur-nan", "dur-inf", "fs-inf", "csv-fs-inf", "snr-huge",
+            "sigma-nan", "dur-nan", "dur-inf", "fs-inf", "csv-fs-inf", "csv-t0-inf",
+            "csv-t0-nan", "snr-huge",
             "snr-minus-huge", "snr-minus-inf", "delta-bins-past-axis", "analyze-seed-negative",
             "generate-seed-negative", "gamma-band-nan", "fs-minus-inf-dur-negative",
             "generate-fs-nan", "generate-fs-dur-negative", "fs-dur-product-inf",
@@ -322,7 +326,7 @@ class TestNoPartialOutput:
         inputs = tmp_path / "inputs"
         inputs.mkdir()
         sig, _ = tq.gen_fmam()
-        tq.export_grid_csv(tq.stft(sig, tq.gaussian_window(0.04, 128.0), 128),
+        tq.export_grid_csv(tq.stft(sig, tq.WindowSpec(0.04, 128.0), 128),
                            inputs / "grid.csv")
         grid_text = (inputs / "grid.csv").read_text()
         for name, old, new in (("dt", "# dt=0.0078125", "# dt=0.015625"),
@@ -335,6 +339,8 @@ class TestNoPartialOutput:
         (inputs / "nan.csv").write_text("time_s,f1_hz\n0,nan\n1,nan\n")
         (inputs / "tone.csv").write_text("time_s,f1_hz\n0,20\n1,20\n")
         (inputs / "fs_inf.csv").write_text("# fs=inf\n1\n2\n3\n")
+        for t0 in ("inf", "nan"):
+            (inputs / f"t0_{t0}.csv").write_text(f"# fs=128\n# t0={t0}\n1\n2\n3\n")
         out = tmp_path / "out"
         argv = [arg.format(inputs=inputs) for arg in argv] + ["--out", str(out)]
         assert main(argv) == code
@@ -355,7 +361,8 @@ class TestAdmissionBeforeAllocation:
     ], ids=["sigma-huge", "csv-fs-huge"])
     def test_window_is_not_built(self, tmp_path, monkeypatch, argv):
         (tmp_path / "fs_huge.csv").write_text("# fs=1e300\n1\n2\n3\n")
-        monkeypatch.setattr(windows, "gaussian_window", _refuse_call)
+        for name in ("values", "d_values", "t_values"):
+            monkeypatch.setattr(windows.WindowSpec, name, property(_refuse_call))
         out = tmp_path / "out"
         argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(out)]
         assert main(argv) == 2
@@ -436,7 +443,7 @@ def fmam_grid_csv(tmp_path_factory):
     """The text of the fmam STFT grid, as analyze --method stft writes it."""
     sig, _ = tq.gen_fmam()
     path = tmp_path_factory.mktemp("grid") / "grid.csv"
-    tq.export_grid_csv(tq.stft(sig, tq.gaussian_window(0.04, 128.0), 128), path)
+    tq.export_grid_csv(tq.stft(sig, tq.WindowSpec(0.04, 128.0), 128), path)
     return path.read_text()
 
 

@@ -55,7 +55,7 @@ class TestGridCsv:
         (1000.0, 1000, 1), (44100.0, 44100, 1), (1024.0, 64, 100)])
     def test_axes_roundtrip_bit_exact(self, tmp_path, fs, n_samples, nfft):
         sig = tq.Signal(np.ones(n_samples), fs)
-        grid = tq.stft(sig, tq.gaussian_window(1e-9, fs), nfft)
+        grid = tq.stft(sig, tq.WindowSpec(1e-9, fs), nfft)
         path = tmp_path / "grid.csv"
         tq.export_grid_csv(grid, path)
         back = tq.import_grid_csv(path)

@@ -22,6 +22,9 @@ class TestSignalType:
             tq.Signal(np.array([1.0]), 0.0)
         with pytest.raises(InvalidParameterError):
             tq.Signal(np.array([1.0]), np.inf)
+        for t0 in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidParameterError, match="t0_s"):
+                tq.Signal(np.array([1.0]), 10.0, t0)
 
     def test_duration_is_derived(self):
         sig = tq.Signal(np.ones(64), 128.0)

@@ -61,7 +61,7 @@ class TestModularReassign:
         sig, _ = request.getfixturevalue({"tone": "tone32", "fmam": "fmam",
                                           "crossover": "crossover"}[gen])
         fs = sig.sample_rate_hz
-        w = tq.gaussian_window(0.04 if fs <= 256 else 0.02, fs)
+        w = tq.WindowSpec(0.04 if fs <= 256 else 0.02, fs)
         grid = tq.stft(sig, w, len(sig))
         out = tq.modular_reassign(grid, tq.local_maxima(grid))
         assert tq.framesum_max_dev(grid, out) <= 1e-12
@@ -122,7 +122,7 @@ class TestReconstruct:
     def test_exact_roundtrip_unfiltered(self, gen, request):
         sig, _ = request.getfixturevalue(gen)
         fs = sig.sample_rate_hz
-        w = tq.gaussian_window(0.04 if fs <= 256 else 0.02, fs)
+        w = tq.WindowSpec(0.04 if fs <= 256 else 0.02, fs)
         grid = tq.stft(sig, w, len(sig))
         out = tq.modular_reassign(grid, tq.local_maxima(grid))
         rec = tq.istft(out)
@@ -149,7 +149,7 @@ class TestModeReconstruct:
         t1, _ = tq.gen_tone(20, 128, 1)
         t2, _ = tq.gen_tone(50, 128, 1)
         both = tq.Signal(t1.samples + t2.samples, 128.0)
-        w = tq.gaussian_window(0.06, 128)
+        w = tq.WindowSpec(0.06, 128)
         grid = tq.stft(both, w, 128)
         out = tq.modular_reassign(grid, tq.local_maxima(grid))
         rec = tq.mode_reconstruct(out, lambda t: 20.0 * np.ones_like(t), 2.0)

@@ -186,6 +186,12 @@ class TestAnalysis:
         with pytest.raises(InvalidParameterError):
             tq.Analysis(sig, w128, len(w128) - 1)
 
+    @pytest.mark.parametrize("build", [tq.stft, tq.Analysis], ids=["stft", "Analysis"])
+    def test_window_at_another_rate_refused(self, crossover, build):
+        sig, _ = crossover  # 1024 Hz; the phase IF reads the window's taps in 1/s
+        with pytest.raises(InvalidParameterError, match=r"128\.0 Hz.*1024\.0 Hz"):
+            build(sig, tq.WindowSpec(0.02, 128.0), 1024)
+
 
 class TestNearestBins:
     GRID = tq.TFRGrid(np.zeros((1, 8), complex), 0.0, 2.0, 1.0, "x", 16.0)  # 0..14 Hz
