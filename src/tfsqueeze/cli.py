@@ -36,18 +36,14 @@ from .io_export import (
 METHODS = ("stft", "sst", "rm", "set", "lmsst", "proposed")
 GENERATORS = ("fmam", "crossover", "chirp", "tone")
 
-# hop-1 grids are dense (n_samples x nfft complex): cap the cell count so a
-# long recording fails fast instead of exhausting memory
-MAX_GRID_CELLS = 1 << 27
-
 
 def _resolve_input(name: str, opts) -> tuple[signals.Signal, signals.ModeModel | None]:
     if name in ("chirp", "tone"):
         fs = opts.fs if opts.fs is not None else {"chirp": 1024.0, "tone": 128.0}[name]
         # a grid has at least one bin per sample, so no --nfft admits a longer signal
-        if signals.sample_count(fs, opts.dur) > MAX_GRID_CELLS:
+        if signals.sample_count(fs, opts.dur) > tfr.MAX_GRID_CELLS:
             raise InvalidParameterError(
-                f"{fs} Hz x {opts.dur} s exceeds the {MAX_GRID_CELLS} cell budget "
+                f"{fs} Hz x {opts.dur} s exceeds the {tfr.MAX_GRID_CELLS} cell budget "
                 "even at one bin per frame; lower --fs or --dur")
     if name == "fmam":
         sig, model = signals.gen_fmam()
@@ -85,10 +81,10 @@ def _prepare(args, sig: signals.Signal) -> tfr.Analysis:
             f"nfft={nfft} is smaller than the window length {w.taps}; "
             "raise --nfft or lower --sigma"
         )
-    if len(sig) * nfft > MAX_GRID_CELLS:
+    if len(sig) * nfft > tfr.MAX_GRID_CELLS:
         raise InvalidParameterError(
             f"grid of {len(sig)} frames x {nfft} bins exceeds the "
-            f"{MAX_GRID_CELLS} cell budget; analyze a shorter slice or lower --nfft"
+            f"{tfr.MAX_GRID_CELLS} cell budget; analyze a shorter slice or lower --nfft"
         )
     return tfr.Analysis(sig, w, nfft)
 
@@ -172,7 +168,7 @@ def cmd_analyze(args) -> int:
     del a, base  # the exports need only out
 
     out_dir = _out_dir(args)
-    export_grid_csv(out, out_dir / "grid.csv")
+    export_grid_csv(out, out_dir / "grid.npz")
     export_heatmap_pgm(out, out_dir / "heatmap.pgm")
     export_report_json([report], out_dir / "report.json")
     if est is not None:
@@ -294,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_rec = sub.add_parser("reconstruct", help="invert an exported grid CSV")
-    p_rec.add_argument("grid", help="grid CSV produced by analyze")
+    p_rec = sub.add_parser("reconstruct", help="invert an exported grid file")
+    p_rec.add_argument("grid", help="grid file written by analyze")
     p_rec.add_argument("--reference", default=None,
                        help="signal CSV to compute the reconstruction error against")
     p_rec.add_argument("--mode-track", default=None,

@@ -1,5 +1,5 @@
-"""Every file format: signal CSV and WAV, IF trajectory CSV, grid CSV, PGM
-heatmaps and JSON reports.
+"""Every file format: signal CSV and WAV, IF trajectory CSV, the binary grid
+file, PGM heatmaps and JSON reports.
 
 Text is UTF-8 with LF endings: optional '# key=value' header lines, then one
 row of comma-separated cells per line, written by _write_lines and streamed
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import wave
@@ -25,13 +24,16 @@ from .errors import (DegenerateGridError, FormatError, InvalidParameterError,
                      UnsupportedFormatError)
 from .metrics import MethodReport
 from .signals import Signal
-from .tfr import TFRGrid
+from .tfr import MAX_GRID_CELLS, TFRGrid
 
 __all__ = ["load_signal", "save_signal_csv", "load_trajectories_csv",
            "export_trajectories_csv", "export_grid_csv", "import_grid_csv",
            "export_heatmap_pgm", "export_report_json"]
 
-_HEADER_KEYS = ("method", "fs", "nfft", "rho", "freq0", "dfreq", "t0", "dt")
+# the grid file's members, each with the scalar type and rank it must have
+_GRID_MEMBERS = {"method": (np.str_, 0), "fs": (np.float64, 0), "t0": (np.float64, 0),
+                 "dfreq": (np.float64, 0), "rho": (np.float64, 0),
+                 "shape": (np.int64, 1), "idx": (np.int64, 1), "val": (np.complex128, 1)}
 HEATMAP_FLOOR_DB = -60.0
 
 
@@ -69,10 +71,10 @@ def _read_rows(path, header: dict[str, tuple[int, str]] | None = None
             raise FormatError(f"{path}: not UTF-8 text")
 
 
-def _header_value(path, header: dict, key: str, parse: Callable = float):
+def _header_value(path, header: dict, key: str) -> float:
     lineno, text = header[key]
     try:
-        return parse(text)
+        return float(text)
     except ValueError:
         raise FormatError(f"{path}: line {lineno}: bad {key} header {text!r}")
 
@@ -92,32 +94,31 @@ def save_signal_csv(sig: Signal, path) -> None:
 
 def load_signal(path) -> Signal:
     """Load a signal from 16-bit mono PCM WAV if the path ends in '.wav'
-    (any case), else from CSV as written by save_signal_csv."""
+    (any case), else from CSV as written by save_signal_csv. Values the
+    signal refuses, read from either format, are a FormatError naming the file."""
     if str(path).lower().endswith(".wav"):
-        return _load_signal_wav(path)
-    header = {}
-    values: list[complex] = []
-    for lineno, cells in _read_rows(path, header):
-        try:
-            if len(cells) > 2:
-                raise ValueError
-            values.append(complex(*(float(c) for c in cells)))
-        except ValueError:
-            raise FormatError(
-                f"{path}: line {lineno}: expected 're' or 're,im', got {','.join(cells)!r}")
-    if "fs" not in header:
-        raise FormatError(f"{path}: missing mandatory '# fs=<float>' header")
-    fs = _header_value(path, header, "fs")
-    t0 = _header_value(path, header, "t0") if "t0" in header else 0.0
-    if not values:
-        raise FormatError(f"{path}: no samples")
+        values, fs, t0 = _read_signal_wav(path)
+    else:
+        header, values = {}, []
+        for lineno, cells in _read_rows(path, header):
+            try:
+                if len(cells) > 2:
+                    raise ValueError
+                values.append(complex(*(float(c) for c in cells)))
+            except ValueError:
+                raise FormatError(
+                    f"{path}: line {lineno}: expected 're' or 're,im', got {','.join(cells)!r}")
+        if "fs" not in header:
+            raise FormatError(f"{path}: missing mandatory '# fs=<float>' header")
+        fs = _header_value(path, header, "fs")
+        t0 = _header_value(path, header, "t0") if "t0" in header else 0.0
     try:
-        return Signal(np.array(values), fs, t0)
+        return Signal(values, fs, t0)
     except InvalidParameterError as exc:
         raise FormatError(f"{path}: {exc}")
 
 
-def _load_signal_wav(path) -> Signal:
+def _read_signal_wav(path) -> tuple[np.ndarray, float, float]:
     try:
         with wave.open(str(path), "rb") as wf:
             if wf.getnchannels() != 1:
@@ -128,10 +129,7 @@ def _load_signal_wav(path) -> Signal:
             raw = wf.readframes(wf.getnframes())
     except (wave.Error, EOFError) as exc:  # EOFError: the file ends early
         raise FormatError(f"{path}: not a readable WAV file: {str(exc) or 'it ends early'}")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    if samples.size == 0:
-        raise FormatError(f"{path}: WAV contains no frames")
-    return Signal(samples, float(fs))
+    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0, float(fs), 0.0
 
 
 def export_trajectories_csv(times_s, table_hz, path) -> None:
@@ -186,50 +184,51 @@ def _is_number(text: str) -> bool:
 
 
 def export_grid_csv(grid: TFRGrid, path) -> None:
-    """Write a grid as eight '# key=value' header lines plus one row per
-    frame of 're+imj' cells. Reading back reproduces every value exactly."""
-    numbers = (grid.source_fs_hz, grid.n_bins, grid.rho, 0.0, grid.df_hz, grid.t0_s,
-               1.0 / grid.source_fs_hz)
-    header = [f"# method={grid.method_tag}"] + [
-        f"# {key}={value:.17g}" for key, value in zip(_HEADER_KEYS[1:], numbers)]
-    rows = (",".join(f"{c.real:.17g}{c.imag:+.17g}j" for c in row) for row in grid.data)
-    _write_lines(path, itertools.chain(header, rows))
+    """Write a grid as an uncompressed npz of its nonzero cells: 0-d 'method'
+    (str), 'fs', 't0', 'dfreq' and 'rho' (float64); 'shape', the int64
+    (n_frames, n_bins); 'idx', the increasing int64 flat indices of the cells
+    whose bits are not all zero (so -0.0 survives); 'val', those cells as
+    complex128. Zip entries carry a fixed date, so the bytes repeat. The name
+    says CSV as the benchmark's spans bind it for the grid file's write."""
+    flat = grid.data.ravel()
+    words = flat.view(np.uint64)  # a cell's real and imaginary bit patterns
+    idx = np.flatnonzero(words[0::2] | words[1::2])
+    with open(path, "wb") as fh:  # through a handle, numpy appends no '.npz'
+        np.savez(fh, method=grid.method_tag, fs=grid.source_fs_hz, t0=grid.t0_s,
+                 dfreq=grid.df_hz, rho=grid.rho,
+                 shape=np.array(grid.data.shape, dtype=np.int64), idx=idx, val=flat[idx])
 
 
 def import_grid_csv(path) -> TFRGrid:
-    """Read a grid written by export_grid_csv; freq0 must be 0 and dt 1/fs."""
-    header = {}
-    rows: list[np.ndarray] = []
-    for lineno, cells in _read_rows(path, header):
+    """Read a grid file written by export_grid_csv, which explains the name.
+    Every fault is a FormatError naming the file. No member is unpickled or
+    inflated, and a shape past MAX_GRID_CELLS is refused before allocating."""
+    with open(path, "rb") as fh:
         try:
-            row = np.array([complex(cell) for cell in cells])
-        except ValueError:
-            raise FormatError(f"{path}: line {lineno}: unparseable cell in row")
-        if rows and row.size != rows[0].size:
-            raise FormatError(
-                f"{path}: line {lineno}: row has {row.size} cells, "
-                f"expected {rows[0].size}"
-            )
-        rows.append(row)
-    missing = [k for k in _HEADER_KEYS if k not in header]
-    if missing:
-        raise FormatError(f"{path}: missing header keys {missing}")
-    nfft = _header_value(path, header, "nfft", int)
-    fs, rho, freq0, dfreq, t0, dt = (_header_value(path, header, k)
-                                     for k in ("fs", "rho", "freq0", "dfreq", "t0", "dt"))
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    data = np.vstack(rows)
-    if data.shape[1] != nfft:
-        raise FormatError(
-            f"{path}: rows carry {data.shape[1]} cells but header says nfft={nfft}"
-        )
-    if freq0 != 0.0:
-        raise FormatError(f"{path}: line {header['freq0'][0]}: freq0={freq0} must be 0")
-    if not abs(dt * fs - 1.0) <= 1e-9:  # NaN fails this too
-        raise FormatError(f"{path}: line {header['dt'][0]}: dt={dt} must be 1/fs")
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise ValueError("an npy array, not an npz archive")
+            if any(info.compress_type for info in npz.zip.infolist()):  # 0: stored
+                raise ValueError("a compressed member may decode to any size")
+            members = {name: npz[name] for name in _GRID_MEMBERS}
+        except Exception as exc:  # hostile bytes raise many types, zlib to SyntaxError
+            raise FormatError(f"{path}: not a readable grid file: {exc!r}")
+    for name, (kind, ndim) in _GRID_MEMBERS.items():
+        if members[name].dtype.type is not kind or members[name].ndim != ndim:
+            raise FormatError(f"{path}: member {name!r} must be {ndim}-d {kind.__name__}")
+    shape, idx, val = members["shape"].tolist(), members["idx"], members["val"]
+    if len(shape) != 2 or min(shape) < 1 or shape[0] * shape[1] > MAX_GRID_CELLS:
+        raise FormatError(f"{path}: shape {shape} is not two counts >= 1 within the cell budget")
+    cells = shape[0] * shape[1]
+    if idx.size and not (idx[0] >= 0 and idx[-1] < cells and np.all(idx[1:] > idx[:-1])):
+        raise FormatError(f"{path}: idx must increase strictly within [0, {cells})")
+    if val.size != idx.size:
+        raise FormatError(f"{path}: val holds {val.size} cells, idx {idx.size}")
+    data = np.zeros(cells, dtype=np.complex128)
+    data[idx] = val
+    scalars = (members[name].item() for name in ("t0", "dfreq", "rho", "method", "fs"))
     try:
-        return TFRGrid(data, t0, dfreq, rho, header["method"][1], fs)
+        return TFRGrid(data.reshape(shape), *scalars)
     except InvalidParameterError as exc:
         raise FormatError(f"{path}: {exc}")
 

@@ -23,7 +23,11 @@ from .signals import Signal
 from .windows import WindowSpec
 
 __all__ = ["TFRGrid", "Analysis", "stft", "istft", "regroup", "nearest_bins",
-           "half_circle"]
+           "half_circle", "MAX_GRID_CELLS"]
+
+# hop-1 grids are dense (n_samples x nfft complex): cap the cell count so a
+# long recording or a grid file's shape fails fast instead of exhausting memory
+MAX_GRID_CELLS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,8 @@ def istft(grid: TFRGrid) -> Signal:
         raise NonInvertibleGridError(
             f"grid {grid.method_tag!r} has no finite reconstruction factor"
         )
-    samples = grid.rho * grid.data.sum(axis=1)
+    with np.errstate(all="ignore"):  # Signal refuses a sum that overflowed
+        samples = grid.rho * grid.data.sum(axis=1)
     return Signal(samples, grid.source_fs_hz, grid.t0_s)
 
 

@@ -1,3 +1,5 @@
+import wave
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,21 @@ def interior_mask(n_frames: int, w) -> np.ndarray:
 
 def rel_l2(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(a))
+
+
+def rewrite_grid(src, dst, **members):
+    """Copy the grid file src to dst with the given members replaced; a
+    member given as None is left out."""
+    with np.load(src) as npz:
+        arrays = dict(npz)
+    arrays.update(members)
+    with open(dst, "wb") as fh:
+        np.savez(fh, **{name: a for name, a in arrays.items() if a is not None})
+
+
+def write_wav(path, data_int16, fs=8000, channels=1, width=2):
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(channels)
+        wf.setsampwidth(width)
+        wf.setframerate(fs)
+        wf.writeframes(data_int16.tobytes())

@@ -12,6 +12,8 @@ import tfsqueeze as tq
 from tfsqueeze import baselines, signals, tfr, windows
 from tfsqueeze.cli import METHODS, main
 
+from conftest import rewrite_grid, write_wav
+
 
 def read_pgm(path):
     blob = path.read_bytes()
@@ -54,7 +56,7 @@ class TestAnalyze:
         rc = main(["analyze", "--method", "proposed", "--input", "fmam",
                    "--out", str(tmp_path)])
         assert rc == 0
-        for name in ("grid.csv", "heatmap.pgm", "report.json", "ridges.csv"):
+        for name in ("grid.npz", "heatmap.pgm", "report.json", "ridges.csv"):
             assert (tmp_path / name).exists(), name
         report = json.loads((tmp_path / "report.json").read_text())[0]
         assert report["method_tag"] == "proposed"
@@ -188,7 +190,7 @@ class TestReconstruct:
         assert main(["analyze", "--method", "proposed", "--input", "fmam",
                      "--gamma", "0", "--out", str(run_dir)]) == 0
         rec_dir = tmp_path / "rec"
-        rc = main(["reconstruct", str(run_dir / "grid.csv"),
+        rc = main(["reconstruct", str(run_dir / "grid.npz"),
                    "--reference", str(gen_dir / "signal.csv"),
                    "--out", str(rec_dir)])
         assert rc == 0
@@ -204,7 +206,7 @@ class TestReconstruct:
         assert main(["analyze", "--method", "proposed", "--input", "fmam",
                      "--gamma", "0", "--out", str(run_dir)]) == 0
         rec_dir = tmp_path / "rec"
-        rc = main(["reconstruct", str(run_dir / "grid.csv"),
+        rc = main(["reconstruct", str(run_dir / "grid.npz"),
                    "--mode-track", str(gen_dir / "true_if.csv"),
                    "--gamma-band", "3", "--out", str(rec_dir)])
         assert rc == 0
@@ -215,7 +217,7 @@ class TestReconstruct:
         run_dir = tmp_path / "run"
         assert main(["analyze", "--method", "rm", "--input", "fmam",
                      "--out", str(run_dir)]) == 0
-        rc = main(["reconstruct", str(run_dir / "grid.csv"),
+        rc = main(["reconstruct", str(run_dir / "grid.npz"),
                    "--out", str(tmp_path / "rec")])
         assert rc == 4
         assert "non-invertible" in capsys.readouterr().err
@@ -224,16 +226,16 @@ class TestReconstruct:
         run_dir = tmp_path / "run"
         assert main(["analyze", "--method", "stft", "--input", "fmam",
                      "--out", str(run_dir)]) == 0
-        grid_path = run_dir / "grid.csv"
-        lines = grid_path.read_text().splitlines()
-        lines[9] = "garbage,row"
-        grid_path.write_text("\n".join(lines) + "\n")
+        grid_path = run_dir / "grid.npz"
+        # one bin fewer per frame puts the last stored cells past the end
+        rewrite_grid(grid_path, grid_path, shape=np.array([128, 127]))
         rc = main(["reconstruct", str(grid_path), "--out", str(tmp_path / "rec")])
         assert rc == 3
-        assert "line 10" in capsys.readouterr().err
+        assert "grid.npz: idx must increase strictly within [0, 16256)" in (
+            capsys.readouterr().err)
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
-        rc = main(["reconstruct", str(tmp_path / "nope.csv"),
+        rc = main(["reconstruct", str(tmp_path / "nope.npz"),
                    "--out", str(tmp_path)])
         assert rc == 3
 
@@ -273,10 +275,9 @@ class TestNoPartialOutput:
         (["analyze", "--method", "rm", "--input", "fmam", "--reconstruct"], 4,
          "non-invertible"),
         (["generate", "tone", "--f0", "600", "--fs", "1000"], 2, "f0_hz 600"),
-        (["reconstruct", "{inputs}/garbage.csv"], 3, "garbage.csv: line 1"),
-        (["reconstruct", "{inputs}/latin1.csv"], 3, "latin1.csv: not UTF-8"),
+        (["reconstruct", "{inputs}/garbage.npz"], 3, "garbage.npz: not a readable grid file"),
         # the first track is inside the axis, the second is not
-        (["reconstruct", "{inputs}/grid.csv", "--mode-track", "{inputs}/tracks.csv"], 2,
+        (["reconstruct", "{inputs}/grid.npz", "--mode-track", "{inputs}/tracks.csv"], 2,
          "mode track range"),
         # the first method succeeds before the second is refused
         (["compare", "--input", "fmam", "--methods", "stft,lmsst", "--delta-bins", "-1"], 2,
@@ -284,7 +285,7 @@ class TestNoPartialOutput:
         # the trajectory reader accepts nan cells, as float() does
         (["analyze", "--input", "fmam", "--if-from", "{inputs}/nan.csv"], 2,
          "trajectory range"),
-        (["reconstruct", "{inputs}/grid.csv", "--mode-track", "{inputs}/nan.csv"], 2,
+        (["reconstruct", "{inputs}/grid.npz", "--mode-track", "{inputs}/nan.csv"], 2,
          "mode track range"),
         # bad numbers are refused where they are used; NaN fails every check
         (["analyze", "--input", "fmam", "--sigma", "nan"], 2, "sigma_s=nan"),
@@ -295,6 +296,7 @@ class TestNoPartialOutput:
         (["analyze", "--input", "{inputs}/fs_inf.csv"], 3, "fs_inf.csv: sample_rate_hz"),
         (["analyze", "--input", "{inputs}/t0_inf.csv"], 3, "t0_inf.csv: t0_s=inf"),
         (["analyze", "--input", "{inputs}/t0_nan.csv"], 3, "t0_nan.csv: t0_s=nan"),
+        (["analyze", "--input", "{inputs}/rate0.wav"], 3, "rate0.wav: sample_rate_hz"),
         (["analyze", "--input", "fmam", "--snr-db", "1e300"], 2, "snr_db"),
         (["analyze", "--input", "fmam", "--snr-db=-1e300"], 2, "snr_db"),
         (["analyze", "--input", "fmam", "--snr-db=-inf"], 2, "snr_db"),
@@ -302,7 +304,7 @@ class TestNoPartialOutput:
          "delta_bins"),
         (["analyze", "--input", "fmam", "--snr-db", "10", "--seed", "-1"], 2, "seed"),
         (["generate", "fmam", "--snr-db", "10", "--seed", "-1"], 2, "seed"),
-        (["reconstruct", "{inputs}/grid.csv", "--mode-track", "{inputs}/tone.csv",
+        (["reconstruct", "{inputs}/grid.npz", "--mode-track", "{inputs}/tone.csv",
           "--gamma-band", "nan"], 2, "half_width_hz"),
         # the rate is named before the duration, the budget and Nyquist
         (["analyze", "--input", "tone", "--fs=-inf", "--dur=-1"], 2, "fs_hz=-inf"),
@@ -310,31 +312,28 @@ class TestNoPartialOutput:
         (["generate", "tone", "--fs=-5", "--dur=-3"], 2, "fs_hz=-5"),
         (["analyze", "--input", "tone", "--fs", "1e300", "--dur", "1e300"], 2,
          "fs_hz x duration_s"),
-        # a grid header the grid refuses is a file fault
-        (["reconstruct", "{inputs}/grid_dt.csv"], 3, "grid_dt.csv: line 8: dt="),
-        (["reconstruct", "{inputs}/grid_freq0.csv"], 3, "grid_freq0.csv: line 5: freq0="),
-        (["reconstruct", "{inputs}/grid_dfreq.csv"], 3, "grid_dfreq.csv: df_hz="),
-    ], ids=["rm-reconstruct", "nyquist", "unparseable-grid", "non-utf8-grid",
+        # a grid value the grid refuses is a file fault
+        (["reconstruct", "{inputs}/grid_dfreq.npz"], 3, "grid_dfreq.npz: df_hz="),
+    ], ids=["rm-reconstruct", "nyquist", "unparseable-grid",
             "track-off-axis", "compare-second-method", "nan-if-track", "nan-mode-track",
             "sigma-nan", "dur-nan", "dur-inf", "fs-inf", "csv-fs-inf", "csv-t0-inf",
-            "csv-t0-nan", "snr-huge",
+            "csv-t0-nan", "wav-rate-zero", "snr-huge",
             "snr-minus-huge", "snr-minus-inf", "delta-bins-past-axis", "analyze-seed-negative",
             "generate-seed-negative", "gamma-band-nan", "fs-minus-inf-dur-negative",
             "generate-fs-nan", "generate-fs-dur-negative", "fs-dur-product-inf",
-            "grid-dt-not-one-sample", "grid-freq0-nonzero", "grid-dfreq-zero"])
+            "grid-dfreq-zero"])
     def test_failure_leaves_no_output_directory(self, tmp_path, capsys, argv, code, match):
         inputs = tmp_path / "inputs"
         inputs.mkdir()
         sig, _ = tq.gen_fmam()
         tq.export_grid_csv(tq.stft(sig, tq.WindowSpec(0.04, 128.0), 128),
-                           inputs / "grid.csv")
-        grid_text = (inputs / "grid.csv").read_text()
-        for name, old, new in (("dt", "# dt=0.0078125", "# dt=0.015625"),
-                               ("freq0", "# freq0=0", "# freq0=5"),
-                               ("dfreq", "# dfreq=1", "# dfreq=0")):
-            (inputs / f"grid_{name}.csv").write_text(grid_text.replace(old, new, 1))
-        (inputs / "garbage.csv").write_text("garbage\n")
-        (inputs / "latin1.csv").write_bytes("# method=caf\u00e9\n".encode("latin-1"))
+                           inputs / "grid.npz")
+        rewrite_grid(inputs / "grid.npz", inputs / "grid_dfreq.npz", dfreq=np.float64(0.0))
+        (inputs / "garbage.npz").write_text("garbage\n")
+        write_wav(inputs / "rate0.wav", np.zeros(64, dtype="<i2"))
+        blob = bytearray((inputs / "rate0.wav").read_bytes())
+        blob[24:28] = bytes(4)  # the fmt chunk's frame rate
+        (inputs / "rate0.wav").write_bytes(bytes(blob))
         (inputs / "tracks.csv").write_text("time_s,f1_hz,f2_hz\n0,20,20\n1,20,500\n")
         (inputs / "nan.csv").write_text("time_s,f1_hz\n0,nan\n1,nan\n")
         (inputs / "tone.csv").write_text("time_s,f1_hz\n0,20\n1,20\n")
@@ -377,6 +376,19 @@ class TestAdmissionBeforeAllocation:
         out = tmp_path / "out"
         assert main(argv + ["--fs", "8192", "--dur", "1e5", "--out", str(out)]) == 2
         assert "budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_file_shape_is_admitted_before_allocating(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # 2^14 x 2^14 cells, twice the budget; idx and val stay valid
+        path = tmp_path / "grid.npz"
+        sig, _ = tq.gen_fmam()
+        tq.export_grid_csv(tq.stft(sig, tq.WindowSpec(0.04, 128.0), 128), path)
+        rewrite_grid(path, path, shape=np.array([1 << 14, 1 << 14]))
+        monkeypatch.setattr(np, "zeros", _refuse_call)
+        out = tmp_path / "out"
+        assert main(["reconstruct", str(path), "--out", str(out)]) == 3
+        assert "grid.npz: shape [16384, 16384]" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -430,21 +442,38 @@ class TestCliFuzz:
 
 # Each file reader, with the command that reaches it and the file name it reads
 READERS = {
-    "grid": (["reconstruct", "{path}"], "in.csv"),
+    "grid": (["reconstruct", "{path}"], "grid.npz"),
     "signal-csv": (["analyze", "--input", "{path}"], "in.csv"),
     "signal-wav": (["analyze", "--input", "{path}"], "in.wav"),
     "if-from": (["analyze", "--input", "fmam", "--if-from", "{path}"], "in.csv"),
 }
-GRID_HEADER_KEYS = ("fs", "nfft", "rho", "freq0", "dfreq", "t0", "dt")
+
+
+def hostile_arrays(a: np.ndarray) -> dict[str, np.ndarray]:
+    """Variants of a 1-D grid file member: wrong dtype, wrong rank, negative,
+    huge and shuffled."""
+    integer = a.dtype.kind == "i"
+    huge = np.iinfo(np.int64).max if integer else np.finfo(float).max
+    narrow = a.astype(np.int32 if integer else np.complex64)
+    return {"narrow": narrow, "2-d": a.reshape(1, -1), "0-d": a[0],
+            "negative": -a, "huge": np.full_like(a, huge),
+            "shuffled": np.random.default_rng(0).permutation(a)}
 
 
 @pytest.fixture(scope="module")
-def fmam_grid_csv(tmp_path_factory):
-    """The text of the fmam STFT grid, as analyze --method stft writes it."""
+def fmam_grid(tmp_path_factory):
+    """The fmam STFT grid file, as analyze --method stft writes it, and each
+    member's hostile variants: HOSTILE numbers for the scalars, a number and
+    bytes for the method tag, and hostile_arrays for shape, idx and val."""
     sig, _ = tq.gen_fmam()
-    path = tmp_path_factory.mktemp("grid") / "grid.csv"
+    path = tmp_path_factory.mktemp("grid") / "grid.npz"
     tq.export_grid_csv(tq.stft(sig, tq.WindowSpec(0.04, 128.0), 128), path)
-    return path.read_text()
+    with np.load(path) as npz:
+        variants = {name: hostile_arrays(npz[name]) for name in ("shape", "idx", "val")}
+    for name in ("fs", "t0", "dfreq", "rho"):
+        variants[name] = {value: np.float64(value) for value in HOSTILE}
+    variants["method"] = {"number": np.float64(1.0), "bytes": np.bytes_(b"stft")}
+    return path, variants
 
 
 class TestFileReaderFuzz:
@@ -457,14 +486,16 @@ class TestFileReaderFuzz:
         run_fuzzed(tmp_path, [arg.format(path=path) for arg in argv])
 
     @settings(fuzz_settings, max_examples=60)
-    @given(values=st.fixed_dictionaries(
-        {key: st.sampled_from(HOSTILE + (None,)) for key in GRID_HEADER_KEYS}))
-    def test_grid_header_values(self, tmp_path, fmam_grid_csv, values):
-        text = fmam_grid_csv
-        for key, value in values.items():
-            if value is not None:  # None keeps the value the writer wrote
-                text = re.sub(rf"^# {key}=.*$", f"# {key}={value}", text, count=1,
-                              flags=re.M)
-        path = tmp_path / "grid.csv"
-        path.write_text(text)
+    @given(data=st.data())
+    def test_grid_header_values(self, tmp_path, fmam_grid, data):
+        # a few members per run take a variant, so that most runs get past
+        # the first refusal; the others keep the written value
+        source, variants = fmam_grid
+        names = data.draw(st.lists(st.sampled_from(sorted(variants)), min_size=1,
+                                   max_size=3, unique=True))
+        members = {name: variants[name][data.draw(st.sampled_from(sorted(variants[name])),
+                                                  label=name)]
+                   for name in names}
+        path = tmp_path / "grid.npz"
+        rewrite_grid(source, path, **members)
         run_fuzzed(tmp_path, ["reconstruct", str(path)])

@@ -12,8 +12,10 @@ from hypothesis.extra import numpy as hnp
 import tfsqueeze as tq
 from tfsqueeze.errors import DegenerateGridError, FormatError
 
-# values that 17-digit text must carry exactly: signed zeros, subnormals and
-# the ends of the finite range
+from conftest import rewrite_grid
+
+# values that every file must carry exactly: signed zeros, subnormals and the
+# ends of the finite range
 EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308,
                1.7976931348623157e308, 0.1)
 finite = st.one_of(st.sampled_from(EDGE_FLOATS),
@@ -36,10 +38,23 @@ def random_grid(seed=0, n_frames=12, n_bins=16, rho=0.25, tag="stft"):
     return tq.TFRGrid(data, 0.0, fs / n_bins, rho, tag, fs)
 
 
+def _trip():
+    raise AssertionError("a grid file member was unpickled")
+
+
+class Trap:
+    """Unpickling an instance calls _trip."""
+
+    def __reduce__(self):
+        return _trip, ()
+
+
 class TestGridCsv:
+    """The grid file; the class is named after export_grid_csv."""
+
     def test_roundtrip_bit_exact(self, tmp_path):
         grid = random_grid(seed=3)
-        path = tmp_path / "grid.csv"
+        path = tmp_path / "grid.npz"
         tq.export_grid_csv(grid, path)
         back = tq.import_grid_csv(path)
         assert np.array_equal(back.data, grid.data)
@@ -56,7 +71,7 @@ class TestGridCsv:
     def test_axes_roundtrip_bit_exact(self, tmp_path, fs, n_samples, nfft):
         sig = tq.Signal(np.ones(n_samples), fs)
         grid = tq.stft(sig, tq.WindowSpec(1e-9, fs), nfft)
-        path = tmp_path / "grid.csv"
+        path = tmp_path / "grid.npz"
         tq.export_grid_csv(grid, path)
         back = tq.import_grid_csv(path)
         assert np.array_equal(bits(back.time_axis_s), bits(sig.times_s))
@@ -64,57 +79,85 @@ class TestGridCsv:
 
     def test_nan_rho_roundtrips(self, tmp_path):
         grid = random_grid(rho=float("nan"), tag="rm")
-        path = tmp_path / "grid.csv"
+        path = tmp_path / "grid.npz"
         tq.export_grid_csv(grid, path)
         back = tq.import_grid_csv(path)
         assert np.isnan(back.rho)
 
-    def test_header_is_eight_lines(self, tmp_path):
-        path = tmp_path / "grid.csv"
-        tq.export_grid_csv(random_grid(), path)
-        lines = path.read_text().splitlines()
-        headers = [ln for ln in lines if ln.startswith("#")]
-        assert len(headers) == 8
-        assert lines[:8] == headers  # headers come first
-        assert len(lines) == 8 + 12  # then one row per frame
-
     def test_zero_grid_cells(self, tmp_path, w128):
+        # no cell of an all-zero grid is stored, and all come back
         grid = tq.stft(tq.Signal(np.zeros(8), 128.0), w128, 128)
-        path = tmp_path / "grid.csv"
+        path = tmp_path / "grid.npz"
         tq.export_grid_csv(grid, path)
-        row = path.read_text().splitlines()[8]
-        assert set(row.split(",")) == {"0+0j"}
+        with np.load(path) as npz:
+            assert npz["idx"].size == npz["val"].size == 0
+            assert npz["shape"].tolist() == [8, 128]
+        assert np.array_equal(bits(tq.import_grid_csv(path).data), bits(grid.data))
+
+    def test_stores_exactly_the_bitwise_nonzero_cells(self, tmp_path):
+        data = np.zeros((3, 4), dtype=np.complex128)
+        data[0, 1] = complex(-0.0, 0.0)
+        data[1, 0] = complex(0.0, -0.0)
+        data[1, 3] = 5e-324j
+        data[2, 2] = -1e308 + 1e308j
+        grid = tq.TFRGrid(data, 0.0, 1.0, 0.5, "t", 4.0)
+        path = tmp_path / "grid.npz"
+        tq.export_grid_csv(grid, path)
+        with np.load(path) as npz:
+            assert sorted(npz.files) == ["dfreq", "fs", "idx", "method", "rho", "shape",
+                                         "t0", "val"]
+            assert npz["idx"].tolist() == [1, 4, 7, 10]
+            assert np.array_equal(bits(npz["val"]), bits(data.ravel()[[1, 4, 7, 10]]))
+        assert np.array_equal(bits(tq.import_grid_csv(path).data), bits(data))
 
     def test_deterministic_bytes(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
         tq.export_grid_csv(random_grid(seed=9), a)
         tq.export_grid_csv(random_grid(seed=9), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "grid.csv"
+        path = tmp_path / "grid.npz"
         tq.export_grid_csv(random_grid(), path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[1:]) + "\n")  # drop '# method=...'
-        with pytest.raises(FormatError, match="method"):
+        rewrite_grid(path, path, method=None)
+        with pytest.raises(FormatError, match="grid.npz: .*method"):
             tq.import_grid_csv(path)
 
-    def test_bad_cell_reports_line(self, tmp_path):
-        path = tmp_path / "grid.csv"
+    def test_pickled_member_refused_unloaded(self, tmp_path):
+        path = tmp_path / "grid.npz"
         tq.export_grid_csv(random_grid(), path)
-        lines = path.read_text().splitlines()
-        lines[10] = lines[10].replace(",", ",bogus,", 1)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="line 11"):
+        rewrite_grid(path, path, method=np.array(Trap(), dtype=object))
+        with pytest.raises(FormatError, match="grid.npz: .*allow_pickle"):
             tq.import_grid_csv(path)
 
-    def test_header_line_without_equals_rejected(self, tmp_path):
-        path = tmp_path / "grid.csv"
+    def test_compressed_member_refused(self, tmp_path):
+        # a deflated member could inflate past the cell budget before any check
+        path = tmp_path / "grid.npz"
         tq.export_grid_csv(random_grid(), path)
-        lines = path.read_text().splitlines()
-        lines.insert(2, "# junk")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="line 3: malformed header '# junk'"):
+        with np.load(path) as npz:
+            np.savez_compressed(tmp_path / "zipped.npz", **npz)
+        with pytest.raises(FormatError, match="zipped.npz: .*compressed member"):
+            tq.import_grid_csv(tmp_path / "zipped.npz")
+
+    @pytest.mark.parametrize("edit", [
+        lambda idx: idx[::-1], lambda idx: np.sort(np.r_[idx, idx[:1]]),
+        lambda idx: np.r_[-1, idx[1:]], lambda idx: np.r_[idx[:-1], 12 * 16]],
+        ids=["unsorted", "duplicate", "negative", "past-the-end"])
+    def test_bad_idx_refused(self, tmp_path, edit):
+        path = tmp_path / "grid.npz"
+        tq.export_grid_csv(random_grid(), path)  # every one of its cells is stored
+        with np.load(path) as npz:
+            idx, val = npz["idx"], npz["val"]
+        rewrite_grid(path, path, idx=edit(idx), val=np.resize(val, edit(idx).size))
+        with pytest.raises(FormatError, match=r"grid.npz: idx must increase strictly"):
+            tq.import_grid_csv(path)
+
+    @pytest.mark.parametrize("n_val", [0, 191, 193])
+    def test_val_idx_length_mismatch_refused(self, tmp_path, n_val):
+        path = tmp_path / "grid.npz"
+        tq.export_grid_csv(random_grid(), path)
+        rewrite_grid(path, path, val=np.ones(n_val, dtype=np.complex128))
+        with pytest.raises(FormatError, match=f"grid.npz: val holds {n_val} cells, idx 192"):
             tq.import_grid_csv(path)
 
     @roundtrip_settings
@@ -126,20 +169,11 @@ class TestGridCsv:
         values.real, values.imag = data.draw(parts), data.draw(parts)
         fs = 16.0
         grid = tq.TFRGrid(values, 0.0, fs / shape[1], rho, "proposed", fs)
-        path = tmp_path / "grid.csv"
+        path = tmp_path / "grid.npz"
         tq.export_grid_csv(grid, path)
         back = tq.import_grid_csv(path)
         assert np.array_equal(bits(back.data), bits(grid.data))
         assert np.array_equal(bits([back.rho, back.source_fs_hz]), bits([rho, fs]))
-
-    def test_ragged_rows_report_line(self, tmp_path):
-        path = tmp_path / "grid.csv"
-        tq.export_grid_csv(random_grid(), path)
-        lines = path.read_text().splitlines()
-        lines[12] = lines[12] + ",0+0j"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="line 13"):
-            tq.import_grid_csv(path)
 
 
 class TestSignalCsv:
@@ -184,8 +218,7 @@ class TestTrajectoryCsv:
             tq.load_trajectories_csv(path)
 
 
-@pytest.mark.parametrize("read", [tq.load_signal, tq.load_trajectories_csv,
-                                  tq.import_grid_csv])
+@pytest.mark.parametrize("read", [tq.load_signal, tq.load_trajectories_csv])
 def test_non_utf8_text_rejected(tmp_path, read):
     path = tmp_path / "latin1.csv"
     path.write_bytes("# fs=1\n0,caf\u00e9\n".encode("latin-1"))

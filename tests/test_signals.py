@@ -11,6 +11,8 @@ from tfsqueeze.errors import (
     UnsupportedFormatError,
 )
 
+from conftest import write_wav
+
 
 class TestSignalType:
     def test_rejects_empty_and_nonfinite(self):
@@ -250,17 +252,10 @@ class TestSignalCsv:
 
 
 class TestWav:
-    def _write_wav(self, path, data_int16, fs=8000, channels=1, width=2):
-        with wave.open(str(path), "wb") as wf:
-            wf.setnchannels(channels)
-            wf.setsampwidth(width)
-            wf.setframerate(fs)
-            wf.writeframes(data_int16.tobytes())
-
     def test_pcm16_scaling(self, tmp_path):
         path = tmp_path / "t.wav"
         raw = np.array([0, 16384, -16384, 32767, -32768], dtype="<i2")
-        self._write_wav(path, raw)
+        write_wav(path, raw)
         sig = tq.load_signal(path)
         assert sig.sample_rate_hz == 8000.0
         assert np.allclose(sig.samples.real, raw / 32768.0)
@@ -269,7 +264,7 @@ class TestWav:
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "st.wav"
         raw = np.zeros(64, dtype="<i2")
-        self._write_wav(path, raw, channels=2)
+        write_wav(path, raw, channels=2)
         with pytest.raises(UnsupportedFormatError):
             tq.load_signal(path)
 
