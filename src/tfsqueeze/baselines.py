@@ -90,7 +90,8 @@ def reassignment(a: Analysis) -> TFRGrid:
         0, grid.n_frames - 1,
     )
     bin_target = _freq_bins(f_hat, grid)
-    power = np.abs(grid.data) ** 2
+    with np.errstate(over="ignore"):  # TFRGrid refuses the overflowed energy
+        power = np.abs(grid.data) ** 2
     flat = frame_target.ravel() * grid.n_bins + bin_target.ravel()
     out = np.bincount(flat, weights=power.ravel(),
                       minlength=grid.n_frames * grid.n_bins)
@@ -132,9 +133,7 @@ def lmsst(a: Analysis, delta_bins: int | None = None) -> TFRGrid:
         lo = max(0, -d)
         hi = min(n_bins, n_bins - d)
         cand = mag[:, lo + d : hi + d]
-        view_val = best_val[:, lo:hi]
-        view_idx = best_idx[:, lo:hi]
-        better = cand > view_val
-        view_val[better] = cand[better]
-        view_idx[better] = np.broadcast_to(bins[lo + d : hi + d], cand.shape)[better]
+        better = cand > best_val[:, lo:hi]
+        np.copyto(best_val[:, lo:hi], cand, where=better)
+        np.copyto(best_idx[:, lo:hi], bins[lo + d : hi + d], where=better)
     return regroup(a.grid, best_idx, "lmsst")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .io_export import (
     import_grid_csv,
     load_signal,
     load_trajectories_csv,
+    output_dir,
     save_signal_csv,
 )
 
@@ -141,20 +141,12 @@ def _build_report(base: tfr.TFRGrid, out: tfr.TFRGrid, a: tfr.Analysis,
     )
 
 
-def _out_dir(args) -> Path:
-    """Create the output directory. Commands call this only once every output
-    is computed, so a refusal leaves no directory behind."""
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 def cmd_generate(args) -> int:
     sig, model = _resolve_input(args.generator, args)
-    out_dir = _out_dir(args)
-    save_signal_csv(sig, out_dir / "signal.csv")
-    export_trajectories_csv(sig.times_s, model.if_matrix_hz(sig.times_s).T,
-                            out_dir / "true_if.csv")
+    with output_dir(args.out) as stage:
+        save_signal_csv(sig, stage / "signal.csv")
+        export_trajectories_csv(sig.times_s, model.if_matrix_hz(sig.times_s).T,
+                                stage / "true_if.csv")
     return 0
 
 
@@ -162,20 +154,19 @@ def cmd_analyze(args) -> int:
     sig, model = _resolve_input(args.input, args)
     a = _prepare(args, sig)
     base, out, est = _run_method(args.method, a, args)
-    # the report refuses degenerate grids and istft non-invertible ones
     report = _build_report(base, out, a, model, args.gamma)
-    recovered = tfr.istft(out) if args.reconstruct else None
     del a, base  # the exports need only out
 
-    out_dir = _out_dir(args)
-    export_grid_csv(out, out_dir / "grid.npz")
-    export_heatmap_pgm(out, out_dir / "heatmap.pgm")
-    export_report_json([report], out_dir / "report.json")
-    if est is not None:
-        export_trajectories_csv(est.time_axis_s, est.freq_table_hz(),
-                                out_dir / "ridges.csv")
-    if recovered is not None:
-        save_signal_csv(recovered, out_dir / "recovered.csv")
+    with output_dir(args.out) as stage:
+        export_grid_csv(out, stage / "grid.npz")
+        export_heatmap_pgm(out, stage / "heatmap.pgm")
+        export_report_json([report], stage / "report.json")
+        if est is not None:
+            export_trajectories_csv(est.time_axis_s, est.freq_table_hz(),
+                                    stage / "ridges.csv")
+        if args.reconstruct:
+            save_signal_csv(tfr.istft(out), stage / "recovered.csv")
+    if args.reconstruct:
         print(f"recon_rel_l2={report.recon_rel_l2:.17g}")
     return 0
 
@@ -190,27 +181,16 @@ def cmd_compare(args) -> int:
     sig, model = _resolve_input(args.input, args)
     a = _prepare(args, sig)
 
-    # holding every method's grid until the last one is done would multiply
-    # peak memory, so each heatmap is written once its report exists, and
-    # removed again if a later method fails
-    out_dir = Path(args.out)
-    created = not out_dir.exists()
-    reports, written = [], []
-    try:
+    # each heatmap is written once its report exists, so one method's grids live at a time
+    reports = []
+    with output_dir(args.out) as stage:
         for method in methods:
             base, out, _ = _run_method(method, a, args)
             reports.append(_build_report(base, out, a, model, args.gamma))
-            written.append(_out_dir(args) / f"heatmap_{method}.pgm")
-            export_heatmap_pgm(out, written[-1])
+            export_heatmap_pgm(out, stage / f"heatmap_{method}.pgm")
             del base, out  # free this method's grids before the next one runs
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        if created and written:
-            out_dir.rmdir()
-        raise
-    reports.sort(key=lambda r: r.renyi_entropy_bits)
-    export_report_json(reports, out_dir / "report.json")
+        reports.sort(key=lambda r: r.renyi_entropy_bits)
+        export_report_json(reports, stage / "report.json")
     return 0
 
 
@@ -218,17 +198,15 @@ def cmd_reconstruct(args) -> int:
     grid = import_grid_csv(args.grid)
     reference = load_signal(args.reference) if args.reference else None
 
-    if args.mode_track:
-        modes = [squeeze.mode_reconstruct(grid, track, args.gamma_band)
-                 for track in load_trajectories_csv(args.mode_track)]
-        out_dir = _out_dir(args)
-        for i, mode in enumerate(modes, start=1):
-            save_signal_csv(mode, out_dir / f"mode_{i}.csv")
-        return 0
-
-    recovered = tfr.istft(grid)
-    err = metrics.recon_rel_l2(reference, recovered) if reference is not None else None
-    save_signal_csv(recovered, _out_dir(args) / "recovered.csv")
+    with output_dir(args.out) as stage:
+        if args.mode_track:
+            for i, track in enumerate(load_trajectories_csv(args.mode_track), start=1):
+                save_signal_csv(squeeze.mode_reconstruct(grid, track, args.gamma_band),
+                                stage / f"mode_{i}.csv")
+            return 0
+        recovered = tfr.istft(grid)
+        err = metrics.recon_rel_l2(reference, recovered) if reference is not None else None
+        save_signal_csv(recovered, stage / "recovered.csv")
     if err is not None:
         print(f"recon_rel_l2={err:.17g}")
     return 0
@@ -306,9 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

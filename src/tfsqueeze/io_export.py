@@ -1,5 +1,5 @@
 """Every file format: signal CSV and WAV, IF trajectory CSV, the binary grid
-file, PGM heatmaps and JSON reports.
+file, PGM heatmaps and JSON reports; output_dir publishes a command's files.
 
 Text is UTF-8 with LF endings: optional '# key=value' header lines, then one
 row of comma-separated cells per line, written by _write_lines and streamed
@@ -11,11 +11,14 @@ it is known, the line.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+import tempfile
 import wave
+from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -26,7 +29,7 @@ from .metrics import MethodReport
 from .signals import Signal
 from .tfr import MAX_GRID_CELLS, TFRGrid
 
-__all__ = ["load_signal", "save_signal_csv", "load_trajectories_csv",
+__all__ = ["output_dir", "load_signal", "save_signal_csv", "load_trajectories_csv",
            "export_trajectories_csv", "export_grid_csv", "import_grid_csv",
            "export_heatmap_pgm", "export_report_json"]
 
@@ -35,6 +38,26 @@ _GRID_MEMBERS = {"method": (np.str_, 0), "fs": (np.float64, 0), "t0": (np.float6
                  "dfreq": (np.float64, 0), "rho": (np.float64, 0),
                  "shape": (np.int64, 1), "idx": (np.int64, 1), "val": (np.complex128, 1)}
 HEATMAP_FLOOR_DB = -60.0
+
+
+@contextlib.contextmanager
+def output_dir(path) -> Iterator[Path]:
+    """Yield a hidden '.tfsqueeze-*' stage in the nearest existing directory of
+    path and its parents, and rename every file staged there into path when
+    the block ends without an exception; a failed command leaves path as it
+    was. A staged name that is a directory in path is refused before any move.
+    The stage is removed either way."""
+    out = Path(path)
+    near = next((p for p in (out, *out.parents) if p.is_dir()), out)
+    with tempfile.TemporaryDirectory(prefix=".tfsqueeze-", dir=near) as stage:
+        yield Path(stage)
+        staged = sorted(Path(stage).iterdir())
+        for file in staged:
+            if (out / file.name).is_dir():
+                raise IsADirectoryError(f"{out / file.name}: a directory is in the way")
+        out.mkdir(parents=True, exist_ok=True)
+        for file in staged:
+            file.replace(out / file.name)
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:

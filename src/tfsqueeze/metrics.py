@@ -100,10 +100,14 @@ def recon_rel_l2(original: Signal, recovered: Signal) -> float:
         )
     if original.sample_rate_hz != recovered.sample_rate_hz:
         raise ShapeMismatchError("sample rates differ")
-    denom = float(np.linalg.norm(original.samples))
+    with np.errstate(over="ignore"):  # a norm past the float range is refused below
+        denom = float(np.linalg.norm(original.samples))
+        err = float(np.linalg.norm(original.samples - recovered.samples))
+    if not (np.isfinite(denom) and np.isfinite(err)):
+        raise InvalidParameterError("signal norms exceed the float range")
     if denom == 0.0:
         raise InvalidParameterError("original signal is identically zero")
-    return float(np.linalg.norm(original.samples - recovered.samples) / denom)
+    return err / denom
 
 
 def framesum_max_dev(g_in: TFRGrid, g_out: TFRGrid) -> float:

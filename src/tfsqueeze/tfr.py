@@ -190,10 +190,11 @@ def regroup(grid: TFRGrid, dest: np.ndarray, method_tag: str) -> TFRGrid:
     run_start = np.ones(dest.shape, dtype=bool)  # a frame always starts a run
     run_start[:, 1:] = dest[:, 1:] != dest[:, :-1]
     starts = np.flatnonzero(run_start)
-    sums = np.add.reduceat(grid.data.ravel(), starts)
     frame_base = np.repeat(np.arange(n_frames) * n_bins, run_start.sum(axis=1))
     out = np.zeros(n_frames * n_bins, dtype=np.complex128)
-    np.add.at(out, frame_base + dest.ravel()[starts], sums)
+    with np.errstate(over="ignore"):  # TFRGrid refuses an overflowed sum
+        np.add.at(out, frame_base + dest.ravel()[starts],
+                  np.add.reduceat(grid.data.ravel(), starts))
     return grid.with_data(out.reshape(n_frames, n_bins), method_tag=method_tag)
 
 

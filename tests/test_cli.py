@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 import shutil
 from collections import Counter
@@ -9,10 +11,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tfsqueeze as tq
-from tfsqueeze import baselines, signals, tfr, windows
+from tfsqueeze import baselines, cli, signals, tfr, windows
 from tfsqueeze.cli import METHODS, main
 
 from conftest import rewrite_grid, write_wav
+
+
+def tree(root):
+    """Every entry under root, hidden ones too, by relative path: a file's
+    bytes, or None for a directory."""
+    return {p.relative_to(root).as_posix(): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
+def assert_no_stage(root):
+    assert not list(root.rglob(".tfsqueeze-*"))
 
 
 def read_pgm(path):
@@ -314,6 +327,12 @@ class TestNoPartialOutput:
          "fs_hz x duration_s"),
         # a grid value the grid refuses is a file fault
         (["reconstruct", "{inputs}/grid_dfreq.npz"], 3, "grid_dfreq.npz: df_hz="),
+        # a sample near the float limit overflows a norm, an energy or a run sum
+        (["analyze", "--method", "stft", "--input", "{inputs}/big.csv"], 2, "float range"),
+        (["analyze", "--method", "rm", "--input", "{inputs}/big.csv"], 2,
+         "grid entries must be finite"),
+        (["analyze", "--method", "lmsst", "--input", "{inputs}/huge.csv"], 2,
+         "grid entries must be finite"),
     ], ids=["rm-reconstruct", "nyquist", "unparseable-grid",
             "track-off-axis", "compare-second-method", "nan-if-track", "nan-mode-track",
             "sigma-nan", "dur-nan", "dur-inf", "fs-inf", "csv-fs-inf", "csv-t0-inf",
@@ -321,7 +340,8 @@ class TestNoPartialOutput:
             "snr-minus-huge", "snr-minus-inf", "delta-bins-past-axis", "analyze-seed-negative",
             "generate-seed-negative", "gamma-band-nan", "fs-minus-inf-dur-negative",
             "generate-fs-nan", "generate-fs-dur-negative", "fs-dur-product-inf",
-            "grid-dfreq-zero"])
+            "grid-dfreq-zero", "overflow-norm-stft", "overflow-energy-rm",
+            "overflow-sum-lmsst"])
     def test_failure_leaves_no_output_directory(self, tmp_path, capsys, argv, code, match):
         inputs = tmp_path / "inputs"
         inputs.mkdir()
@@ -338,6 +358,8 @@ class TestNoPartialOutput:
         (inputs / "nan.csv").write_text("time_s,f1_hz\n0,nan\n1,nan\n")
         (inputs / "tone.csv").write_text("time_s,f1_hz\n0,20\n1,20\n")
         (inputs / "fs_inf.csv").write_text("# fs=inf\n1\n2\n3\n")
+        (inputs / "big.csv").write_text("# fs=1\n1e300\n")
+        (inputs / "huge.csv").write_text("# fs=1\n1.7e308\n")
         for t0 in ("inf", "nan"):
             (inputs / f"t0_{t0}.csv").write_text(f"# fs=128\n# t0={t0}\n1\n2\n3\n")
         out = tmp_path / "out"
@@ -345,6 +367,42 @@ class TestNoPartialOutput:
         assert main(argv) == code
         assert not out.exists()
         assert re.search(match, capsys.readouterr().err)
+        # into an earlier run's directory, the same failure changes nothing
+        out.mkdir()
+        (out / "report.json").write_text("earlier\n")
+        assert main(argv) == code
+        assert tree(out) == {"report.json": b"earlier\n"}
+        assert_no_stage(tmp_path)
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_late_write_failure_leaves_nothing(self, tmp_path, monkeypatch, capsys, command):
+        # each command writes its report after its grid or heatmaps
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "export_report_json", disk_full)
+        out = tmp_path / "out"
+        assert main([command, "--input", "fmam", "--out", str(out)]) == 3
+        assert not out.exists()
+        assert_no_stage(tmp_path)
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+
+    def test_failed_rerun_keeps_the_earlier_run(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["compare", "--input", "fmam", "--out", str(out)]) == 0
+        earlier = tree(out)
+        # stft succeeds, then lmsst is refused
+        assert main(["compare", "--input", "fmam", "--methods", "stft,lmsst",
+                     "--delta-bins", "-1", "--out", str(out)]) == 2
+        assert tree(out) == earlier
+
+    def test_directory_in_the_way_moves_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        assert main(["analyze", "--method", "stft", "--input", "fmam", "--out", str(out)]) == 3
+        assert tree(out) == {"report.json": None}
+        assert_no_stage(tmp_path)
+        assert f"{out / 'report.json'}: a directory" in capsys.readouterr().err
 
 
 def _refuse_call(*args, **kwargs):
@@ -421,12 +479,14 @@ def analyze_argv(draw):
 
 def run_fuzzed(tmp_path, argv):
     """Run main with a fresh --out and check the CLI's contract: a stable
-    exit code, no escaping exception, and no output after a refusal."""
+    exit code, no escaping exception, no output after a refusal, and no
+    staging directory left either way."""
     out = tmp_path / "out"
     shutil.rmtree(out, ignore_errors=True)
     code = main(argv + ["--out", str(out)])
     assert code in (0, 2, 3, 4)
     assert code == 0 or not out.exists()
+    assert_no_stage(tmp_path)
 
 
 fuzz_settings = settings(deadline=None, derandomize=True,

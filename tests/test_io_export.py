@@ -311,25 +311,34 @@ class TestReportJson:
         assert positions == sorted(positions)
 
 
+# calls that change the file system, and modules that read, write or change files
+FS_CHANGES = ("mkdir", "unlink", "rmdir", "rename", "replace")
+FILE_MODULES = ("wave", "json", "tempfile", "shutil")
+
+
 def file_access(source: str) -> set[str]:
-    """'open(' if the module calls any open(), plus each of wave and json it
-    imports."""
+    """'open(' if the module calls any open(), '.mkdir(' and the like for each
+    FS_CHANGES method it calls, plus each of FILE_MODULES it imports."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             if getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open":
                 found.add("open(")
+            if getattr(func, "attr", None) in FS_CHANGES:
+                found.add(f".{func.attr}(")
         elif isinstance(node, ast.Import):
-            found.update(a.name for a in node.names if a.name in ("wave", "json"))
-        elif isinstance(node, ast.ImportFrom) and node.module in ("wave", "json"):
+            found.update(a.name for a in node.names if a.name in FILE_MODULES)
+        elif isinstance(node, ast.ImportFrom) and node.module in FILE_MODULES:
             found.add(node.module)
     return found
 
 
 def test_only_io_export_touches_files():
-    # every file format lives in io_export; no other module may read or write
+    # every file format and the publishing of outputs live in io_export; no
+    # other module may read, write, create, move or remove a file
     package = Path(tq.__file__).parent
     access = {path.stem: file_access(path.read_text()) for path in package.glob("*.py")}
-    assert access.pop("io_export") == {"open(", "wave", "json"}
+    assert access.pop("io_export") == {"open(", "wave", "json", "tempfile", ".mkdir(",
+                                       ".replace("}
     assert {name: found for name, found in access.items() if found} == {}
