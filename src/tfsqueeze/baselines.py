@@ -7,6 +7,11 @@ per cell and hands it to tfr.regroup, the in-frame move the squeeze also
 uses. SET only keeps or drops coefficients in place. The reassignment method
 moves spectrogram energy in both time and frequency and therefore cannot be
 inverted, which its grid records with a NaN reconstruction factor.
+
+SST and SET read a cell's IF from Im, and RM its group delay from Re, of one
+ratio V_x / V (Auger & Flandrin 1995). x is the derivative window for the IF
+and the time-weighted window for the delay; for the Gaussian window the
+second transform is -sigma^2 times the first.
 """
 
 from __future__ import annotations
@@ -18,12 +23,19 @@ from .errors import InvalidParameterError
 from .tfr import Analysis, TFRGrid, frame_matrix, regroup, stft  # noqa: F401
 from .windows import halfwidth_bins
 
-__all__ = ["phase_if_map", "group_delay_map", "sst", "reassignment",
-           "set_extract", "lmsst", "SIGNIFICANCE_FLOOR"]
+__all__ = ["phase_if_map", "sst", "reassignment", "set_extract", "lmsst", "SIGNIFICANCE_FLOOR"]
 
 # Coefficients below this fraction of the grid's peak magnitude have no
 # usable phase; they are left in place (conservative methods) or dropped (SET).
 SIGNIFICANCE_FLOOR = 1e-8
+
+
+def _ratio(a: Analysis, taps: np.ndarray) -> np.ndarray:
+    """V_taps / V, divided in the transform's own buffer; inf or NaN where V is 0."""
+    ratio = frame_matrix(a.sig, taps, a.nfft)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio /= a.grid.data
+    return ratio
 
 
 def phase_if_map(a: Analysis) -> tuple[np.ndarray, np.ndarray]:
@@ -36,29 +48,12 @@ def phase_if_map(a: Analysis) -> tuple[np.ndarray, np.ndarray]:
     frequency and significant is False.
     """
     grid = a.grid
-    v_d = frame_matrix(a.sig, a.w.d_values, a.nfft)
+    ratio = _ratio(a, a.w.d_values)
     mag = np.abs(grid.data)
     significant = mag > SIGNIFICANCE_FLOOR * mag.max()
-    f_hat = np.broadcast_to(grid.freq_axis_hz, grid.data.shape).copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = np.imag(v_d / grid.data) / (2.0 * np.pi)
-    f_hat[significant] -= shift[significant]
+    f_hat = grid.freq_axis_hz - np.imag(ratio) / (2.0 * np.pi)
+    np.copyto(f_hat, grid.freq_axis_hz, where=~significant)
     return f_hat, significant
-
-
-def group_delay_map(a: Analysis, significant: np.ndarray) -> np.ndarray:
-    """Reassigned time t_hat = t + Re(V_tg / V), in seconds.
-
-    Falls back to the frame's own time where the coefficient is below the
-    significance floor.
-    """
-    grid = a.grid
-    v_t = frame_matrix(a.sig, a.w.t_values, a.nfft)
-    t_hat = np.broadcast_to(grid.time_axis_s[:, None], grid.data.shape).copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = np.real(v_t / grid.data)
-    t_hat[significant] += shift[significant]
-    return t_hat
 
 
 def _freq_bins(f_hat: np.ndarray, grid: TFRGrid) -> np.ndarray:
@@ -84,7 +79,8 @@ def reassignment(a: Analysis) -> TFRGrid:
     """
     grid = a.grid
     f_hat, significant = phase_if_map(a)
-    t_hat = group_delay_map(a, significant)
+    t_hat = grid.time_axis_s[:, None] + np.real(_ratio(a, a.w.t_values))
+    np.copyto(t_hat, grid.time_axis_s[:, None], where=~significant)
     frame_target = np.clip(
         np.rint((t_hat - grid.t0_s) * grid.source_fs_hz).astype(np.int64),
         0, grid.n_frames - 1,

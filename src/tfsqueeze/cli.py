@@ -108,11 +108,11 @@ def _run_method(method: str, a: tfr.Analysis, args
     if method == "lmsst":
         return a.grid, baselines.lmsst(a, args.delta_bins), None
     if method == "proposed":
+        filtered = ridges.filter_grid(a.grid, args.gamma, args.per_frame_max)
         if args.if_from:  # injected tracks replace detection, so none runs
-            filtered = ridges.filter_grid(a.grid, args.gamma, args.per_frame_max)
             est = ridges.inject_if(filtered, load_trajectories_csv(args.if_from))
         else:
-            filtered, est = ridges.estimate_ridges(a.grid, args.gamma, args.per_frame_max)
+            est = ridges.local_maxima(filtered)
         return filtered, squeeze.modular_reassign(filtered, est), est
     raise InvalidParameterError(f"unknown method {method!r}")
 
@@ -270,10 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("reconstruct", help="invert an exported grid file")
     p_rec.add_argument("grid", help="grid file written by analyze")
-    p_rec.add_argument("--reference", default=None,
-                       help="signal CSV to compute the reconstruction error against")
-    p_rec.add_argument("--mode-track", default=None,
-                       help="trajectory CSV; reconstruct one mode per column")
+    # a mode has no reference signal to be measured against
+    target = p_rec.add_mutually_exclusive_group()
+    target.add_argument("--reference", default=None,
+                        help="signal CSV to compute the reconstruction error against")
+    target.add_argument("--mode-track", default=None,
+                        help="trajectory CSV; reconstruct one mode per column")
     p_rec.add_argument("--gamma-band", type=float, default=3.0,
                        help="half width in Hz of the per-mode band")
     p_rec.set_defaults(func=cmd_reconstruct)

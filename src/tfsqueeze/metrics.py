@@ -122,5 +122,7 @@ def framesum_max_dev(g_in: TFRGrid, g_out: TFRGrid) -> float:
         )
     sums_in = g_in.data.sum(axis=1)
     sums_out = g_out.data.sum(axis=1)
-    scale = float(np.max(np.abs(sums_in))) + 1e-30
+    scale = float(np.max(np.abs(sums_in)))
+    if scale == 0.0:
+        raise DegenerateGridError("every input frame sums to zero")
     return float(np.max(np.abs(sums_out - sums_in)) / scale)

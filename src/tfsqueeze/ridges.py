@@ -144,9 +144,8 @@ def estimate_ridges(grid: TFRGrid, gamma: float = 0.0,
     """Filter-then-detect convenience: gamma-filter the grid and find its
     local maxima. Returns both the filtered grid and the estimate, which is
     the pair the squeeze step consumes."""
-    # detect first, so the magnitudes are freed before the filtered copy exists
-    est = local_maxima(grid, gamma, per_frame)
-    return filter_grid(grid, gamma, per_frame), est
+    filtered = filter_grid(grid, gamma, per_frame)
+    return filtered, local_maxima(filtered)
 
 
 def inject_if(grid: TFRGrid, trajectories: Sequence[Callable[[np.ndarray], np.ndarray]]

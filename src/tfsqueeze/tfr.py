@@ -52,7 +52,7 @@ class TFRGrid:
         if data.ndim != 2:
             raise ShapeMismatchError("grid data must be 2-D")
         if not np.all(np.isfinite(data)):
-            raise InvalidParameterError("grid entries must be finite")
+            raise InvalidParameterError(f"{self.method_tag} grid entries must be finite")
         # written so that NaN fails every comparison
         if not -np.inf < self.t0_s < np.inf:
             raise InvalidParameterError(f"t0_s={self.t0_s} must be finite")
@@ -106,17 +106,12 @@ def frame_matrix(sig: Signal, weights: np.ndarray, nfft: int) -> np.ndarray:
     half = (length - 1) // 2
     if nfft < length:
         raise InvalidParameterError(f"nfft={nfft} smaller than window length {length}")
-    padded = np.concatenate([
-        np.zeros(half, dtype=np.complex128),
-        sig.samples,
-        np.zeros(half, dtype=np.complex128),
-    ])
+    padded = np.pad(sig.samples, half)
     frames = np.lib.stride_tricks.sliding_window_view(padded, length) * weights
     # place offset p=0 at DFT index 0 so the kernel applies to p, not array index
     buf = np.zeros((len(sig), nfft), dtype=np.complex128)
     buf[:, : half + 1] = frames[:, half:]
-    if half:
-        buf[:, nfft - half:] = frames[:, :half]
+    buf[:, nfft - half:] = frames[:, :half]
     return np.fft.fft(buf, axis=1)
 
 
@@ -164,8 +159,11 @@ def istft(grid: TFRGrid) -> Signal:
         raise NonInvertibleGridError(
             f"grid {grid.method_tag!r} has no finite reconstruction factor"
         )
-    with np.errstate(all="ignore"):  # Signal refuses a sum that overflowed
+    with np.errstate(all="ignore"):  # an overflowed sum is refused below
         samples = grid.rho * grid.data.sum(axis=1)
+    if not np.all(np.isfinite(samples)):
+        raise InvalidParameterError(
+            f"inverting the {grid.method_tag} grid overflows the float range")
     return Signal(samples, grid.source_fs_hz, grid.t0_s)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -333,6 +334,9 @@ class TestNoPartialOutput:
          "grid entries must be finite"),
         (["analyze", "--method", "lmsst", "--input", "{inputs}/huge.csv"], 2,
          "grid entries must be finite"),
+        # a mode has no reference signal; refused before either file is read
+        (["reconstruct", "{inputs}/missing.npz", "--mode-track", "{inputs}/missing.csv",
+          "--reference", "{inputs}/missing.csv"], 2, "not allowed with"),
     ], ids=["rm-reconstruct", "nyquist", "unparseable-grid",
             "track-off-axis", "compare-second-method", "nan-if-track", "nan-mode-track",
             "sigma-nan", "dur-nan", "dur-inf", "fs-inf", "csv-fs-inf", "csv-t0-inf",
@@ -341,7 +345,7 @@ class TestNoPartialOutput:
             "generate-seed-negative", "gamma-band-nan", "fs-minus-inf-dur-negative",
             "generate-fs-nan", "generate-fs-dur-negative", "fs-dur-product-inf",
             "grid-dfreq-zero", "overflow-norm-stft", "overflow-energy-rm",
-            "overflow-sum-lmsst"])
+            "overflow-sum-lmsst", "mode-track-with-reference"])
     def test_failure_leaves_no_output_directory(self, tmp_path, capsys, argv, code, match):
         inputs = tmp_path / "inputs"
         inputs.mkdir()
@@ -403,6 +407,16 @@ class TestNoPartialOutput:
         assert tree(out) == {"report.json": None}
         assert_no_stage(tmp_path)
         assert f"{out / 'report.json'}: a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_overflow_refusal_names_the_method(self, tmp_path, capsys, method):
+        # a finite sample whose frame sum, energy or run sum passes the float range
+        (tmp_path / "huge.csv").write_text("# fs=1\n1.7e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--method", method, "--input", str(tmp_path / "huge.csv"),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert re.search(rf"\b{method} grid\b", capsys.readouterr().err)
 
 
 def _refuse_call(*args, **kwargs):

@@ -172,6 +172,18 @@ class TestFramesumMaxDev:
         out = tq.set_extract(tq.Analysis(sig, w128, 128))
         assert tq.framesum_max_dev(grid, out) > 1e-3
 
+    @pytest.mark.parametrize("amplitude", [1.0, 1e-20, 1e-100])
+    def test_losing_every_frame_reads_one_at_any_scale(self, w128, amplitude):
+        t = np.arange(64) / 128.0
+        grid = tq.stft(tq.Signal(amplitude * np.cos(2 * np.pi * 20.0 * t), 128.0), w128, 128)
+        lost = grid.with_data(np.zeros(grid.data.shape))
+        assert tq.framesum_max_dev(grid, lost) == 1.0
+
+    def test_all_zero_input_has_no_scale(self, w128):
+        grid = tq.stft(tq.Signal(np.zeros(64), 128.0), w128, 128)
+        with pytest.raises(DegenerateGridError):
+            tq.framesum_max_dev(grid, grid)
+
     def test_frame_count_mismatch(self, fmam, tone32, w128):
         a, _ = fmam
         grid_a = tq.stft(a, w128, 128)
