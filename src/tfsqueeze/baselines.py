@@ -8,10 +8,10 @@ uses. SET only keeps or drops coefficients in place. The reassignment method
 moves spectrogram energy in both time and frequency and therefore cannot be
 inverted, which its grid records with a NaN reconstruction factor.
 
-SST and SET read a cell's IF from Im, and RM its group delay from Re, of one
-ratio V_x / V (Auger & Flandrin 1995). x is the derivative window for the IF
-and the time-weighted window for the delay; for the Gaussian window the
-second transform is -sigma^2 times the first.
+SST, SET and RM share one bin map of each cell's IF, from Im, and RM reads
+its group delay from Re, of one ratio V_x / V (Auger & Flandrin 1995): x is
+the derivative window for the IF and the time-weighted one for the delay.
+For the Gaussian window the second transform is -sigma^2 times the first.
 """
 
 from __future__ import annotations
@@ -56,18 +56,20 @@ def phase_if_map(a: Analysis) -> tuple[np.ndarray, np.ndarray]:
     return f_hat, significant
 
 
-def _freq_bins(f_hat: np.ndarray, grid: TFRGrid) -> np.ndarray:
-    """Nearest DFT bin to each estimated frequency, wrapped on the circle."""
-    return np.rint(f_hat / grid.df_hz).astype(np.int64) % grid.n_bins
+def _if_bins(a: Analysis) -> tuple[np.ndarray, np.ndarray]:
+    """(bin, significant): each cell's phase IF rounded to the nearest DFT bin,
+    wrapped on the circle; an insignificant cell's bin is its own. The Hz map
+    is freed on return, before the caller's next grid-sized step."""
+    f_hat, significant = phase_if_map(a)
+    f_hat /= a.grid.df_hz
+    return np.rint(f_hat, out=f_hat).astype(np.int64) % a.grid.n_bins, significant
 
 
 def sst(a: Analysis) -> TFRGrid:
     """Synchrosqueezing: add each significant coefficient into the bin
     nearest its phase-derived IF. Frame sums are conserved, so the result
     reconstructs exactly through istft."""
-    f_hat, _ = phase_if_map(a)
-    # an insignificant cell's f_hat is its own bin's frequency, so it stays put
-    return regroup(a.grid, _freq_bins(f_hat, a.grid), "sst")
+    return regroup(a.grid, _if_bins(a)[0], "sst")
 
 
 def reassignment(a: Analysis) -> TFRGrid:
@@ -78,14 +80,13 @@ def reassignment(a: Analysis) -> TFRGrid:
     conserved, invertibility is not: rho is NaN and istft refuses the grid.
     """
     grid = a.grid
-    f_hat, significant = phase_if_map(a)
+    bin_target, significant = _if_bins(a)
     t_hat = grid.time_axis_s[:, None] + np.real(_ratio(a, a.w.t_values))
     np.copyto(t_hat, grid.time_axis_s[:, None], where=~significant)
     frame_target = np.clip(
         np.rint((t_hat - grid.t0_s) * grid.source_fs_hz).astype(np.int64),
         0, grid.n_frames - 1,
     )
-    bin_target = _freq_bins(f_hat, grid)
     with np.errstate(over="ignore"):  # TFRGrid refuses the overflowed energy
         power = np.abs(grid.data) ** 2
     flat = frame_target.ravel() * grid.n_bins + bin_target.ravel()
@@ -100,10 +101,8 @@ def set_extract(a: Analysis) -> TFRGrid:
     back onto its own bin; everything else, including the insignificant
     floor, is discarded. Sharp but deliberately lossy."""
     grid = a.grid
-    f_hat, significant = phase_if_map(a)
-    target = _freq_bins(f_hat, grid)
-    own = np.arange(grid.n_bins)[None, :]
-    keep = significant & (target == own)
+    target, significant = _if_bins(a)
+    keep = significant & (target == np.arange(grid.n_bins))
     return grid.with_data(np.where(keep, grid.data, 0.0), method_tag="set")
 
 

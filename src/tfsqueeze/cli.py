@@ -89,45 +89,40 @@ def _prepare(args, sig: signals.Signal) -> tfr.Analysis:
     return tfr.Analysis(sig, w, nfft)
 
 
-def _run_method(method: str, a: tfr.Analysis, args
-                ) -> tuple[tfr.TFRGrid, tfr.TFRGrid, ridges.IFEstimate | None]:
-    """Returns (reallocated input grid, method output grid, proposed's estimate).
+def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, args
+         ) -> tuple[metrics.MethodReport, tfr.TFRGrid, ridges.IFEstimate | None]:
+    """Runs one method on the analysis and scores it.
 
-    The first grid is the one the method actually moved mass from (the
-    gamma-filtered grid for 'proposed'), which is the right reference for
-    the conservation metric.
+    Returns (report, output grid, proposed's estimate). Conservation is
+    measured against the grid the method moved mass from, which is the
+    gamma-filtered grid for 'proposed'.
     """
+    base, est = a.grid, None
     if method == "stft":
-        return a.grid, a.grid, None
-    if method == "sst":
-        return a.grid, baselines.sst(a), None
-    if method == "rm":
-        return a.grid, baselines.reassignment(a), None
-    if method == "set":
-        return a.grid, baselines.set_extract(a), None
-    if method == "lmsst":
-        return a.grid, baselines.lmsst(a, args.delta_bins), None
-    if method == "proposed":
-        filtered = ridges.filter_grid(a.grid, args.gamma, args.per_frame_max)
+        out = a.grid
+    elif method == "sst":
+        out = baselines.sst(a)
+    elif method == "rm":
+        out = baselines.reassignment(a)
+    elif method == "set":
+        out = baselines.set_extract(a)
+    elif method == "lmsst":
+        out = baselines.lmsst(a, args.delta_bins)
+    else:
+        base = ridges.filter_grid(a.grid, args.gamma, args.per_frame_max)
         if args.if_from:  # injected tracks replace detection, so none runs
-            est = ridges.inject_if(filtered, load_trajectories_csv(args.if_from))
+            est = ridges.inject_if(base, load_trajectories_csv(args.if_from))
         else:
-            est = ridges.local_maxima(filtered)
-        return filtered, squeeze.modular_reassign(filtered, est), est
-    raise InvalidParameterError(f"unknown method {method!r}")
-
-
-def _build_report(base: tfr.TFRGrid, out: tfr.TFRGrid, a: tfr.Analysis,
-                  model: signals.ModeModel | None, gamma: float) -> metrics.MethodReport:
+            est = ridges.local_maxima(base)
+        out = squeeze.modular_reassign(base, est)
     recon = None
     if out.invertible:
         recon = metrics.recon_rel_l2(a.sig, tfr.istft(out))
     mae = None
     if model is not None:
         view = tfr.half_circle(out) if a.sig.is_real else out
-        est = ridges.local_maxima(view, gamma)
         try:
-            mae = metrics.ridge_mae(est, model,
+            mae = metrics.ridge_mae(ridges.local_maxima(view, args.gamma), model,
                                     frames=slice(a.w.half, out.n_frames - a.w.half))
         except NoGroundTruthError:
             mae = None
@@ -138,7 +133,7 @@ def _build_report(base: tfr.TFRGrid, out: tfr.TFRGrid, a: tfr.Analysis,
         recon_rel_l2=recon,
         ridge_mae_bins=mae,
         framesum_max_dev=metrics.framesum_max_dev(base, out),
-    )
+    ), out, est
 
 
 def cmd_generate(args) -> int:
@@ -153,9 +148,8 @@ def cmd_generate(args) -> int:
 def cmd_analyze(args) -> int:
     sig, model = _resolve_input(args.input, args)
     a = _prepare(args, sig)
-    base, out, est = _run_method(args.method, a, args)
-    report = _build_report(base, out, a, model, args.gamma)
-    del a, base  # the exports need only out
+    report, out, est = _run(args.method, a, model, args)
+    del a  # the exports need only out
 
     with output_dir(args.out) as stage:
         export_grid_csv(out, stage / "grid.npz")
@@ -176,6 +170,9 @@ def cmd_compare(args) -> int:
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise InvalidParameterError(f"unknown methods {unknown}; choose from {METHODS}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise InvalidParameterError(f"repeated methods {repeated}; name each method once")
     if len(methods) < 2:
         raise InvalidParameterError("compare needs at least two methods")
     sig, model = _resolve_input(args.input, args)
@@ -185,10 +182,10 @@ def cmd_compare(args) -> int:
     reports = []
     with output_dir(args.out) as stage:
         for method in methods:
-            base, out, _ = _run_method(method, a, args)
-            reports.append(_build_report(base, out, a, model, args.gamma))
+            report, out, _ = _run(method, a, model, args)
+            reports.append(report)
             export_heatmap_pgm(out, stage / f"heatmap_{method}.pgm")
-            del base, out  # free this method's grids before the next one runs
+            del out  # free this method's grid before the next one runs
         reports.sort(key=lambda r: r.renyi_entropy_bits)
         export_report_json(reports, stage / "report.json")
     return 0

@@ -127,12 +127,15 @@ class ModeModel:
 
 def sample_count(fs_hz: float, duration_s: float) -> int:
     """Samples in duration_s at fs_hz, once the rate, then the duration, then
-    their product are finite and > 0 (NaN fails each check)."""
+    their product are finite and > 0 (NaN fails each check) and the product
+    rounds to at least one sample."""
     product = float(fs_hz) * float(duration_s)
     for value, name in ((fs_hz, "fs_hz"), (duration_s, "duration_s"),
                         (product, "fs_hz x duration_s")):
         if not 0.0 < value < np.inf:
             raise InvalidParameterError(f"{name}={value} must be finite and > 0")
+    if round(product) == 0:
+        raise InvalidParameterError(f"fs_hz x duration_s={product} rounds to 0 samples")
     return int(round(product))
 
 

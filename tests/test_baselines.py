@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,29 @@ class TestLmsst:
                 target = lo + int(np.argmax(mag[n, lo:hi]))
                 expect[n, target] += base.data[n, k]
         assert np.allclose(out.data, expect, rtol=0, atol=1e-12 * mag.max())
+
+
+@pytest.fixture(scope="module")
+def chirp_2048x1024():
+    sig, _ = tq.gen_chirp_surrogate(30.0, 400.0, 3.0, 1024.0, 2.0)
+    return tq.Analysis(sig, tq.WindowSpec(0.02, sig.sample_rate_hz), 1024)
+
+
+# peak traced bytes of one call, output included, in grids of the analysis;
+# each bound sits just above the measured factor (sst 3.872, rm 4.063,
+# set 2.565, lmsst 3.458), so a grid-sized transient more fails it
+PEAK_GRIDS = {"sst": 3.9, "reassignment": 4.1, "set_extract": 2.6, "lmsst": 3.5}
+
+
+@pytest.mark.parametrize("name", sorted(PEAK_GRIDS))
+def test_peak_memory_in_grids(chirp_2048x1024, name):
+    a = chirp_2048x1024
+    assert a.grid.data.shape == (2048, 1024)
+    tracemalloc.start()
+    try:
+        out = getattr(tq, name)(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del out
+    assert peak / a.grid.data.nbytes <= PEAK_GRIDS[name]

@@ -149,6 +149,18 @@ class TestCompare:
     def test_unknown_method_rejected(self, tmp_path):
         assert main(["compare", "--methods", "stft,nope", "--out", str(tmp_path)]) == 2
 
+    def test_analyze_rows_match_compare(self, tmp_path):
+        # both commands run and score a method through one code path
+        args = ["--input", "fmam", "--snr-db", "20", "--seed", "3"]
+        assert main(["compare", *args, "--out", str(tmp_path / "compare")]) == 0
+        compared = json.loads((tmp_path / "compare" / "report.json").read_text())
+        rows = {r["method_tag"]: r for r in compared}
+        assert sorted(rows) == sorted(METHODS)
+        for method in METHODS:
+            out = tmp_path / method
+            assert main(["analyze", "--method", method, *args, "--out", str(out)]) == 0
+            assert json.loads((out / "report.json").read_text()) == [rows[method]]
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["compare", "--input", "fmam", "--snr-db", "20", "--seed", "3"]
@@ -326,6 +338,14 @@ class TestNoPartialOutput:
         (["generate", "tone", "--fs=-5", "--dur=-3"], 2, "fs_hz=-5"),
         (["analyze", "--input", "tone", "--fs", "1e300", "--dur", "1e300"], 2,
          "fs_hz x duration_s"),
+        # a rate x duration under half a sample gives no sample at all
+        (["generate", "chirp", "--dur", "0.0004"], 2,
+         r"fs_hz x duration_s=0\.4096 rounds to 0 samples"),
+        (["analyze", "--input", "tone", "--dur", "0.001"], 2,
+         r"fs_hz x duration_s=0\.128 rounds to 0 samples"),
+        # a repeated method would run twice and its heatmap would overwrite itself
+        (["compare", "--input", "fmam", "--methods", "stft,sst,stft"], 2,
+         r"repeated methods \['stft'\]"),
         # a grid value the grid refuses is a file fault
         (["reconstruct", "{inputs}/grid_dfreq.npz"], 3, "grid_dfreq.npz: df_hz="),
         # a sample near the float limit overflows a norm, an energy or a run sum
@@ -344,6 +364,7 @@ class TestNoPartialOutput:
             "snr-minus-huge", "snr-minus-inf", "delta-bins-past-axis", "analyze-seed-negative",
             "generate-seed-negative", "gamma-band-nan", "fs-minus-inf-dur-negative",
             "generate-fs-nan", "generate-fs-dur-negative", "fs-dur-product-inf",
+            "generate-no-sample", "analyze-no-sample", "compare-repeated-method",
             "grid-dfreq-zero", "overflow-norm-stft", "overflow-energy-rm",
             "overflow-sum-lmsst", "mode-track-with-reference"])
     def test_failure_leaves_no_output_directory(self, tmp_path, capsys, argv, code, match):
