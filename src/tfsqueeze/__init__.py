@@ -38,7 +38,6 @@ from .metrics import (
 )
 from .ridges import (
     IFEstimate,
-    estimate_ridges,
     filter_grid,
     inject_if,
     local_maxima,

@@ -146,6 +146,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.if_from and args.method != "proposed":  # no other method reads the file
+        raise InvalidParameterError("--if-from needs the proposed method")
     sig, model = _resolve_input(args.input, args)
     a = _prepare(args, sig)
     report, out, est = _run(args.method, a, model, args)
@@ -175,6 +177,8 @@ def cmd_compare(args) -> int:
         raise InvalidParameterError(f"repeated methods {repeated}; name each method once")
     if len(methods) < 2:
         raise InvalidParameterError("compare needs at least two methods")
+    if args.if_from and "proposed" not in methods:
+        raise InvalidParameterError("--if-from needs the proposed method")
     sig, model = _resolve_input(args.input, args)
     a = _prepare(args, sig)
 

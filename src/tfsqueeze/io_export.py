@@ -27,7 +27,7 @@ from .errors import (DegenerateGridError, FormatError, InvalidParameterError,
                      UnsupportedFormatError)
 from .metrics import MethodReport
 from .signals import Signal
-from .tfr import MAX_GRID_CELLS, TFRGrid
+from .tfr import MAX_GRID_CELLS, TFRGrid, half_circle
 
 __all__ = ["output_dir", "load_signal", "save_signal_csv", "load_trajectories_csv",
            "export_trajectories_csv", "export_grid_csv", "import_grid_csv",
@@ -263,13 +263,11 @@ def export_heatmap_pgm(grid: TFRGrid, path) -> None:
     clipped at HEATMAP_FLOOR_DB and mapped linearly to 0..255. Row 0 is the
     highest displayed frequency.
     """
-    mag = np.abs(grid.data)
-    peak = mag.max()
+    peak = np.abs(grid.data).max()
     if peak == 0.0:
         raise DegenerateGridError("cannot render an all-zero grid")
-    keep = grid.n_bins // 2
     with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(mag[:, :keep] / peak)
+        db = 20.0 * np.log10(np.abs(half_circle(grid).data) / peak)
     db = np.clip(db, HEATMAP_FLOOR_DB, 0.0)
     pixels = np.rint(255.0 * (db - HEATMAP_FLOOR_DB) / (-HEATMAP_FLOOR_DB)).astype(np.uint8)
     image = pixels.T[::-1]  # rows = bins, flipped so top row is highest frequency

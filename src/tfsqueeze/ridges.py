@@ -17,8 +17,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .tfr import TFRGrid, nearest_bins
 
-__all__ = ["IFEstimate", "filter_grid", "local_maxima", "inject_if",
-           "estimate_ridges"]
+__all__ = ["IFEstimate", "filter_grid", "local_maxima", "inject_if"]
 
 
 @dataclass(frozen=True)
@@ -92,23 +91,22 @@ def filter_grid(grid: TFRGrid, gamma: float, per_frame: bool = False) -> TFRGrid
 def _keep_mask(mag: np.ndarray, gamma: float, per_frame: bool) -> np.ndarray:
     if not (0.0 <= gamma < 1.0):
         raise InvalidParameterError("gamma must lie in [0, 1)")
-    # initial=0 leaves magnitudes unchanged and lets a 0-bin half circle through
+    # initial=0 leaves magnitudes (all >= 0) unchanged and lets a 0-bin grid through
     ref = mag.max(axis=1, keepdims=True, initial=0.0) if per_frame else mag.max(initial=0.0)
     return mag > gamma * ref
 
 
-def local_maxima(grid: TFRGrid, gamma: float = 0.0,
-                 per_frame: bool = False) -> IFEstimate:
+def local_maxima(grid: TFRGrid, gamma: float = 0.0) -> IFEstimate:
     """Detect per-frame ridges as strict interior local maxima of |G|.
 
     Plateaus yield no ridge and the first and last bins are never ridges.
     Basin boundaries sit at the smallest-magnitude bin strictly between
-    consecutive ridges (ties resolve to the lower bin). gamma and per_frame
-    detect on the magnitudes filter_grid would keep, without building the
-    filtered grid; the default gamma of 0 drops nothing.
+    consecutive ridges (ties resolve to the lower bin). gamma detects on the
+    magnitudes filter_grid would keep against the global maximum, without
+    building the filtered grid; the default gamma of 0 drops nothing.
     """
     mag = np.abs(grid.data)
-    mag[~_keep_mask(mag, gamma, per_frame)] = 0.0
+    mag[~_keep_mask(mag, gamma, False)] = 0.0
     n_frames, n_bins = mag.shape
     inner, left, right = mag[:, 1:-1], mag[:, :-2], mag[:, 2:]
     mask = np.zeros(mag.shape, dtype=bool)
@@ -137,15 +135,6 @@ def local_maxima(grid: TFRGrid, gamma: float = 0.0,
     starts = np.zeros(ridges.size, dtype=np.int64)
     starts[closing[pick]] = lows[pick] % n_bins
     return IFEstimate(ridges, offsets, starts, grid.time_axis_s, grid.freq_axis_hz)
-
-
-def estimate_ridges(grid: TFRGrid, gamma: float = 0.0,
-                    per_frame: bool = False) -> tuple[TFRGrid, IFEstimate]:
-    """Filter-then-detect convenience: gamma-filter the grid and find its
-    local maxima. Returns both the filtered grid and the estimate, which is
-    the pair the squeeze step consumes."""
-    filtered = filter_grid(grid, gamma, per_frame)
-    return filtered, local_maxima(filtered)
 
 
 def inject_if(grid: TFRGrid, trajectories: Sequence[Callable[[np.ndarray], np.ndarray]]

@@ -200,13 +200,8 @@ def gen_crossover() -> tuple[Signal, ModeModel]:
     return Signal(samples, fs), model
 
 
-def gen_chirp_surrogate(
-    f_start_hz: float = 30.0,
-    f_end_hz: float = 400.0,
-    power: float = 3.0,
-    fs_hz: float = 1024.0,
-    duration_s: float = 1.0,
-) -> tuple[Signal, ModeModel]:
+def gen_chirp_surrogate(f_start_hz: float, f_end_hz: float, power: float, fs_hz: float,
+                        duration_s: float) -> tuple[Signal, ModeModel]:
     """Unit-amplitude complex chirp with a monotone power-law IF sweep.
 
     IF(t) = f_start + (f_end - f_start) * (t/dur)**power; the phase is the
@@ -234,8 +229,7 @@ def gen_chirp_surrogate(
     return Signal(samples, fs_hz), model
 
 
-def gen_tone(f0_hz: float, fs_hz: float = 128.0, duration_s: float = 1.0
-             ) -> tuple[Signal, ModeModel]:
+def gen_tone(f0_hz: float, fs_hz: float, duration_s: float) -> tuple[Signal, ModeModel]:
     """Complex exponential exp(j*2*pi*f0*t)."""
     t = _sample_times(fs_hz, duration_s, f0_hz, "f0_hz")
     phase = lambda tt: 2.0 * np.pi * f0_hz * tt
@@ -245,7 +239,7 @@ def gen_tone(f0_hz: float, fs_hz: float = 128.0, duration_s: float = 1.0
     return Signal(samples, fs_hz), model
 
 
-def add_noise(sig: Signal, snr_db: float | None, seed: int = 0) -> Signal:
+def add_noise(sig: Signal, snr_db: float | None, seed: int) -> Signal:
     """Add circular white Gaussian noise at the requested signal-to-noise ratio.
 
     ``snr_db`` of None or +inf returns the input unchanged; any other value

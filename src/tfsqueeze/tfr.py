@@ -188,11 +188,12 @@ def regroup(grid: TFRGrid, dest: np.ndarray, method_tag: str) -> TFRGrid:
     run_start = np.ones(dest.shape, dtype=bool)  # a frame always starts a run
     run_start[:, 1:] = dest[:, 1:] != dest[:, :-1]
     starts = np.flatnonzero(run_start)
-    frame_base = np.repeat(np.arange(n_frames) * n_bins, run_start.sum(axis=1))
+    # each run's flat target cell, frame base plus bin, summed in place to spare a copy
+    target = np.repeat(np.arange(n_frames) * n_bins, run_start.sum(axis=1))
+    target += dest.ravel()[starts]
     out = np.zeros(n_frames * n_bins, dtype=np.complex128)
     with np.errstate(over="ignore"):  # TFRGrid refuses an overflowed sum
-        np.add.at(out, frame_base + dest.ravel()[starts],
-                  np.add.reduceat(grid.data.ravel(), starts))
+        np.add.at(out, target, np.add.reduceat(grid.data.ravel(), starts))
     return grid.with_data(out.reshape(n_frames, n_bins), method_tag=method_tag)
 
 
@@ -216,8 +217,10 @@ def nearest_bins(values_hz: np.ndarray, grid: TFRGrid, what: str) -> np.ndarray:
 def half_circle(grid: TFRGrid) -> TFRGrid:
     """Slice to the bins below fs/2 for display and ridge work on real signals.
 
-    The slice is not invertible by the frame-sum formula, so rho is dropped.
+    Bin k lies below fs/2 when 2k < n_bins, so (n_bins + 1) // 2 bins are
+    kept: at least one, and the last one too when n_bins is odd. The slice is
+    not invertible by the frame-sum formula, so rho is dropped.
     """
-    keep = grid.n_bins // 2
+    keep = (grid.n_bins + 1) // 2
     return replace(grid, data=grid.data[:, :keep], rho=float("nan"),
                    method_tag=grid.method_tag + "+half")

@@ -53,7 +53,8 @@ def test_a2_conservation(gen, request):
     sig, _ = request.getfixturevalue(gen)
     w = _window_for(sig)
     grid = tq.stft(sig, w, len(sig))
-    filtered, est = tq.estimate_ridges(grid, gamma=0.0)
+    filtered = tq.filter_grid(grid, 0.0)
+    est = tq.local_maxima(filtered)
     out = tq.modular_reassign(filtered, est)
     dev = tq.framesum_max_dev(grid, out)
     report("A2", dev <= 1e-12, f"{gen}: framesum_max_dev {dev:.2e}")
@@ -63,7 +64,8 @@ def test_a2_conservation(gen, request):
 def test_a3_concentration(fmam, w128, tmp_path):
     sig, _ = fmam
     grid = tq.stft(sig, w128, 128)
-    filtered, est = tq.estimate_ridges(grid, gamma=0.1)
+    filtered = tq.filter_grid(grid, 0.1)
+    est = tq.local_maxima(filtered)
     proposed = tq.modular_reassign(filtered, est)
     h_prop = tq.renyi_entropy(proposed)
     h_sst = tq.renyi_entropy(tq.sst(tq.Analysis(sig, w128, 128)))
@@ -96,7 +98,7 @@ def test_a3_concentration(fmam, w128, tmp_path):
 def test_a4_if_accuracy(fmam, w128):
     sig, model = fmam
     half = tq.half_circle(tq.stft(sig, w128, 128))
-    _, est = tq.estimate_ridges(half, gamma=0.2)
+    est = tq.local_maxima(tq.filter_grid(half, 0.2))
     interior = interior_mask(128, w128)
     mae = tq.ridge_mae(est, model, frames=interior)
     report("A4", mae <= 1.0, f"ridge MAE {mae:.3f} bins on interior frames")
@@ -167,7 +169,8 @@ def test_a8_chirp_surrogate_denoising(w1024):
     outputs = {}
     estimates = {}
     for gamma in (0.0, 0.2):
-        filtered, est = tq.estimate_ridges(grid, gamma)
+        filtered = tq.filter_grid(grid, gamma)
+        est = tq.local_maxima(filtered)
         outputs[gamma] = tq.modular_reassign(filtered, est)
         estimates[gamma] = est
 

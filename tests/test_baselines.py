@@ -199,9 +199,10 @@ def chirp_2048x1024():
 
 
 # peak traced bytes of one call, output included, in grids of the analysis;
-# each bound sits just above the measured factor (sst 3.872, rm 4.063,
-# set 2.565, lmsst 3.458), so a grid-sized transient more fails it
-PEAK_GRIDS = {"sst": 3.9, "reassignment": 4.1, "set_extract": 2.6, "lmsst": 3.5}
+# each bound sits just above the measured factor (sst 3.410, rm 4.063,
+# set 2.565, lmsst 3.292), so a grid-sized transient more fails it, and so
+# does regroup's frame base plus bins as a copy (sst 3.872, lmsst 3.458)
+PEAK_GRIDS = {"sst": 3.45, "reassignment": 4.1, "set_extract": 2.6, "lmsst": 3.33}
 
 
 @pytest.mark.parametrize("name", sorted(PEAK_GRIDS))

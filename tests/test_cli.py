@@ -51,6 +51,18 @@ class TestGenerate:
         assert lines[0] == "time_s,f1_hz,f2_hz,f3_hz"
         assert len(lines) == 1 + 1024
 
+    @pytest.mark.parametrize("generator, expected", [
+        ("chirp", lambda: tq.gen_chirp_surrogate(30.0, 400.0, 3.0, 1024.0, 1.0)),
+        ("tone", lambda: tq.gen_tone(32.0, 128.0, 1.0)),
+    ])
+    def test_default_options_match_the_generator(self, tmp_path, generator, expected):
+        # argparse is the one home of the generators' run defaults
+        assert main(["generate", generator, "--out", str(tmp_path / "cli")]) == 0
+        sig, _ = expected()
+        tq.save_signal_csv(sig, tmp_path / "lib.csv")
+        assert ((tmp_path / "cli" / "signal.csv").read_bytes()
+                == (tmp_path / "lib.csv").read_bytes())
+
     def test_nyquist_violation_exits_2(self, tmp_path, capsys):
         rc = main(["generate", "tone", "--f0", "600", "--fs", "1000",
                    "--out", str(tmp_path)])
@@ -268,7 +280,7 @@ class TestReconstruct:
 
 class TestDegenerateInputs:
     def test_one_bin_half_circle_has_no_ridge_mae(self, tmp_path):
-        # nfft 3 leaves a single bin below fs/2: no bin width to measure in
+        # nfft 3 leaves two bins below fs/2, too few for an interior ridge
         for command in ("analyze", "compare"):
             out = tmp_path / command
             rc = main([command, "--input", "fmam", "--nfft", "3", "--sigma", "1e-9",
@@ -278,8 +290,8 @@ class TestDegenerateInputs:
             assert [r["ridge_mae_bins"] for r in reports] == [None] * len(reports)
 
     def test_one_bin_grid_runs_every_method(self, tmp_path):
-        # one bin leaves an empty half circle for the ridge pass, and LMSST's
-        # default radius must stay inside the axis
+        # one bin leaves a one-bin half circle, with no bin width to measure
+        # in, and LMSST's default radius must stay inside the axis
         out = tmp_path / "out"
         assert main(["compare", "--input", "fmam", "--nfft", "1", "--sigma", "1e-9",
                      "--out", str(out)]) == 0
@@ -354,6 +366,11 @@ class TestNoPartialOutput:
          "grid entries must be finite"),
         (["analyze", "--method", "lmsst", "--input", "{inputs}/huge.csv"], 2,
          "grid entries must be finite"),
+        # injected tracks feed only proposed; refused before the file is read
+        (["analyze", "--method", "sst", "--input", "fmam", "--if-from",
+          "{inputs}/missing.csv"], 2, "--if-from needs the proposed method"),
+        (["compare", "--input", "fmam", "--methods", "sst,rm", "--if-from",
+          "{inputs}/missing.csv"], 2, "--if-from needs the proposed method"),
         # a mode has no reference signal; refused before either file is read
         (["reconstruct", "{inputs}/missing.npz", "--mode-track", "{inputs}/missing.csv",
           "--reference", "{inputs}/missing.csv"], 2, "not allowed with"),
@@ -366,7 +383,8 @@ class TestNoPartialOutput:
             "generate-fs-nan", "generate-fs-dur-negative", "fs-dur-product-inf",
             "generate-no-sample", "analyze-no-sample", "compare-repeated-method",
             "grid-dfreq-zero", "overflow-norm-stft", "overflow-energy-rm",
-            "overflow-sum-lmsst", "mode-track-with-reference"])
+            "overflow-sum-lmsst", "analyze-if-from-without-proposed",
+            "compare-if-from-without-proposed", "mode-track-with-reference"])
     def test_failure_leaves_no_output_directory(self, tmp_path, capsys, argv, code, match):
         inputs = tmp_path / "inputs"
         inputs.mkdir()

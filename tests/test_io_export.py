@@ -240,6 +240,16 @@ class TestHeatmapPgm:
         pixels = blob.split(b"\n", 3)[3]
         assert len(pixels) == width * height
 
+    @pytest.mark.parametrize("nfft", [1, 2, 3, 5, 8])
+    def test_rows_are_the_bins_below_nyquist(self, tmp_path, nfft):
+        fs = 128.0
+        grid = tq.stft(tq.Signal(np.ones(4), fs), tq.WindowSpec(1e-9, fs), nfft)
+        below = np.count_nonzero(grid.freq_axis_hz < fs / 2)
+        assert tq.half_circle(grid).n_bins == below
+        path = tmp_path / "map.pgm"
+        tq.export_heatmap_pgm(grid, path)
+        assert path.read_bytes().split(b"\n", 3)[1] == f"4 {below}".encode()
+
     def test_peak_maps_to_255_and_floor_to_0(self, tmp_path):
         data = np.zeros((2, 8), dtype=complex)
         data[0, 1] = 1.0     # peak

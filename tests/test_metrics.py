@@ -94,14 +94,14 @@ class TestRidgeMae:
     def test_tone_local_maxima(self, tone32, w128):
         sig, model = tone32
         grid = tq.stft(sig, w128, 128)
-        _, est = tq.estimate_ridges(grid, gamma=0.1)
+        est = tq.local_maxima(tq.filter_grid(grid, 0.1))
         interior = interior_mask(grid.n_frames, w128)
         assert tq.ridge_mae(est, model, frames=interior) <= 0.5
 
     def test_fmam_default_pipeline(self, fmam, w128):
         sig, model = fmam
         half = tq.half_circle(tq.stft(sig, w128, 128))
-        _, est = tq.estimate_ridges(half, gamma=0.2)
+        est = tq.local_maxima(tq.filter_grid(half, 0.2))
         interior = interior_mask(half.n_frames, w128)
         assert tq.ridge_mae(est, model, frames=interior) <= 1.0
 
@@ -202,6 +202,7 @@ class TestEntropyOrderingInvariant:
     def test_proposed_well_below_stft(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
-        filtered, est = tq.estimate_ridges(grid, gamma=0.1)
+        filtered = tq.filter_grid(grid, 0.1)
+        est = tq.local_maxima(filtered)
         proposed = tq.modular_reassign(filtered, est)
         assert tq.renyi_entropy(proposed) < tq.renyi_entropy(grid) - 2.0

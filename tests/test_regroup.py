@@ -67,14 +67,16 @@ def reduceat_oracle(grid, est):
 def detected_noisy_crossover(w128, w1024):
     sig, _ = tq.gen_crossover()
     grid = tq.stft(tq.add_noise(sig, 0.0, 1), w1024, 1024)
-    return tq.estimate_ridges(grid, gamma=0.0)
+    filtered = tq.filter_grid(grid, 0.0)
+    return filtered, tq.local_maxima(filtered)
 
 
 def detected_burst(w128, w1024):
     samples = np.zeros(64, dtype=complex)
     samples[30:34] = 1.0
     grid = tq.stft(tq.Signal(samples, 128.0), w128, 128)
-    return tq.estimate_ridges(grid, gamma=0.5)  # leaves ridgeless frames
+    filtered = tq.filter_grid(grid, 0.5)  # leaves ridgeless frames
+    return filtered, tq.local_maxima(filtered)
 
 
 def injected_crossover(w128, w1024):

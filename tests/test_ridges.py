@@ -126,7 +126,7 @@ class TestLocalMaxima:
     def test_tone_single_ridge_at_f0(self, tone32, w128):
         sig, _ = tone32
         grid = tq.stft(sig, w128, 128)
-        _, est = tq.estimate_ridges(grid, gamma=0.1)
+        est = tq.local_maxima(tq.filter_grid(grid, 0.1))
         interior = interior_mask(grid.n_frames, w128)
         for n in np.nonzero(interior)[0]:
             assert est.ridge_bins[n].tolist() == [32]
@@ -134,19 +134,18 @@ class TestLocalMaxima:
     def test_fmam_two_ridges_below_nyquist(self, fmam, w128):
         sig, model = fmam
         half = tq.half_circle(tq.stft(sig, w128, 128))
-        _, est = tq.estimate_ridges(half, gamma=0.2)
+        est = tq.local_maxima(tq.filter_grid(half, 0.2))
         interior = interior_mask(half.n_frames, w128)
         assert np.all(est.counts()[interior] == 2)
         assert tq.ridge_mae(est, model, frames=interior) <= 1.0
 
 
-    @pytest.mark.parametrize("gamma, per_frame", [(0.0, False), (0.1, False),
-                                                  (0.3, True), (0.6, False)])
-    def test_gamma_detects_on_the_filtered_grid(self, gamma, per_frame):
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.6])
+    def test_gamma_detects_on_the_filtered_grid(self, gamma):
         rng = np.random.default_rng(7)
         grid = make_grid(rng.standard_normal((40, 64)) + 1j * rng.standard_normal((40, 64)))
-        est = tq.local_maxima(grid, gamma, per_frame)
-        oracle = tq.local_maxima(tq.filter_grid(grid, gamma, per_frame))
+        est = tq.local_maxima(grid, gamma)
+        oracle = tq.local_maxima(tq.filter_grid(grid, gamma))
         for name in ("ridges", "offsets", "starts"):
             assert np.array_equal(getattr(est, name), getattr(oracle, name)), name
 

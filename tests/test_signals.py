@@ -183,8 +183,8 @@ class TestGeneratorContracts:
 class TestAddNoise:
     def test_clean_flags_are_noops(self, tone32):
         sig, _ = tone32
-        assert tq.add_noise(sig, None) is sig
-        assert tq.add_noise(sig, np.inf) is sig
+        assert tq.add_noise(sig, None, 0) is sig
+        assert tq.add_noise(sig, np.inf, 0) is sig
 
     @pytest.mark.parametrize("snr_db, seed", [
         (10.0, -1), (1e300, 0), (-1e300, 0), (-np.inf, 0),

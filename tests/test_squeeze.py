@@ -32,7 +32,8 @@ class TestModularReassign:
         # cell per interior frame survives carrying almost the whole frame
         sig, _ = tone32
         grid = tq.stft(sig, w128, 128)
-        filtered, est = tq.estimate_ridges(grid, gamma=0.1)
+        filtered = tq.filter_grid(grid, 0.1)
+        est = tq.local_maxima(filtered)
         out = tq.modular_reassign(filtered, est)
         target = 128 * w128.center_value * sig.samples
         for n in np.nonzero(interior_mask(grid.n_frames, w128))[0]:
@@ -50,7 +51,8 @@ class TestModularReassign:
     def test_fmam_support_at_most_two_below_nyquist(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
-        filtered, est = tq.estimate_ridges(grid, gamma=0.2)
+        filtered = tq.filter_grid(grid, 0.2)
+        est = tq.local_maxima(filtered)
         out = tq.modular_reassign(filtered, est)
         interior = interior_mask(grid.n_frames, w128)
         support = (np.abs(out.data[:, :64]) > 0).sum(axis=1)
@@ -69,7 +71,8 @@ class TestModularReassign:
     def test_idempotent(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
-        filtered, est = tq.estimate_ridges(grid, gamma=0.1)
+        filtered = tq.filter_grid(grid, 0.1)
+        est = tq.local_maxima(filtered)
         once = tq.modular_reassign(filtered, est)
         twice = tq.modular_reassign(once, est)
         assert np.array_equal(once.data, twice.data)
@@ -109,7 +112,8 @@ class TestModularReassign:
         samples = np.zeros(64, dtype=complex)
         samples[30:34] = 1.0
         grid = tq.stft(tq.Signal(samples, 128.0), w128, 128)
-        filtered, est = tq.estimate_ridges(grid, gamma=0.5)
+        filtered = tq.filter_grid(grid, 0.5)
+        est = tq.local_maxima(filtered)
         out = tq.modular_reassign(filtered, est)
         quiet = [n for n in range(64) if est.ridge_bins[n].size == 0]
         assert quiet, "expected some frames below the filter threshold"
@@ -137,7 +141,8 @@ class TestReconstruct:
     def test_filtered_pipeline_loses_a_little(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
-        filtered, est = tq.estimate_ridges(grid, gamma=0.1)
+        filtered = tq.filter_grid(grid, 0.1)
+        est = tq.local_maxima(filtered)
         out = tq.modular_reassign(filtered, est)
         err = rel_l2(sig.samples, tq.istft(out).samples)
         assert 0.0 < err <= 0.05
