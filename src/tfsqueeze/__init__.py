@@ -8,15 +8,11 @@ them.
 
 from .baselines import lmsst, phase_if_map, reassignment, set_extract, sst
 from .errors import (
-    DegenerateGridError,
     FormatError,
-    IFOutOfRangeError,
     InvalidParameterError,
     NoGroundTruthError,
     NonInvertibleGridError,
-    ShapeMismatchError,
     TFSqueezeError,
-    UnsupportedFormatError,
 )
 from .io_export import (
     export_grid_csv,

@@ -19,7 +19,6 @@ from .errors import (
     NonInvertibleGridError,
     NoGroundTruthError,
     TFSqueezeError,
-    UnsupportedFormatError,
 )
 from .io_export import (
     export_grid_csv,
@@ -296,7 +295,7 @@ def main(argv=None) -> int:
     except NonInvertibleGridError as exc:
         print(f"error: non-invertible: {exc}", file=sys.stderr)
         return 4
-    except (FormatError, UnsupportedFormatError, OSError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except TFSqueezeError as exc:

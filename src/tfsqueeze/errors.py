@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all tfsqueeze modules."""
+"""Exception types shared by all tfsqueeze modules, one per way a caller handles a failure."""
 
 
 class TFSqueezeError(Exception):
@@ -6,23 +6,12 @@ class TFSqueezeError(Exception):
 
 
 class InvalidParameterError(TFSqueezeError):
-    """A precondition on an operation's parameters was violated."""
-
-
-class ShapeMismatchError(TFSqueezeError):
-    """Two objects that must share axes or lengths do not."""
+    """A precondition on an operation's inputs was violated: a bad value,
+    mismatched shapes, an off-axis frequency or an all-zero grid."""
 
 
 class NonInvertibleGridError(TFSqueezeError):
     """Reconstruction requested from a grid without a finite reconstruction factor."""
-
-
-class IFOutOfRangeError(TFSqueezeError):
-    """An instantaneous-frequency value falls outside the grid's frequency axis."""
-
-
-class DegenerateGridError(TFSqueezeError):
-    """An operation that needs nonzero grid energy received an all-zero grid."""
 
 
 class NoGroundTruthError(TFSqueezeError):
@@ -30,8 +19,5 @@ class NoGroundTruthError(TFSqueezeError):
 
 
 class FormatError(TFSqueezeError):
-    """A file could not be parsed; the message carries the offending position."""
-
-
-class UnsupportedFormatError(TFSqueezeError):
-    """The file is readable but uses a variant this library does not accept."""
+    """A file could not be parsed or uses a variant this library does not
+    accept; the message names the file."""

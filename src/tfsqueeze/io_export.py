@@ -23,8 +23,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import (DegenerateGridError, FormatError, InvalidParameterError,
-                     UnsupportedFormatError)
+from .errors import FormatError, InvalidParameterError
 from .metrics import MethodReport
 from .signals import Signal
 from .tfr import MAX_GRID_CELLS, TFRGrid, half_circle
@@ -145,9 +144,9 @@ def _read_signal_wav(path) -> tuple[np.ndarray, float, float]:
     try:
         with wave.open(str(path), "rb") as wf:
             if wf.getnchannels() != 1:
-                raise UnsupportedFormatError(f"{path}: only mono WAV is supported")
+                raise FormatError(f"{path}: only mono WAV is supported")
             if wf.getsampwidth() != 2:
-                raise UnsupportedFormatError(f"{path}: only 16-bit PCM WAV is supported")
+                raise FormatError(f"{path}: only 16-bit PCM WAV is supported")
             fs = wf.getframerate()
             raw = wf.readframes(wf.getnframes())
     except (wave.Error, EOFError) as exc:  # EOFError: the file ends early
@@ -163,10 +162,10 @@ def export_trajectories_csv(times_s, table_hz, path) -> None:
     the rows of times with fewer tracks and are written empty.
     """
     table = np.asarray(table_hz, dtype=float)
-    lines = ["time_s," + ",".join(f"f{i + 1}_hz" for i in range(table.shape[1]))]
+    lines = [",".join(["time_s"] + [f"f{i + 1}_hz" for i in range(table.shape[1])])]
     for t, row in zip(np.asarray(times_s, dtype=float).tolist(), table.tolist()):
-        lines.append(f"{t:.17g}," + ",".join("" if math.isnan(v) else f"{v:.17g}"
-                                              for v in row))
+        lines.append(",".join([f"{t:.17g}"] + ["" if math.isnan(v) else f"{v:.17g}"
+                                               for v in row]))
     _write_lines(path, lines)
 
 
@@ -265,7 +264,7 @@ def export_heatmap_pgm(grid: TFRGrid, path) -> None:
     """
     peak = np.abs(grid.data).max()
     if peak == 0.0:
-        raise DegenerateGridError("cannot render an all-zero grid")
+        raise InvalidParameterError("cannot render an all-zero grid")
     with np.errstate(divide="ignore"):
         db = 20.0 * np.log10(np.abs(half_circle(grid).data) / peak)
     db = np.clip(db, HEATMAP_FLOOR_DB, 0.0)

@@ -6,18 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateGridError,
-    InvalidParameterError,
-    NoGroundTruthError,
-    ShapeMismatchError,
-)
+from .errors import InvalidParameterError, NoGroundTruthError
 from .ridges import IFEstimate
 from .signals import ModeModel, Signal
 from .tfr import TFRGrid
 
 __all__ = ["MethodReport", "renyi_entropy", "ridge_mae", "recon_rel_l2",
            "framesum_max_dev", "nonzero_fraction"]
+
+# the Renyi order, the usual time-frequency choice
+ALPHA = 3.0
 
 
 @dataclass(frozen=True)
@@ -34,11 +32,11 @@ class MethodReport:
     framesum_max_dev: float
 
 
-def renyi_entropy(grid: TFRGrid, alpha: float = 3.0) -> float:
+def renyi_entropy(grid: TFRGrid) -> float:
     """Renyi entropy in bits of the distribution of the stored magnitudes.
 
-    P = |G| / sum|G| and H = log2(sum P^alpha) / (1 - alpha); lower means
-    more concentrated. alpha=3 is the usual time-frequency choice.
+    P = |G| / sum|G| and H = log2(sum P^ALPHA) / (1 - ALPHA); lower means
+    more concentrated.
 
     The weight is |G|, not |G|^2: SST, LMSST and the squeeze conserve each
     frame's complex sum, not sum|G|^2, and approximate the amplitude-valued
@@ -47,15 +45,13 @@ def renyi_entropy(grid: TFRGrid, alpha: float = 3.0) -> float:
     it could. RM's grid stores reassigned energy, so it is scored on the
     reassigned spectrogram itself.
     """
-    if alpha <= 0 or alpha == 1.0:
-        raise InvalidParameterError("alpha must be positive and != 1")
     p = np.abs(grid.data.ravel())
     total = p.sum()
     if total == 0.0:
-        raise DegenerateGridError("cannot measure entropy of an all-zero grid")
+        raise InvalidParameterError("cannot measure entropy of an all-zero grid")
     p /= total
     # in place: one magnitude-sized buffer, however large the grid
-    return float(np.log2(np.sum(np.power(p, alpha, out=p))) / (1.0 - alpha))
+    return float(np.log2(np.sum(np.power(p, ALPHA, out=p))) / (1.0 - ALPHA))
 
 
 def nonzero_fraction(grid: TFRGrid) -> float:
@@ -95,11 +91,11 @@ def ridge_mae(ifest: IFEstimate, model: ModeModel,
 def recon_rel_l2(original: Signal, recovered: Signal) -> float:
     """Relative L2 reconstruction error ||orig - rec|| / ||orig||."""
     if len(original) != len(recovered):
-        raise ShapeMismatchError(
+        raise InvalidParameterError(
             f"signal lengths differ: {len(original)} vs {len(recovered)}"
         )
     if original.sample_rate_hz != recovered.sample_rate_hz:
-        raise ShapeMismatchError("sample rates differ")
+        raise InvalidParameterError("sample rates differ")
     with np.errstate(over="ignore"):  # a norm past the float range is refused below
         denom = float(np.linalg.norm(original.samples))
         err = float(np.linalg.norm(original.samples - recovered.samples))
@@ -117,12 +113,12 @@ def framesum_max_dev(g_in: TFRGrid, g_out: TFRGrid) -> float:
     mass and therefore reconstructs exactly.
     """
     if g_in.n_frames != g_out.n_frames:
-        raise ShapeMismatchError(
+        raise InvalidParameterError(
             f"frame counts differ: {g_in.n_frames} vs {g_out.n_frames}"
         )
     sums_in = g_in.data.sum(axis=1)
     sums_out = g_out.data.sum(axis=1)
     scale = float(np.max(np.abs(sums_in)))
     if scale == 0.0:
-        raise DegenerateGridError("every input frame sums to zero")
+        raise InvalidParameterError("every input frame sums to zero")
     return float(np.max(np.abs(sums_out - sums_in)) / scale)

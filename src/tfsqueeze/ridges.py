@@ -65,16 +65,19 @@ class IFEstimate:
         table[columns < counts[:, None]] = self.freq_axis_hz[self.ridges]
         return table
 
-    @property
-    def basin_edges(self) -> tuple[np.ndarray, ...]:
-        """Per-frame view: 0, one interior edge between consecutive ridges,
-        then n_bins, so basin i is [edges[i], edges[i+1])."""
-        counts = self.counts()
-        # a ridgeless frame keeps the lone basin [0, n_bins): give it start 0
-        starts = np.insert(self.starts, self.offsets[:-1][counts == 0], 0)
-        frame_ends = np.cumsum(np.maximum(counts, 1))
-        edges = np.insert(starts, frame_ends, self.n_bins)
-        return tuple(np.split(edges, (frame_ends + np.arange(1, counts.size + 1))[:-1]))
+    def destinations(self) -> np.ndarray:
+        """Each cell's basin ridge as an (n_frames, n_bins) bin array; a frame
+        without a ridge maps every bin to itself."""
+        n_bins = self.n_bins
+        # a frame's first basin, and only that one, starts at bin 0, so a zero
+        # next start marks the last basin of a frame
+        ends = np.append(self.starts[1:], 0)
+        ends[ends == 0] = n_bins
+        has_ridge = self.counts() > 0
+        dest = np.empty((self.n_frames, n_bins), dtype=np.int64)
+        dest[~has_ridge] = np.arange(n_bins)
+        dest[has_ridge] = np.repeat(self.ridges, ends - self.starts).reshape(-1, n_bins)
+        return dest
 
 
 def filter_grid(grid: TFRGrid, gamma: float, per_frame: bool = False) -> TFRGrid:

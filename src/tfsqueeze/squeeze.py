@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IFOutOfRangeError, ShapeMismatchError
+from .errors import InvalidParameterError
 from .ridges import IFEstimate
 from .signals import Signal
 from .tfr import TFRGrid, istft, nearest_bins, regroup
@@ -30,21 +30,7 @@ def modular_reassign(grid: TFRGrid, ifest: IFEstimate) -> TFRGrid:
     quiet frames is the gamma filter's job, not the squeeze's. The output
     keeps the source grid's axes and reconstruction factor.
     """
-    if ifest.n_frames != grid.n_frames or ifest.n_bins != grid.n_bins:
-        raise ShapeMismatchError(
-            f"estimate covers ({ifest.n_frames}, {ifest.n_bins}) "
-            f"but grid is ({grid.n_frames}, {grid.n_bins})"
-        )
-    n_bins = grid.n_bins
-    # a frame's first basin, and only that one, starts at bin 0, so a zero
-    # next start marks the last basin of a frame
-    ends = np.append(ifest.starts[1:], 0)
-    ends[ends == 0] = n_bins
-    has_ridge = ifest.counts() > 0
-    dest = np.empty(grid.data.shape, dtype=np.int64)
-    dest[~has_ridge] = np.arange(n_bins)
-    dest[has_ridge] = np.repeat(ifest.ridges, ends - ifest.starts).reshape(-1, n_bins)
-    return regroup(grid, dest, "proposed")
+    return regroup(grid, ifest.destinations(), "proposed")
 
 
 def mode_reconstruct(tgrid: TFRGrid, ridge_track: Callable[[np.ndarray], np.ndarray],
@@ -58,7 +44,7 @@ def mode_reconstruct(tgrid: TFRGrid, ridge_track: Callable[[np.ndarray], np.ndar
     real waveform.
     """
     if not half_width_hz > 0:  # NaN fails this too
-        raise IFOutOfRangeError("half_width_hz must be > 0")
+        raise InvalidParameterError("half_width_hz must be > 0")
     t = tgrid.time_axis_s
     track = np.broadcast_to(np.asarray(ridge_track(t), dtype=float), t.shape)
     nearest_bins(track, tgrid, "mode track")  # refuses off-axis and NaN tracks

@@ -13,12 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    IFOutOfRangeError,
-    InvalidParameterError,
-    NonInvertibleGridError,
-    ShapeMismatchError,
-)
+from .errors import InvalidParameterError, NonInvertibleGridError
 from .signals import Signal
 from .windows import WindowSpec
 
@@ -50,7 +45,7 @@ class TFRGrid:
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.complex128)
         if data.ndim != 2:
-            raise ShapeMismatchError("grid data must be 2-D")
+            raise InvalidParameterError("grid data must be 2-D")
         if not np.all(np.isfinite(data)):
             raise InvalidParameterError(f"{self.method_tag} grid entries must be finite")
         # written so that NaN fails every comparison
@@ -181,7 +176,7 @@ def regroup(grid: TFRGrid, dest: np.ndarray, method_tag: str) -> TFRGrid:
     """
     n_frames, n_bins = grid.data.shape
     if dest.shape != grid.data.shape:
-        raise ShapeMismatchError(
+        raise InvalidParameterError(
             f"destinations {dest.shape} do not match grid {grid.data.shape}")
     if dest.min() < 0 or dest.max() >= n_bins:
         raise InvalidParameterError(f"destination bins must lie in [0, {n_bins})")
@@ -200,14 +195,14 @@ def regroup(grid: TFRGrid, dest: np.ndarray, method_tag: str) -> TFRGrid:
 def nearest_bins(values_hz: np.ndarray, grid: TFRGrid, what: str) -> np.ndarray:
     """Index of the bin nearest each frequency on the grid's frequency axis.
 
-    Raises IFOutOfRangeError unless every value is finite and within half a
-    bin of the axis; the check is a conjunction of >= and <=, which NaN fails,
-    so no NaN reaches the integer cast.
+    Raises InvalidParameterError, calling the values what, unless every one is
+    finite and within half a bin of the axis; the check is a conjunction of >=
+    and <=, which NaN fails, so no NaN reaches the integer cast.
     """
     values = np.asarray(values_hz, dtype=float)
     f, df_hz = grid.freq_axis_hz, grid.df_hz
     if not np.all((values >= f[0] - df_hz / 2) & (values <= f[-1] + df_hz / 2)):
-        raise IFOutOfRangeError(
+        raise InvalidParameterError(
             f"{what} range [{values.min()}, {values.max()}] Hz must be finite "
             f"and within the frequency axis [{f[0]}, {f[-1]}] Hz"
         )

@@ -58,11 +58,8 @@ class WindowSpec:
 
     @property
     def taps(self) -> int:
-        """Tap count; unlike len(), defined however large it is."""
+        """Tap count, odd and centred on g(0)."""
         return 2 * self.half + 1
-
-    def __len__(self):
-        return self.taps
 
     @property
     def _t(self) -> np.ndarray:

@@ -279,7 +279,7 @@ class TestReconstruct:
 
 
 class TestDegenerateInputs:
-    def test_one_bin_half_circle_has_no_ridge_mae(self, tmp_path):
+    def test_two_bin_half_circle_has_no_ridge_mae(self, tmp_path):
         # nfft 3 leaves two bins below fs/2, too few for an interior ridge
         for command in ("analyze", "compare"):
             out = tmp_path / command
@@ -297,6 +297,19 @@ class TestDegenerateInputs:
                      "--out", str(out)]) == 0
         reports = json.loads((out / "report.json").read_text())
         assert [r["ridge_mae_bins"] for r in reports] == [None] * 6
+
+    def test_trackless_ridge_table_has_no_dangling_comma(self, tmp_path, capsys):
+        # a 1e-9 s window gives a flat spectrum with no ridge in any frame
+        out = tmp_path / "out"
+        assert main(["analyze", "--method", "proposed", "--input", "tone",
+                     "--sigma", "1e-9", "--out", str(out)]) == 0
+        table = out / "ridges.csv"
+        lines = table.read_text().splitlines()
+        assert lines[0] == "time_s" and len(lines) == 129
+        assert not [line for line in lines if line.endswith(",")]
+        assert main(["analyze", "--method", "proposed", "--input", "tone",
+                     "--if-from", str(table), "--out", str(tmp_path / "again")]) == 3
+        assert "line 2: need time and >= 1 frequency" in capsys.readouterr().err
 
     def test_all_zero_input_writes_nothing(self, tmp_path, capsys):
         signal = tmp_path / "zero.csv"

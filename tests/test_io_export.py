@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tfsqueeze as tq
-from tfsqueeze.errors import DegenerateGridError, FormatError
+from tfsqueeze.errors import FormatError, InvalidParameterError
 
 from conftest import rewrite_grid
 
@@ -278,7 +278,7 @@ class TestHeatmapPgm:
 
     def test_zero_grid_rejected(self, tmp_path, w128):
         grid = tq.stft(tq.Signal(np.zeros(8), 128.0), w128, 128)
-        with pytest.raises(DegenerateGridError):
+        with pytest.raises(InvalidParameterError, match="cannot render an all-zero grid"):
             tq.export_heatmap_pgm(grid, tmp_path / "map.pgm")
 
 

@@ -5,12 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tfsqueeze as tq
-from tfsqueeze.errors import (
-    DegenerateGridError,
-    InvalidParameterError,
-    NoGroundTruthError,
-    ShapeMismatchError,
-)
+from tfsqueeze.errors import InvalidParameterError, NoGroundTruthError
 
 from conftest import interior_mask
 
@@ -27,7 +22,7 @@ class TestRenyiEntropy:
     def test_uniform_four_cells_is_two_bits(self):
         # (1/(1-3)) * log2(4 * (1/4)^3) = 2
         grid = make_grid([[1.0, 1.0], [1.0, 1.0]])
-        assert abs(tq.renyi_entropy(grid, alpha=3) - 2.0) <= 1e-12
+        assert abs(tq.renyi_entropy(grid) - 2.0) <= 1e-12
 
     def test_spreading_increases_entropy(self):
         one = make_grid([[2.0, 0.0]])
@@ -35,13 +30,8 @@ class TestRenyiEntropy:
         assert tq.renyi_entropy(two) > tq.renyi_entropy(one)
 
     def test_zero_grid_rejected(self):
-        with pytest.raises(DegenerateGridError):
+        with pytest.raises(InvalidParameterError, match="entropy of an all-zero grid"):
             tq.renyi_entropy(make_grid([[0.0, 0.0]]))
-
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -2.0])
-    def test_bad_alpha_rejected(self, alpha):
-        with pytest.raises(InvalidParameterError):
-            tq.renyi_entropy(make_grid([[1.0]]), alpha=alpha)
 
     def test_phase_invariance(self):
         mag = make_grid([[1.0, 2.0, 3.0]])
@@ -78,10 +68,9 @@ class TestRenyiEntropy:
         moved[n, src] = (1.0 - lam) * grid[n, src]
         scale = np.abs(grid).sum(axis=1)
         assert np.all(np.abs(moved.sum(axis=1) - grid.sum(axis=1)) <= 1e-12 * scale)
-        for alpha in (0.5, 2.0, 3.0):
-            before = tq.renyi_entropy(make_grid(grid), alpha=alpha)
-            after = tq.renyi_entropy(make_grid(moved), alpha=alpha)
-            assert after >= before - 1e-12, (alpha, before, after)
+        before = tq.renyi_entropy(make_grid(grid))
+        after = tq.renyi_entropy(make_grid(moved))
+        assert after >= before - 1e-12, (before, after)
 
 
 class TestRidgeMae:
@@ -142,10 +131,10 @@ class TestReconRelL2:
     def test_shape_and_rate_mismatch(self):
         a = tq.Signal(np.ones(4), 10.0)
         b = tq.Signal(np.ones(5), 10.0)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidParameterError, match="signal lengths differ"):
             tq.recon_rel_l2(a, b)
         c = tq.Signal(np.ones(4), 20.0)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidParameterError, match="sample rates differ"):
             tq.recon_rel_l2(a, c)
 
     def test_zero_original_rejected(self):
@@ -181,14 +170,14 @@ class TestFramesumMaxDev:
 
     def test_all_zero_input_has_no_scale(self, w128):
         grid = tq.stft(tq.Signal(np.zeros(64), 128.0), w128, 128)
-        with pytest.raises(DegenerateGridError):
+        with pytest.raises(InvalidParameterError, match="every input frame sums to zero"):
             tq.framesum_max_dev(grid, grid)
 
     def test_frame_count_mismatch(self, fmam, tone32, w128):
         a, _ = fmam
         grid_a = tq.stft(a, w128, 128)
         short = tq.stft(tq.Signal(a.samples[:64], 128.0), w128, 128)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidParameterError, match="frame counts differ"):
             tq.framesum_max_dev(grid_a, short)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tfsqueeze as tq
-from tfsqueeze.errors import FormatError, IFOutOfRangeError, InvalidParameterError
+from tfsqueeze.errors import FormatError, InvalidParameterError
 
 from conftest import interior_mask
 
@@ -25,6 +25,12 @@ def ridges_and_edges_oracle(column):
         edges.append(best)
     edges.append(n)
     return ridges, edges
+
+
+def edges_to_destinations(ridges, edges):
+    """Each bin's basin ridge, basin i being [edges[i], edges[i+1]); the
+    identity for a frame without ridges."""
+    return np.repeat(ridges, np.diff(edges)) if ridges else np.arange(edges[-1])
 
 
 class TestFilterGrid:
@@ -67,18 +73,18 @@ class TestLocalMaxima:
     def test_single_peak_column(self):
         est = tq.local_maxima(make_grid([[0, 1, 3, 2, 1]]))
         assert est.ridge_bins[0].tolist() == [2]
-        assert est.basin_edges[0].tolist() == [0, 5]
+        assert est.destinations()[0].tolist() == [2, 2, 2, 2, 2]
 
     def test_constant_column_has_no_ridge(self):
         est = tq.local_maxima(make_grid([[2, 2, 2, 2]]))
         assert est.ridge_bins[0].size == 0
-        assert est.basin_edges[0].tolist() == [0, 4]
+        assert est.destinations()[0].tolist() == [0, 1, 2, 3]
 
     def test_two_ridges_with_tied_minimum(self):
         # minima candidates bins 2 and 3 tie at 1; the lower bin wins
         est = tq.local_maxima(make_grid([[0, 2, 1, 1, 4, 0]]))
         assert est.ridge_bins[0].tolist() == [1, 4]
-        assert est.basin_edges[0].tolist() == [0, 2, 6]
+        assert est.destinations()[0].tolist() == [1, 1, 4, 4, 4, 4]
 
     def test_edges_never_ridge(self):
         est = tq.local_maxima(make_grid([[5, 1, 0, 1, 5]]))
@@ -93,10 +99,11 @@ class TestLocalMaxima:
         ]
         for block in formats:
             est = tq.local_maxima(make_grid(block))
+            dest = est.destinations()
             for n in range(block.shape[0]):
                 ridges, edges = ridges_and_edges_oracle(block[n])
                 assert est.ridge_bins[n].tolist() == ridges
-                assert est.basin_edges[n].tolist() == edges
+                assert dest[n].tolist() == edges_to_destinations(ridges, edges).tolist()
 
     def test_freq_table_pads_with_nan_after_each_frames_ridges(self):
         rng = np.random.default_rng(7)
@@ -112,16 +119,18 @@ class TestLocalMaxima:
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
         est = tq.local_maxima(grid)
+        dest = est.destinations()
+        assert dest.shape == (est.n_frames, grid.n_bins)
         for n in range(est.n_frames):
-            edges = est.basin_edges[n]
             ridges = est.ridge_bins[n]
-            assert edges[0] == 0 and edges[-1] == grid.n_bins
-            assert np.all(np.diff(edges) > 0)
-            assert len(ridges) == len(edges) - 1
+            # a basin is a run of one destination, so run starts are its edges;
+            # ridges increase, so this also says the runs are distinct and in order
+            edges = np.flatnonzero(np.diff(dest[n], prepend=-1))
+            assert dest[n, edges].tolist() == ridges.tolist()
             for i, r in enumerate(ridges):
-                assert edges[i] <= r < edges[i + 1]
+                assert dest[n, r] == r
                 if i > 0:
-                    assert r > edges[i]  # strictly inside, never on the edge
+                    assert dest[n, r - 1] == r  # strictly inside, never on the edge
 
     def test_tone_single_ridge_at_f0(self, tone32, w128):
         sig, _ = tone32
@@ -169,7 +178,7 @@ class TestInjectIf:
     def test_out_of_range_on_half_circle(self, crossover, w1024):
         sig, _ = crossover
         half = tq.half_circle(tq.stft(sig, w1024, 1024))
-        with pytest.raises(IFOutOfRangeError):
+        with pytest.raises(InvalidParameterError, match="trajectory range"):
             tq.inject_if(half, [lambda t: 600.0 * np.ones_like(t)])
 
     def test_midpoint_edges(self, crossover, w1024):
@@ -178,19 +187,19 @@ class TestInjectIf:
         est = tq.inject_if(grid, [lambda t: 100.0 * np.ones_like(t),
                                   lambda t: 105.0 * np.ones_like(t)])
         # midpoint of 100 and 105 is 102.5; the tie resolves to the lower bin
-        assert est.basin_edges[0].tolist() == [0, 102, 1024]
+        assert est.destinations()[0].tolist() == [100] * 102 + [105] * 922
 
     def test_adjacent_ridges_stay_in_own_basins(self, crossover, w1024):
         sig, _ = crossover
         grid = tq.stft(sig, w1024, 1024)
         est = tq.inject_if(grid, [lambda t: 250.0 * np.ones_like(t),
                                   lambda t: 251.0 * np.ones_like(t)])
-        edges = est.basin_edges[0]
+        dest = est.destinations()[0]
         ridges = est.ridge_bins[0]
         assert ridges.tolist() == [250, 251]
-        assert edges.tolist() == [0, 251, 1024]
-        for i, r in enumerate(ridges):
-            assert edges[i] <= r < edges[i + 1]
+        assert dest.tolist() == [250] * 251 + [251] * 773
+        for r in ridges:
+            assert dest[r] == r
 
 
 class TestTrajectoryCsv:
@@ -254,9 +263,10 @@ class TestInjectIfOracle:
                   for col in bins.T]
         est = tq.inject_if(grid, tracks)
         assert est.counts().tolist() == [len(set(row)) for row in bins.tolist()]
+        dest = est.destinations()
         for n in range(n_frames):
             ridges, edges = inject_oracle(bins[n], n_bins)
             assert est.ridge_bins[n].tolist() == ridges
-            assert est.basin_edges[n].tolist() == edges
+            assert dest[n].tolist() == edges_to_destinations(ridges, edges).tolist()
             for i, r in enumerate(ridges):
                 assert edges[i] <= r < edges[i + 1]
