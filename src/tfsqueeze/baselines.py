@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 # stft is unused here but stays bound: perfbench asserts baselines.stft is tfr.stft
-from .tfr import Analysis, TFRGrid, frame_matrix, regroup, stft  # noqa: F401
+from .tfr import Analysis, TFRGrid, _by_frame_blocks, frame_matrix, regroup, stft  # noqa: F401
 from .windows import halfwidth_bins
 
 __all__ = ["phase_if_map", "sst", "reassignment", "set_extract", "lmsst", "SIGNIFICANCE_FLOOR"]
@@ -33,8 +33,13 @@ SIGNIFICANCE_FLOOR = 1e-8
 def _ratio(a: Analysis, taps: np.ndarray) -> np.ndarray:
     """V_taps / V, divided in the transform's own buffer; inf or NaN where V is 0."""
     ratio = frame_matrix(a.sig, taps, a.nfft)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio /= a.grid.data
+    data = a.grid.data
+
+    def block(rows):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(ratio[rows], data[rows], out=ratio[rows])
+
+    _by_frame_blocks(block, *data.shape)
     return ratio
 
 
@@ -49,10 +54,19 @@ def phase_if_map(a: Analysis) -> tuple[np.ndarray, np.ndarray]:
     """
     grid = a.grid
     ratio = _ratio(a, a.w.d_values)
-    mag = np.abs(grid.data)
-    significant = mag > SIGNIFICANCE_FLOOR * mag.max()
-    f_hat = grid.freq_axis_hz - np.imag(ratio) / (2.0 * np.pi)
-    np.copyto(f_hat, grid.freq_axis_hz, where=~significant)
+    mag = np.empty(grid.data.shape)
+    _by_frame_blocks(lambda rows: np.abs(grid.data[rows], out=mag[rows]), *mag.shape)
+    floor = SIGNIFICANCE_FLOOR * mag.max()
+    f_hz = grid.freq_axis_hz
+    significant = np.empty(mag.shape, dtype=bool)
+    f_hat = np.empty(mag.shape)
+
+    def block(rows):
+        np.greater(mag[rows], floor, out=significant[rows])
+        np.subtract(f_hz, np.imag(ratio[rows]) / (2.0 * np.pi), out=f_hat[rows])
+        np.copyto(f_hat[rows], f_hz, where=~significant[rows])
+
+    _by_frame_blocks(block, *mag.shape)
     return f_hat, significant
 
 
@@ -61,8 +75,16 @@ def _if_bins(a: Analysis) -> tuple[np.ndarray, np.ndarray]:
     wrapped on the circle; an insignificant cell's bin is its own. The Hz map
     is freed on return, before the caller's next grid-sized step."""
     f_hat, significant = phase_if_map(a)
-    f_hat /= a.grid.df_hz
-    return np.rint(f_hat, out=f_hat).astype(np.int64) % a.grid.n_bins, significant
+    df_hz, n_bins = a.grid.df_hz, a.grid.n_bins
+    bins = np.empty(f_hat.shape, dtype=np.int64)
+
+    def block(rows):
+        f = f_hat[rows]
+        f /= df_hz
+        np.remainder(np.rint(f, out=f).astype(np.int64), n_bins, out=bins[rows])
+
+    _by_frame_blocks(block, *bins.shape)
+    return bins, significant
 
 
 def sst(a: Analysis) -> TFRGrid:
@@ -81,16 +103,25 @@ def reassignment(a: Analysis) -> TFRGrid:
     """
     grid = a.grid
     bin_target, significant = _if_bins(a)
-    t_hat = grid.time_axis_s[:, None] + np.real(_ratio(a, a.w.t_values))
-    np.copyto(t_hat, grid.time_axis_s[:, None], where=~significant)
-    frame_target = np.clip(
-        np.rint((t_hat - grid.t0_s) * grid.source_fs_hz).astype(np.int64),
-        0, grid.n_frames - 1,
-    )
-    with np.errstate(over="ignore"):  # TFRGrid refuses the overflowed energy
-        power = np.abs(grid.data) ** 2
-    flat = frame_target.ravel() * grid.n_bins + bin_target.ravel()
-    out = np.bincount(flat, weights=power.ravel(),
+    ratio = _ratio(a, a.w.t_values)
+    t = grid.time_axis_s[:, None]
+    flat = np.empty(bin_target.shape, dtype=np.int64)
+    power = np.empty(bin_target.shape)
+
+    def block(rows):
+        t_hat = t[rows] + np.real(ratio[rows])
+        np.copyto(t_hat, t[rows], where=~significant[rows])
+        frame_target = np.clip(
+            np.rint((t_hat - grid.t0_s) * grid.source_fs_hz).astype(np.int64),
+            0, grid.n_frames - 1,
+        )
+        np.add(frame_target * grid.n_bins, bin_target[rows], out=flat[rows])
+        with np.errstate(over="ignore"):  # TFRGrid refuses the overflowed energy
+            np.square(np.abs(grid.data[rows]), out=power[rows])
+
+    _by_frame_blocks(block, *flat.shape)
+    del ratio, bin_target, significant  # before the bincount's grid-sized outputs
+    out = np.bincount(flat.ravel(), weights=power.ravel(),
                       minlength=grid.n_frames * grid.n_bins)
     out = out.reshape(grid.data.shape).astype(np.complex128)
     return grid.with_data(out, method_tag="rm", rho=float("nan"))
@@ -102,8 +133,15 @@ def set_extract(a: Analysis) -> TFRGrid:
     floor, is discarded. Sharp but deliberately lossy."""
     grid = a.grid
     target, significant = _if_bins(a)
-    keep = significant & (target == np.arange(grid.n_bins))
-    return grid.with_data(np.where(keep, grid.data, 0.0), method_tag="set")
+    own = np.arange(grid.n_bins)
+    out = np.empty(grid.data.shape, dtype=np.complex128)
+
+    def block(rows):
+        keep = significant[rows] & (target[rows] == own)
+        out[rows] = np.where(keep, grid.data[rows], 0.0)
+
+    _by_frame_blocks(block, *out.shape)
+    return grid.with_data(out, method_tag="set")
 
 
 def lmsst(a: Analysis, delta_bins: int | None = None) -> TFRGrid:
@@ -119,16 +157,21 @@ def lmsst(a: Analysis, delta_bins: int | None = None) -> TFRGrid:
         delta_bins = min(halfwidth_bins(a.w, a.nfft), n_bins - 1)
     if not 0 <= delta_bins < n_bins:
         raise InvalidParameterError(f"delta_bins must lie in [0, {n_bins})")
-    mag = np.abs(a.grid.data)
     bins = np.arange(n_bins)
-    best_val = np.full(mag.shape, -1.0)
-    best_idx = np.zeros(mag.shape, dtype=np.int64)
-    # scan candidates in ascending bin order; strict > keeps the lowest tie
-    for d in range(-delta_bins, delta_bins + 1):
-        lo = max(0, -d)
-        hi = min(n_bins, n_bins - d)
-        cand = mag[:, lo + d : hi + d]
-        better = cand > best_val[:, lo:hi]
-        np.copyto(best_val[:, lo:hi], cand, where=better)
-        np.copyto(best_idx[:, lo:hi], bins[lo + d : hi + d], where=better)
+    best_idx = np.zeros(a.grid.data.shape, dtype=np.int64)
+
+    def block(rows):
+        mag = np.abs(a.grid.data[rows])
+        best_val = np.full(mag.shape, -1.0)
+        best = best_idx[rows]
+        # scan candidates in ascending bin order; strict > keeps the lowest tie
+        for d in range(-delta_bins, delta_bins + 1):
+            lo = max(0, -d)
+            hi = min(n_bins, n_bins - d)
+            cand = mag[:, lo + d : hi + d]
+            better = cand > best_val[:, lo:hi]
+            np.copyto(best_val[:, lo:hi], cand, where=better)
+            np.copyto(best[:, lo:hi], bins[lo + d : hi + d], where=better)
+
+    _by_frame_blocks(block, *best_idx.shape)
     return regroup(a.grid, best_idx, "lmsst")

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import FormatError, InvalidParameterError
 from .metrics import MethodReport
 from .signals import Signal
-from .tfr import MAX_GRID_CELLS, TFRGrid, half_circle
+from .tfr import MAX_GRID_CELLS, TFRGrid, _by_frame_blocks, half_circle
 
 __all__ = ["output_dir", "load_signal", "save_signal_csv", "load_trajectories_csv",
            "export_trajectories_csv", "export_grid_csv", "import_grid_csv",
@@ -262,14 +262,26 @@ def export_heatmap_pgm(grid: TFRGrid, path) -> None:
     clipped at HEATMAP_FLOOR_DB and mapped linearly to 0..255. Row 0 is the
     highest displayed frequency.
     """
-    peak = np.abs(grid.data).max()
+    frame_peaks = np.empty(grid.n_frames)
+
+    def block_peaks(rows):
+        frame_peaks[rows] = np.abs(grid.data[rows]).max(axis=1)
+
+    _by_frame_blocks(block_peaks, *grid.data.shape)
+    peak = frame_peaks.max()
     if peak == 0.0:
         raise InvalidParameterError("cannot render an all-zero grid")
-    with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(np.abs(half_circle(grid).data) / peak)
-    db = np.clip(db, HEATMAP_FLOOR_DB, 0.0)
-    pixels = np.rint(255.0 * (db - HEATMAP_FLOOR_DB) / (-HEATMAP_FLOOR_DB)).astype(np.uint8)
-    image = pixels.T[::-1]  # rows = bins, flipped so top row is highest frequency
+    shown = half_circle(grid).data
+    image = np.empty(shown.shape[::-1], dtype=np.uint8)
+
+    def block(rows):
+        with np.errstate(divide="ignore"):
+            db = 20.0 * np.log10(np.abs(shown[rows]) / peak)
+        db = np.clip(db, HEATMAP_FLOOR_DB, 0.0)
+        pixels = np.rint(255.0 * (db - HEATMAP_FLOOR_DB) / (-HEATMAP_FLOOR_DB)).astype(np.uint8)
+        image[:, rows] = pixels.T[::-1]  # rows = bins, flipped so top row is highest frequency
+
+    _by_frame_blocks(block, *shown.shape)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii"))
         fh.write(image.tobytes())

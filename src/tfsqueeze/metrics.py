@@ -9,7 +9,7 @@ import numpy as np
 from .errors import InvalidParameterError, NoGroundTruthError
 from .ridges import IFEstimate
 from .signals import ModeModel, Signal
-from .tfr import TFRGrid
+from .tfr import TFRGrid, _by_frame_blocks
 
 __all__ = ["MethodReport", "renyi_entropy", "ridge_mae", "recon_rel_l2",
            "framesum_max_dev", "nonzero_fraction"]
@@ -45,18 +45,32 @@ def renyi_entropy(grid: TFRGrid) -> float:
     it could. RM's grid stores reassigned energy, so it is scored on the
     reassigned spectrogram itself.
     """
-    p = np.abs(grid.data.ravel())
+    data = grid.data
+    # one magnitude-sized buffer, however large the grid; the two sums run
+    # over all of it, in the order a whole-grid sum takes
+    p = np.empty(data.shape)
+    _by_frame_blocks(lambda rows: np.abs(data[rows], out=p[rows]), *p.shape)
     total = p.sum()
     if total == 0.0:
         raise InvalidParameterError("cannot measure entropy of an all-zero grid")
-    p /= total
-    # in place: one magnitude-sized buffer, however large the grid
-    return float(np.log2(np.sum(np.power(p, ALPHA, out=p))) / (1.0 - ALPHA))
+
+    def block(rows):
+        np.divide(p[rows], total, out=p[rows])
+        np.power(p[rows], ALPHA, out=p[rows])
+
+    _by_frame_blocks(block, *p.shape)
+    return float(np.log2(np.sum(p)) / (1.0 - ALPHA))
 
 
 def nonzero_fraction(grid: TFRGrid) -> float:
     """Fraction of grid cells holding a nonzero coefficient."""
-    return float(np.count_nonzero(grid.data) / grid.data.size)
+    counts = np.empty(grid.n_frames, dtype=np.int64)
+
+    def block(rows):
+        counts[rows] = np.count_nonzero(grid.data[rows], axis=1)
+
+    _by_frame_blocks(block, *grid.data.shape)
+    return float(counts.sum() / grid.data.size)
 
 
 def ridge_mae(ifest: IFEstimate, model: ModeModel,

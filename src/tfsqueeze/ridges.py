@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .tfr import TFRGrid, nearest_bins
+from .tfr import TFRGrid, _by_frame_blocks, nearest_bins
 
 __all__ = ["IFEstimate", "filter_grid", "local_maxima", "inject_if"]
 
@@ -87,16 +87,32 @@ def filter_grid(grid: TFRGrid, gamma: float, per_frame: bool = False) -> TFRGrid
     frame's own maximum, which keeps ridges alive in quiet frames at the cost
     of keeping noise there too.
     """
-    kept = np.where(_keep_mask(np.abs(grid.data), gamma, per_frame), grid.data, 0.0)
+    _check_gamma(gamma)
+    data = grid.data
+    frame_max = np.empty((grid.n_frames, 1))
+
+    def block_max(rows):
+        # initial=0 leaves magnitudes (all >= 0) unchanged and lets a 0-bin grid through
+        np.max(np.abs(data[rows]), axis=1, keepdims=True, initial=0.0, out=frame_max[rows])
+
+    _by_frame_blocks(block_max, *data.shape)
+    if not per_frame:  # every frame against the grid's maximum
+        frame_max.fill(frame_max.max(initial=0.0))
+    threshold = gamma * frame_max
+    kept = np.empty(data.shape, dtype=np.complex128)
+
+    # |V| is taken again rather than kept: freeing a grid-sized magnitude
+    # buffer here raised later peak RSS, through malloc's dynamic mmap threshold
+    def block(rows):
+        kept[rows] = np.where(np.abs(data[rows]) > threshold[rows], data[rows], 0.0)
+
+    _by_frame_blocks(block, *data.shape)
     return grid.with_data(kept, method_tag=grid.method_tag + "+filtered")
 
 
-def _keep_mask(mag: np.ndarray, gamma: float, per_frame: bool) -> np.ndarray:
+def _check_gamma(gamma: float) -> None:
     if not (0.0 <= gamma < 1.0):
         raise InvalidParameterError("gamma must lie in [0, 1)")
-    # initial=0 leaves magnitudes (all >= 0) unchanged and lets a 0-bin grid through
-    ref = mag.max(axis=1, keepdims=True, initial=0.0) if per_frame else mag.max(initial=0.0)
-    return mag > gamma * ref
 
 
 def local_maxima(grid: TFRGrid, gamma: float = 0.0) -> IFEstimate:
@@ -106,23 +122,34 @@ def local_maxima(grid: TFRGrid, gamma: float = 0.0) -> IFEstimate:
     Basin boundaries sit at the smallest-magnitude bin strictly between
     consecutive ridges (ties resolve to the lower bin). gamma detects on the
     magnitudes filter_grid would keep against the global maximum, without
-    building the filtered grid; the default gamma of 0 drops nothing.
+    building the filtered grid; the default gamma of 0 drops nothing, so it
+    builds no mask.
     """
-    mag = np.abs(grid.data)
-    mag[~_keep_mask(mag, gamma, False)] = 0.0
-    n_frames, n_bins = mag.shape
-    inner, left, right = mag[:, 1:-1], mag[:, :-2], mag[:, 2:]
-    mask = np.zeros(mag.shape, dtype=bool)
-    np.logical_and(inner > left, inner > right, out=mask[:, 1:-1])
-    peaks = np.flatnonzero(mask)  # flat cell index, by frame then bin
+    _check_gamma(gamma)
+    data = grid.data
+    n_frames, n_bins = data.shape
+    mag = np.empty(data.shape)
+    _by_frame_blocks(lambda rows: np.abs(data[rows], out=mag[rows]), n_frames, n_bins)
+    floor = gamma * mag.max(initial=0.0) if gamma > 0.0 else None
+    is_peak = np.zeros(data.shape, dtype=bool)
+    is_low = np.zeros(data.shape, dtype=bool)
+
+    def block(rows):
+        m = mag[rows]
+        if floor is not None:
+            m[m <= floor] = 0.0
+        inner, left, right = m[:, 1:-1], m[:, :-2], m[:, 2:]
+        np.logical_and(inner > left, inner > right, out=is_peak[rows, 1:-1])
+        # The lowest-bin minimum of a valley between two ridges is strictly
+        # below its left neighbour and not above its right one (the ridges
+        # bounding the valley are strict maxima), so only such cells compete.
+        np.logical_and(inner < left, inner <= right, out=is_low[rows, 1:-1])
+
+    _by_frame_blocks(block, n_frames, n_bins)
+    peaks = np.flatnonzero(is_peak)  # flat cell index, by frame then bin
     frame, ridges = np.divmod(peaks, n_bins)
     offsets = np.searchsorted(peaks, np.arange(n_frames + 1) * n_bins)
-
-    # The lowest-bin minimum of a valley between two ridges is strictly below
-    # its left neighbour and not above its right one (the ridges bounding the
-    # valley are strict maxima), so only such candidate cells compete.
-    np.logical_and(inner < left, inner <= right, out=mask[:, 1:-1])
-    lows = np.flatnonzero(mask)
+    lows = np.flatnonzero(is_low)
     # a candidate lies in the valley that ridge i closes when ridges i-1 and i
     # both sit in the candidate's frame
     closing = np.searchsorted(peaks, lows)

@@ -9,6 +9,8 @@ frequency-only post-processor in this package invertible.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,6 +25,62 @@ __all__ = ["TFRGrid", "Analysis", "stft", "istft", "regroup", "nearest_bins",
 # hop-1 grids are dense (n_samples x nfft complex): cap the cell count so a
 # long recording or a grid file's shape fails fast instead of exhausting memory
 MAX_GRID_CELLS = 1 << 27
+# cells per block of frames (1 MiB of complex128), so that a block's
+# transients stay in one core's cache
+_BLOCK_CELLS = 1 << 16
+
+
+def _frames_per_block(n_bins: int) -> int:
+    return max(1, _BLOCK_CELLS // max(1, n_bins))
+
+
+def _by_frame_blocks(fn, n_frames: int, n_bins: int) -> None:
+    """Call fn(rows) on consecutive frame slices that cover range(n_frames).
+
+    The blocks run on one thread per CPU of the process's affinity mask, the
+    caller's thread included; a grid of one block runs inline. So fn writes
+    only its own rows of an output allocated before, and calls only numpy,
+    which releases the GIL, and no public function of this package, whose
+    callers (a profiler, perfbench's span recorder) may track one call
+    stack. Threads start with numpy's default errstate, so fn sets its own.
+    The split depends only on the grid's shape, so results do not depend on
+    the CPU count. If blocks raise, the lowest one's exception is raised
+    here once every thread has ended, as the first one would be in a plain
+    loop: blocks are claimed in order, so every block before it has run.
+    """
+    step = _frames_per_block(n_bins)
+    blocks = [slice(lo, min(lo + step, n_frames)) for lo in range(0, n_frames, step)]
+    # where the platform has no affinity mask (macOS, Windows), every CPU
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_threads = min(len(blocks), cpus or 1)
+    if n_threads <= 1:
+        for rows in blocks:
+            fn(rows)
+        return
+    claim = iter(range(len(blocks)))
+    lock = threading.Lock()
+    errors = {}
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(claim, None)
+            if i is None:
+                return
+            try:
+                fn(blocks[i])
+            except BaseException as exc:  # re-raised in the caller's thread
+                with lock:
+                    errors[i] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(n_threads - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 @dataclass(frozen=True)
@@ -102,12 +160,19 @@ def frame_matrix(sig: Signal, weights: np.ndarray, nfft: int) -> np.ndarray:
     if nfft < length:
         raise InvalidParameterError(f"nfft={nfft} smaller than window length {length}")
     padded = np.pad(sig.samples, half)
-    frames = np.lib.stride_tricks.sliding_window_view(padded, length) * weights
-    # place offset p=0 at DFT index 0 so the kernel applies to p, not array index
-    buf = np.zeros((len(sig), nfft), dtype=np.complex128)
-    buf[:, : half + 1] = frames[:, half:]
-    buf[:, nfft - half:] = frames[:, :half]
-    return np.fft.fft(buf, axis=1)
+    frames = np.lib.stride_tricks.sliding_window_view(padded, length)
+    out = np.empty((len(sig), nfft), dtype=np.complex128)
+
+    def block(rows):
+        windowed = frames[rows] * weights
+        # place offset p=0 at DFT index 0 so the kernel applies to p, not array index
+        buf = np.zeros((windowed.shape[0], nfft), dtype=np.complex128)
+        buf[:, : half + 1] = windowed[:, half:]
+        buf[:, nfft - half:] = windowed[:, :half]
+        np.fft.fft(buf, axis=1, out=out[rows])
+
+    _by_frame_blocks(block, len(sig), nfft)
+    return out
 
 
 def stft(sig: Signal, w: WindowSpec, nfft: int) -> TFRGrid:
@@ -172,24 +237,32 @@ def regroup(grid: TFRGrid, dest: np.ndarray, method_tag: str) -> TFRGrid:
 
     Each run of consecutive cells sharing a destination is summed with one
     reduceat, so a contiguous basin adds up exactly as a per-frame reduceat
-    would; the run sums are then added into the zeroed output.
+    would; the run sums are then added into the zeroed output. Frames are
+    moved by blocks, so the run bookkeeping is block-sized.
     """
-    n_frames, n_bins = grid.data.shape
-    if dest.shape != grid.data.shape:
+    data = grid.data
+    n_frames, n_bins = data.shape
+    if dest.shape != data.shape:
         raise InvalidParameterError(
-            f"destinations {dest.shape} do not match grid {grid.data.shape}")
-    if dest.min() < 0 or dest.max() >= n_bins:
-        raise InvalidParameterError(f"destination bins must lie in [0, {n_bins})")
-    run_start = np.ones(dest.shape, dtype=bool)  # a frame always starts a run
-    run_start[:, 1:] = dest[:, 1:] != dest[:, :-1]
-    starts = np.flatnonzero(run_start)
-    # each run's flat target cell, frame base plus bin, summed in place to spare a copy
-    target = np.repeat(np.arange(n_frames) * n_bins, run_start.sum(axis=1))
-    target += dest.ravel()[starts]
-    out = np.zeros(n_frames * n_bins, dtype=np.complex128)
-    with np.errstate(over="ignore"):  # TFRGrid refuses an overflowed sum
-        np.add.at(out, target, np.add.reduceat(grid.data.ravel(), starts))
-    return grid.with_data(out.reshape(n_frames, n_bins), method_tag=method_tag)
+            f"destinations {dest.shape} do not match grid {data.shape}")
+    out = np.zeros(data.shape, dtype=np.complex128)
+
+    def block(rows):
+        d = dest[rows]
+        if d.min() < 0 or d.max() >= n_bins:
+            raise InvalidParameterError(f"destination bins must lie in [0, {n_bins})")
+        run_start = np.ones(d.shape, dtype=bool)  # a frame always starts a run
+        run_start[:, 1:] = d[:, 1:] != d[:, :-1]
+        starts = np.flatnonzero(run_start)
+        # each run's flat target cell, frame base plus bin, summed in place to spare a copy
+        target = np.repeat(np.arange(d.shape[0]) * n_bins, run_start.sum(axis=1))
+        target += d.ravel()[starts]
+        with np.errstate(over="ignore"):  # TFRGrid refuses an overflowed sum
+            np.add.at(out[rows].reshape(-1), target,
+                      np.add.reduceat(data[rows].ravel(), starts))
+
+    _by_frame_blocks(block, n_frames, n_bins)
+    return grid.with_data(out, method_tag=method_tag)
 
 
 def nearest_bins(values_hz: np.ndarray, grid: TFRGrid, what: str) -> np.ndarray:
