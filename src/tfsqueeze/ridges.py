@@ -99,12 +99,12 @@ def filter_grid(grid: TFRGrid, gamma: float, per_frame: bool = False) -> TFRGrid
     if not per_frame:  # every frame against the grid's maximum
         frame_max.fill(frame_max.max(initial=0.0))
     threshold = gamma * frame_max
-    kept = np.empty(data.shape, dtype=np.complex128)
+    kept = np.zeros(data.shape, dtype=np.complex128)
 
     # |V| is taken again rather than kept: freeing a grid-sized magnitude
     # buffer here raised later peak RSS, through malloc's dynamic mmap threshold
     def block(rows):
-        kept[rows] = np.where(np.abs(data[rows]) > threshold[rows], data[rows], 0.0)
+        np.copyto(kept[rows], data[rows], where=np.abs(data[rows]) > threshold[rows])
 
     _by_frame_blocks(block, *data.shape)
     return grid.with_data(kept, method_tag=grid.method_tag + "+filtered")

@@ -28,6 +28,10 @@ MAX_GRID_CELLS = 1 << 27
 # cells per block of frames (1 MiB of complex128), so that a block's
 # transients stay in one core's cache
 _BLOCK_CELLS = 1 << 16
+# each thread holds one block's transients, a few MiB; the cap bounds that
+# extra memory on a many-core host, where the affinity mask ignores any
+# cgroup CPU quota
+_MAX_THREADS = 8
 
 
 def _frames_per_block(n_bins: int) -> int:
@@ -37,48 +41,56 @@ def _frames_per_block(n_bins: int) -> int:
 def _by_frame_blocks(fn, n_frames: int, n_bins: int) -> None:
     """Call fn(rows) on consecutive frame slices that cover range(n_frames).
 
-    The blocks run on one thread per CPU of the process's affinity mask, the
-    caller's thread included; a grid of one block runs inline. So fn writes
-    only its own rows of an output allocated before, and calls only numpy,
-    which releases the GIL, and no public function of this package, whose
-    callers (a profiler, perfbench's span recorder) may track one call
-    stack. Threads start with numpy's default errstate, so fn sets its own.
-    The split depends only on the grid's shape, so results do not depend on
-    the CPU count. If blocks raise, the lowest one's exception is raised
-    here once every thread has ended, as the first one would be in a plain
-    loop: blocks are claimed in order, so every block before it has run.
+    The blocks run on one thread per CPU of the process's affinity mask, at
+    most _MAX_THREADS, the caller's thread included; a grid of one block runs
+    inline. So fn writes only its own rows of an output allocated before, and
+    calls only numpy, which releases the GIL, and no public function of this
+    package, whose callers (a profiler, perfbench's span recorder) may track
+    one call stack. Threads start with numpy's default errstate, so fn sets
+    its own. The split depends only on the grid's shape, so results do not
+    depend on the CPU count. If blocks raise, the lowest one's exception is
+    raised here once every thread has ended, as the first one would be in a
+    plain loop: blocks are claimed in order, so every block before it has run.
     """
     step = _frames_per_block(n_bins)
     blocks = [slice(lo, min(lo + step, n_frames)) for lo in range(0, n_frames, step)]
     # where the platform has no affinity mask (macOS, Windows), every CPU
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_threads = min(len(blocks), cpus or 1)
+    n_threads = min(len(blocks), cpus or 1, _MAX_THREADS)
     if n_threads <= 1:
         for rows in blocks:
             fn(rows)
         return
-    claim = iter(range(len(blocks)))
+    pending = list(reversed(range(len(blocks))))  # popped lowest first
     lock = threading.Lock()
     errors = {}
 
     def work():
         while True:
             with lock:
-                i = None if errors else next(claim, None)
-            if i is None:
-                return
+                if not pending:
+                    return
+                i = pending.pop()
             try:
                 fn(blocks[i])
             except BaseException as exc:  # re-raised in the caller's thread
                 with lock:
                     errors[i] = exc
+                    pending.clear()
 
     threads = [threading.Thread(target=work) for _ in range(n_threads - 1)]
-    for t in threads:
-        t.start()
-    work()
-    for t in threads:
-        t.join()
+    try:
+        for t in threads:
+            t.start()
+        work()
+    finally:
+        # an interrupt reaches only this thread, and may land outside a
+        # block: no thread claims another, each ends after its current one
+        with lock:
+            pending.clear()
+        for t in threads:
+            if t.ident is not None:  # started
+                t.join()
     if errors:
         raise errors[min(errors)]
 
@@ -169,7 +181,7 @@ def frame_matrix(sig: Signal, weights: np.ndarray, nfft: int) -> np.ndarray:
         buf = np.zeros((windowed.shape[0], nfft), dtype=np.complex128)
         buf[:, : half + 1] = windowed[:, half:]
         buf[:, nfft - half:] = windowed[:, :half]
-        np.fft.fft(buf, axis=1, out=out[rows])
+        out[rows] = np.fft.fft(buf, axis=1)
 
     _by_frame_blocks(block, len(sig), nfft)
     return out

@@ -259,6 +259,15 @@ class TestBlockEdges:
         assert (tmp_path / "h.pgm").read_bytes() == heatmap_oracle(grid)
 
 
+def test_frame_matrix_needs_no_numpy_2_fft_keyword(monkeypatch):
+    # numpy before 2.0, which pyproject.toml admits, has no out= on np.fft.fft
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a, n=None, axis=-1, norm=None: fft(a, n, axis, norm))
+    a = analysis(3 * tfr._frames_per_block(64) + 1, 64)
+    assert same_bits(tfr.frame_matrix(a.sig, a.w.values, 64),
+                     frame_matrix_oracle(a.sig, a.w.values, 64))
+
+
 def test_gamma_zero_drops_nothing_and_bad_gamma_is_refused():
     # the smallest positive gamma drops only the exact zeros, as gamma 0's mask did
     data = analysis(300, 128).grid.data.copy()
@@ -305,6 +314,42 @@ class TestFaultsInBlocks:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
         assert sorted(seen) == list(range(0, 200 * b + 3, b))
+
+    def test_interrupt_outside_a_block_stops_the_claims(self, monkeypatch):
+        # Ctrl-C lands in the caller's thread, here while it starts the second worker
+        started = []
+        start = threading.Thread.start
+
+        def interrupted_start(thread):
+            if started:
+                raise KeyboardInterrupt
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", interrupted_start)
+        seen = []
+
+        def fn(rows):
+            time.sleep(0.005)
+            seen.append(rows.start)
+
+        with pytest.raises(KeyboardInterrupt):
+            tfr._by_frame_blocks(fn, 40 * tfr._frames_per_block(16), 16)
+        assert not started[0].is_alive()
+        assert len(seen) < 40  # the started worker ended after its current block
+
+    def test_thread_count_is_capped(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        made = []
+
+        class Counted(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        tfr._by_frame_blocks(lambda rows: None, 100 * tfr._frames_per_block(16), 16)
+        assert len(made) == tfr._MAX_THREADS - 1  # the caller's thread is one of them
 
     def test_one_block_runs_inline(self, monkeypatch):
         def no_thread(*args, **kwargs):
