@@ -2,11 +2,12 @@
 
 All four post-process the grid of one tfr.Analysis, the hop-1 STFT computed
 once per signal, window and DFT size. SST and LMSST move complex
-coefficients along the frequency axis only: each computes a destination bin
-per cell and hands it to tfr.regroup, the in-frame move the squeeze also
-uses. SET only keeps or drops coefficients in place. The reassignment method
-moves spectrogram energy in both time and frequency and therefore cannot be
-inverted, which its grid records with a NaN reconstruction factor.
+coefficients along the frequency axis only: each hands tfr.regroup, the
+in-frame move the squeeze also uses, a rule giving a block of frames'
+destination bins. SET only keeps or drops coefficients in place. The
+reassignment method moves spectrogram energy in both time and frequency and
+therefore cannot be inverted, which its grid records with a NaN
+reconstruction factor.
 
 SST, SET and RM share one bin map of each cell's IF, from Im, and RM reads
 its group delay from Re, of one ratio V_x / V (Auger & Flandrin 1995): x is
@@ -30,19 +31,6 @@ __all__ = ["phase_if_map", "sst", "reassignment", "set_extract", "lmsst", "SIGNI
 SIGNIFICANCE_FLOOR = 1e-8
 
 
-def _ratio(a: Analysis, taps: np.ndarray) -> np.ndarray:
-    """V_taps / V, divided in the transform's own buffer; inf or NaN where V is 0."""
-    ratio = frame_matrix(a.sig, taps, a.nfft)
-    data = a.grid.data
-
-    def block(rows):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(ratio[rows], data[rows], out=ratio[rows])
-
-    _by_frame_blocks(block, *data.shape)
-    return ratio
-
-
 def phase_if_map(a: Analysis) -> tuple[np.ndarray, np.ndarray]:
     """Phase-derived IF estimate of every cell of the analysis grid.
 
@@ -53,30 +41,31 @@ def phase_if_map(a: Analysis) -> tuple[np.ndarray, np.ndarray]:
     frequency and significant is False.
     """
     grid = a.grid
-    ratio = _ratio(a, a.w.d_values)
-    mag = np.empty(grid.data.shape)
-    _by_frame_blocks(lambda rows: np.abs(grid.data[rows], out=mag[rows]), *mag.shape)
-    floor = SIGNIFICANCE_FLOOR * mag.max()
+    ratio = frame_matrix(a.sig, a.w.d_values, a.nfft)  # V_dg, divided by V block by block
+    floor = SIGNIFICANCE_FLOOR * grid.frame_peaks.max()
     f_hz = grid.freq_axis_hz
-    significant = np.empty(mag.shape, dtype=bool)
-    f_hat = np.empty(mag.shape)
+    significant = np.empty(grid.data.shape, dtype=bool)
+    f_hat = np.empty(grid.data.shape)
 
     def block(rows):
-        np.greater(mag[rows], floor, out=significant[rows])
-        np.subtract(f_hz, np.imag(ratio[rows]) / (2.0 * np.pi), out=f_hat[rows])
+        r, v = ratio[rows], grid.data[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):  # V = 0 is insignificant
+            np.divide(r, v, out=r)
+        np.greater(np.abs(v), floor, out=significant[rows])
+        np.subtract(f_hz, np.imag(r) / (2.0 * np.pi), out=f_hat[rows])
         np.copyto(f_hat[rows], f_hz, where=~significant[rows])
 
-    _by_frame_blocks(block, *mag.shape)
+    _by_frame_blocks(block, *grid.data.shape)
     return f_hat, significant
 
 
 def _if_bins(a: Analysis) -> tuple[np.ndarray, np.ndarray]:
     """(bin, significant): each cell's phase IF rounded to the nearest DFT bin,
-    wrapped on the circle; an insignificant cell's bin is its own. The Hz map
-    is freed on return, before the caller's next grid-sized step."""
+    wrapped on the circle; an insignificant cell's bin is its own. The bins
+    overwrite the Hz map they are rounded from."""
     f_hat, significant = phase_if_map(a)
     df_hz, n_bins = a.grid.df_hz, a.grid.n_bins
-    bins = np.empty(f_hat.shape, dtype=np.int64)
+    bins = f_hat.view(np.int64)
 
     def block(rows):
         f = f_hat[rows]
@@ -91,7 +80,8 @@ def sst(a: Analysis) -> TFRGrid:
     """Synchrosqueezing: add each significant coefficient into the bin
     nearest its phase-derived IF. Frame sums are conserved, so the result
     reconstructs exactly through istft."""
-    return regroup(a.grid, _if_bins(a)[0], "sst")
+    # the bins exist, and the derivative transform is freed, before regroup's output
+    return regroup(a.grid, _if_bins(a)[0].__getitem__, "sst")
 
 
 def reassignment(a: Analysis) -> TFRGrid:
@@ -102,25 +92,27 @@ def reassignment(a: Analysis) -> TFRGrid:
     conserved, invertibility is not: rho is NaN and istft refuses the grid.
     """
     grid = a.grid
-    bin_target, significant = _if_bins(a)
-    ratio = _ratio(a, a.w.t_values)
+    flat, significant = _if_bins(a)  # bins, turned into flat cell targets in place
+    ratio = frame_matrix(a.sig, a.w.t_values, a.nfft)  # V_tg, divided by V block by block
     t = grid.time_axis_s[:, None]
-    flat = np.empty(bin_target.shape, dtype=np.int64)
-    power = np.empty(bin_target.shape)
+    power = np.empty(grid.data.shape)
 
     def block(rows):
-        t_hat = t[rows] + np.real(ratio[rows])
+        r, v = ratio[rows], grid.data[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):  # V = 0 is insignificant
+            np.divide(r, v, out=r)
+        t_hat = t[rows] + np.real(r)
         np.copyto(t_hat, t[rows], where=~significant[rows])
         frame_target = np.clip(
             np.rint((t_hat - grid.t0_s) * grid.source_fs_hz).astype(np.int64),
             0, grid.n_frames - 1,
         )
-        np.add(frame_target * grid.n_bins, bin_target[rows], out=flat[rows])
+        flat[rows] += frame_target * grid.n_bins
         with np.errstate(over="ignore"):  # TFRGrid refuses the overflowed energy
-            np.square(np.abs(grid.data[rows]), out=power[rows])
+            np.square(np.abs(v), out=power[rows])
 
-    _by_frame_blocks(block, *flat.shape)
-    del ratio, bin_target, significant  # before the bincount's grid-sized outputs
+    _by_frame_blocks(block, *grid.data.shape)
+    del ratio, significant  # before the bincount's grid-sized outputs
     out = np.bincount(flat.ravel(), weights=power.ravel(),
                       minlength=grid.n_frames * grid.n_bins)
     out = out.reshape(grid.data.shape).astype(np.complex128)
@@ -158,12 +150,11 @@ def lmsst(a: Analysis, delta_bins: int | None = None) -> TFRGrid:
     if not 0 <= delta_bins < n_bins:
         raise InvalidParameterError(f"delta_bins must lie in [0, {n_bins})")
     bins = np.arange(n_bins)
-    best_idx = np.zeros(a.grid.data.shape, dtype=np.int64)
 
-    def block(rows):
+    def best_bins(rows):
         mag = np.abs(a.grid.data[rows])
         best_val = np.full(mag.shape, -1.0)
-        best = best_idx[rows]
+        best = np.zeros(mag.shape, dtype=np.int64)
         # scan candidates in ascending bin order; strict > keeps the lowest tie
         for d in range(-delta_bins, delta_bins + 1):
             lo = max(0, -d)
@@ -172,6 +163,6 @@ def lmsst(a: Analysis, delta_bins: int | None = None) -> TFRGrid:
             better = cand > best_val[:, lo:hi]
             np.copyto(best_val[:, lo:hi], cand, where=better)
             np.copyto(best[:, lo:hi], bins[lo + d : hi + d], where=better)
+        return best
 
-    _by_frame_blocks(block, *best_idx.shape)
-    return regroup(a.grid, best_idx, "lmsst")
+    return regroup(a.grid, best_bins, "lmsst")

@@ -262,13 +262,7 @@ def export_heatmap_pgm(grid: TFRGrid, path) -> None:
     clipped at HEATMAP_FLOOR_DB and mapped linearly to 0..255. Row 0 is the
     highest displayed frequency.
     """
-    frame_peaks = np.empty(grid.n_frames)
-
-    def block_peaks(rows):
-        frame_peaks[rows] = np.abs(grid.data[rows]).max(axis=1)
-
-    _by_frame_blocks(block_peaks, *grid.data.shape)
-    peak = frame_peaks.max()
+    peak = grid.frame_peaks.max(initial=0.0)
     if peak == 0.0:
         raise InvalidParameterError("cannot render an all-zero grid")
     shown = half_circle(grid).data

@@ -65,18 +65,23 @@ class IFEstimate:
         table[columns < counts[:, None]] = self.freq_axis_hz[self.ridges]
         return table
 
-    def destinations(self) -> np.ndarray:
-        """Each cell's basin ridge as an (n_frames, n_bins) bin array; a frame
-        without a ridge maps every bin to itself."""
-        n_bins = self.n_bins
+    def destinations(self, rows: slice) -> np.ndarray:
+        """Each cell's basin ridge in rows, a slice of consecutive frames, as
+        a (frames, n_bins) bin array; a frame without a ridge maps every bin
+        to itself."""
+        first, stop, step = rows.indices(self.n_frames)
+        if step != 1:
+            raise InvalidParameterError(f"rows {rows} must be a slice of consecutive frames")
+        lo, hi = self.offsets[first], self.offsets[stop]
+        starts = self.starts[lo:hi]
         # a frame's first basin, and only that one, starts at bin 0, so a zero
         # next start marks the last basin of a frame
-        ends = np.append(self.starts[1:], 0)
-        ends[ends == 0] = n_bins
-        has_ridge = self.counts() > 0
-        dest = np.empty((self.n_frames, n_bins), dtype=np.int64)
-        dest[~has_ridge] = np.arange(n_bins)
-        dest[has_ridge] = np.repeat(self.ridges, ends - self.starts).reshape(-1, n_bins)
+        ends = np.append(starts[1:], 0)
+        ends[ends == 0] = self.n_bins
+        has_ridge = np.diff(self.offsets[first:stop + 1]) > 0
+        dest = np.empty((has_ridge.size, self.n_bins), dtype=np.int64)
+        dest[~has_ridge] = np.arange(self.n_bins)
+        dest[has_ridge] = np.repeat(self.ridges[lo:hi], ends - starts).reshape(-1, self.n_bins)
         return dest
 
 
@@ -88,23 +93,14 @@ def filter_grid(grid: TFRGrid, gamma: float, per_frame: bool = False) -> TFRGrid
     of keeping noise there too.
     """
     _check_gamma(gamma)
-    data = grid.data
-    frame_max = np.empty((grid.n_frames, 1))
-
-    def block_max(rows):
-        # initial=0 leaves magnitudes (all >= 0) unchanged and lets a 0-bin grid through
-        np.max(np.abs(data[rows]), axis=1, keepdims=True, initial=0.0, out=frame_max[rows])
-
-    _by_frame_blocks(block_max, *data.shape)
-    if not per_frame:  # every frame against the grid's maximum
-        frame_max.fill(frame_max.max(initial=0.0))
-    threshold = gamma * frame_max
+    data, peaks = grid.data, grid.frame_peaks
+    threshold = gamma * np.where(per_frame, peaks, peaks.max(initial=0.0))
     kept = np.zeros(data.shape, dtype=np.complex128)
 
     # |V| is taken again rather than kept: freeing a grid-sized magnitude
     # buffer here raised later peak RSS, through malloc's dynamic mmap threshold
     def block(rows):
-        np.copyto(kept[rows], data[rows], where=np.abs(data[rows]) > threshold[rows])
+        np.copyto(kept[rows], data[rows], where=np.abs(data[rows]) > threshold[rows, None])
 
     _by_frame_blocks(block, *data.shape)
     return grid.with_data(kept, method_tag=grid.method_tag + "+filtered")
@@ -128,16 +124,18 @@ def local_maxima(grid: TFRGrid, gamma: float = 0.0) -> IFEstimate:
     _check_gamma(gamma)
     data = grid.data
     n_frames, n_bins = data.shape
-    mag = np.empty(data.shape)
-    _by_frame_blocks(lambda rows: np.abs(data[rows], out=mag[rows]), n_frames, n_bins)
-    floor = gamma * mag.max(initial=0.0) if gamma > 0.0 else None
+    floor = gamma * grid.frame_peaks.max(initial=0.0) if gamma > 0.0 else None
     is_peak = np.zeros(data.shape, dtype=bool)
     is_low = np.zeros(data.shape, dtype=bool)
 
-    def block(rows):
-        m = mag[rows]
+    def detected_mag(cells):
+        m = np.abs(cells)
         if floor is not None:
             m[m <= floor] = 0.0
+        return m
+
+    def block(rows):
+        m = detected_mag(data[rows])
         inner, left, right = m[:, 1:-1], m[:, :-2], m[:, 2:]
         np.logical_and(inner > left, inner > right, out=is_peak[rows, 1:-1])
         # The lowest-bin minimum of a valley between two ridges is strictly
@@ -153,17 +151,17 @@ def local_maxima(grid: TFRGrid, gamma: float = 0.0) -> IFEstimate:
     # a candidate lies in the valley that ridge i closes when ridges i-1 and i
     # both sit in the candidate's frame
     closing = np.searchsorted(peaks, lows)
-    low_frame = lows // n_bins
+    low_frame, low_bin = np.divmod(lows, n_bins)
     ridge_frame = np.concatenate([[-1], frame, [-1]])  # ridge i-1's frame at [i]
     inside = (ridge_frame[closing] == low_frame) & (ridge_frame[closing + 1] == low_frame)
-    closing, lows = closing[inside], lows[inside]
+    closing, low_frame, low_bin = closing[inside], low_frame[inside], low_bin[inside]
     # per valley: smallest magnitude first, then lowest bin
-    order = np.lexsort((lows, mag.ravel()[lows], closing))
-    closing, lows = closing[order], lows[order]
+    order = np.lexsort((low_bin, detected_mag(data[low_frame, low_bin]), closing))
+    closing, low_bin = closing[order], low_bin[order]
     pick = np.ones(closing.size, dtype=bool)
     pick[1:] = closing[1:] != closing[:-1]
     starts = np.zeros(ridges.size, dtype=np.int64)
-    starts[closing[pick]] = lows[pick] % n_bins
+    starts[closing[pick]] = low_bin[pick]
     return IFEstimate(ridges, offsets, starts, grid.time_axis_s, grid.freq_axis_hz)
 
 

@@ -25,12 +25,15 @@ __all__ = ["modular_reassign", "mode_reconstruct"]
 def modular_reassign(grid: TFRGrid, ifest: IFEstimate) -> TFRGrid:
     """Sum each basin's coefficients into its ridge bin, frame by frame.
 
-    Every cell's destination is its basin's ridge, and tfr.regroup makes the
-    move. Frames without a detected ridge pass through unchanged; zeroing
-    quiet frames is the gamma filter's job, not the squeeze's. The output
-    keeps the source grid's axes and reconstruction factor.
+    Every cell's destination is its basin's ridge, decoded by the estimate
+    one block of frames at a time, and tfr.regroup makes the move. Frames
+    without a detected ridge pass through unchanged; zeroing quiet frames is
+    the gamma filter's job, not the squeeze's. The output keeps the source
+    grid's axes and reconstruction factor.
     """
-    return regroup(grid, ifest.destinations(), "proposed")
+    if (ifest.n_frames, ifest.n_bins) != grid.data.shape:
+        raise InvalidParameterError(f"estimate's cells do not match grid {grid.data.shape}")
+    return regroup(grid, ifest.destinations, "proposed")
 
 
 def mode_reconstruct(tgrid: TFRGrid, ridge_track: Callable[[np.ndarray], np.ndarray],

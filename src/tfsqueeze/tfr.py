@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -44,9 +46,9 @@ def _by_frame_blocks(fn, n_frames: int, n_bins: int) -> None:
     The blocks run on one thread per CPU of the process's affinity mask, at
     most _MAX_THREADS, the caller's thread included; a grid of one block runs
     inline. So fn writes only its own rows of an output allocated before, and
-    calls only numpy, which releases the GIL, and no public function of this
-    package, whose callers (a profiler, perfbench's span recorder) may track
-    one call stack. Threads start with numpy's default errstate, so fn sets
+    calls only numpy, which releases the GIL, and no module-level function of
+    this package, whose callers (a profiler, perfbench's span recorder) may
+    track one call stack. Threads start with numpy's default errstate, so fn sets
     its own. The split depends only on the grid's shape, so results do not
     depend on the CPU count. If blocks raise, the lowest one's exception is
     raised here once every thread has ended, as the first one would be in a
@@ -149,6 +151,16 @@ class TFRGrid:
     def invertible(self) -> bool:
         return bool(np.isfinite(self.rho))
 
+    @cached_property
+    def frame_peaks(self) -> np.ndarray:
+        """Each frame's max |V|, read-only and computed once; read it in the caller's thread."""
+        peaks = np.empty(self.n_frames)
+        # initial=0 leaves magnitudes (all >= 0) unchanged and lets a 0-bin grid through
+        _by_frame_blocks(lambda rows: np.max(np.abs(self.data[rows]), axis=1, initial=0.0,
+                                             out=peaks[rows]), *self.data.shape)
+        peaks.setflags(write=False)
+        return peaks
+
     def with_data(self, data: np.ndarray, method_tag: str | None = None,
                   rho: float | None = None) -> "TFRGrid":
         """Same sampling, new coefficients; optionally a new tag or rho."""
@@ -181,7 +193,8 @@ def frame_matrix(sig: Signal, weights: np.ndarray, nfft: int) -> np.ndarray:
         buf = np.zeros((windowed.shape[0], nfft), dtype=np.complex128)
         buf[:, : half + 1] = windowed[:, half:]
         buf[:, nfft - half:] = windowed[:, :half]
-        out[rows] = np.fft.fft(buf, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # TFRGrid refuses a non-finite sum
+            out[rows] = np.fft.fft(buf, axis=1)
 
     _by_frame_blocks(block, len(sig), nfft)
     return out
@@ -239,28 +252,28 @@ def istft(grid: TFRGrid) -> Signal:
     return Signal(samples, grid.source_fs_hz, grid.t0_s)
 
 
-def regroup(grid: TFRGrid, dest: np.ndarray, method_tag: str) -> TFRGrid:
+def regroup(grid: TFRGrid, dest_of: Callable[[slice], np.ndarray], method_tag: str) -> TFRGrid:
     """Add every coefficient V[n, k] into bin dest[n, k] of its own frame n.
 
     This is the one move of every invertible post-processor here (SST, LMSST
     and the squeeze): coefficients never leave their frame, so each frame sum
     is kept and the output inverts through istft with the source grid's rho.
-    dest is an integer (n_frames, n_bins) array of bins in [0, n_bins).
+    Each method is a rule: dest_of(rows), called once per block of frames
+    under the frame-block contract, returns those frames' integer
+    destinations, a (frames, n_bins) array of bins in [0, n_bins).
 
     Each run of consecutive cells sharing a destination is summed with one
     reduceat, so a contiguous basin adds up exactly as a per-frame reduceat
-    would; the run sums are then added into the zeroed output. Frames are
-    moved by blocks, so the run bookkeeping is block-sized.
+    would; the run sums are then added into the zeroed output.
     """
-    data = grid.data
-    n_frames, n_bins = data.shape
-    if dest.shape != data.shape:
-        raise InvalidParameterError(
-            f"destinations {dest.shape} do not match grid {data.shape}")
+    data, n_bins = grid.data, grid.n_bins
     out = np.zeros(data.shape, dtype=np.complex128)
 
     def block(rows):
-        d = dest[rows]
+        d = dest_of(rows)
+        if d.shape != data[rows].shape:
+            raise InvalidParameterError(
+                f"block destinations {d.shape} do not match grid {data.shape}")
         if d.min() < 0 or d.max() >= n_bins:
             raise InvalidParameterError(f"destination bins must lie in [0, {n_bins})")
         run_start = np.ones(d.shape, dtype=bool)  # a frame always starts a run
@@ -273,7 +286,7 @@ def regroup(grid: TFRGrid, dest: np.ndarray, method_tag: str) -> TFRGrid:
             np.add.at(out[rows].reshape(-1), target,
                       np.add.reduceat(data[rows].ravel(), starts))
 
-    _by_frame_blocks(block, n_frames, n_bins)
+    _by_frame_blocks(block, *data.shape)
     return grid.with_data(out, method_tag=method_tag)
 
 

@@ -201,10 +201,15 @@ def chirp_2048x1024():
 
 # peak traced bytes of one call, output included, in grids of the analysis,
 # on two CPUs: each further CPU adds one block's transients (a few MiB). Each
-# bound sits just above the measured factor (sst 2.098, rm 2.657, set 2.098,
-# lmsst 1.609), so a grid-sized transient more fails it, and so do regroup's
-# whole-grid run starts, targets and run sums (sst 3.410, lmsst 3.292)
-PEAK_GRIDS = {"sst": 2.12, "reassignment": 2.68, "set_extract": 2.12, "lmsst": 1.63}
+# bound sits just above the measured factor (sst 1.622, rm 2.501, set 1.630,
+# lmsst 1.140, the squeeze 1.063), so a grid-sized transient more fails it.
+# Before each method handed regroup a per-block rule and the ratio V_x / V was
+# divided block by block, they read sst 2.098, rm 2.657, set 2.098, lmsst
+# 1.609 and squeeze 1.563: the derivative transform alive beside the bins, a
+# whole-grid magnitude, a second bin grid, LMSST's and the squeeze's
+# grid-sized destinations.
+PEAK_GRIDS = {"sst": 1.64, "reassignment": 2.52, "set_extract": 1.65, "lmsst": 1.16,
+              "modular_reassign": 1.08}
 
 
 @pytest.mark.parametrize("name", sorted(PEAK_GRIDS))
@@ -212,9 +217,14 @@ def test_peak_memory_in_grids(chirp_2048x1024, name, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     a = chirp_2048x1024
     assert a.grid.data.shape == (2048, 1024)
+    if name == "modular_reassign":  # the squeeze of the CLI's gamma-0.1 filtered grid
+        filtered = tq.filter_grid(a.grid, 0.1)
+        args = filtered, tq.local_maxima(filtered)
+    else:
+        args = (a,)
     tracemalloc.start()
     try:
-        out = getattr(tq, name)(a)
+        out = getattr(tq, name)(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -213,7 +213,7 @@ class TestBlockEdges:
         a = analysis(n_frames, n_bins)
         rng = np.random.default_rng(n_frames)
         dest = np.sort(rng.integers(0, n_bins, (n_frames, n_bins)), axis=1)
-        assert same_bits(tfr.regroup(a.grid, dest, "x").data,
+        assert same_bits(tfr.regroup(a.grid, dest.__getitem__, "x").data,
                          regroup_oracle(a.grid.data, dest))
 
     def test_phase_if_map_and_its_bins(self, n_frames, n_bins):
@@ -367,20 +367,53 @@ class TestFaultsInBlocks:
         dest = np.tile(np.arange(128), (a.grid.n_frames, 1))
         dest[-1, 3] = bad
         with pytest.raises(InvalidParameterError, match=r"destination bins must lie in \[0, 128\)"):
-            tfr.regroup(a.grid, dest, "x")
+            tfr.regroup(a.grid, dest.__getitem__, "x")
 
-    @pytest.mark.parametrize("method", ["sst", "lmsst", "stft"])
-    def test_overflow_in_a_later_block_is_refused_by_method(self, tmp_path, capsys, method):
-        # one tap at 1 Hz and 64 bins: 1024 frames per block, the huge sample in the third
+    def test_rule_is_called_once_per_block(self):
+        a = analysis(3 * tfr._frames_per_block(128) + 5, 128)
+        dest = np.tile(np.arange(128), (a.grid.n_frames, 1))
+        calls = []
+
+        def rule(rows):
+            calls.append(rows)
+            return dest[rows]
+
+        tfr.regroup(a.grid, rule, "x")
+        # four blocks, each frame in exactly one, so no call takes the whole grid
+        assert len(calls) == 4
+        assert all(isinstance(rows, slice) for rows in calls)
+        covered = np.concatenate([np.arange(a.grid.n_frames)[rows] for rows in calls])
+        assert sorted(covered.tolist()) == list(range(a.grid.n_frames))
+
+    def test_rule_of_the_wrong_shape_in_a_later_block(self):
+        a = analysis(3 * tfr._frames_per_block(128) + 5, 128)
+        dest = np.tile(np.arange(128), (a.grid.n_frames, 1))
+
+        def rule(rows):  # the last block loses a frame
+            return dest[rows.start:min(rows.stop, a.grid.n_frames - 1)]
+
+        with pytest.raises(InvalidParameterError, match="do not match grid"):
+            tfr.regroup(a.grid, rule, "x")
+
+    @pytest.mark.parametrize("fs, method, refused", [
+        *[pytest.param("1", m, m, id=m) for m in ("sst", "lmsst", "stft")],
+        *[pytest.param("128", m, "stft", id=f"fs128-{m}")
+          for m in ("stft", "sst", "rm", "set", "lmsst", "proposed")],
+    ])
+    def test_overflow_in_a_later_block_is_refused_by_method(self, tmp_path, capsys,
+                                                            fs, method, refused):
+        # 64 bins: 1024 frames per block, the huge sample in the third. At 1 Hz
+        # the window is one tap, so the STFT stays finite and the method's sums
+        # overflow; at 128 Hz a multi-tap window's FFT overflows, silently
         samples = np.random.default_rng(0).standard_normal(3000)
         samples[2500] = 1.7e308
         path = tmp_path / "huge.csv"
-        path.write_text("# fs=1\n" + "".join(f"{x!r}\n" for x in samples.tolist()))
+        path.write_text(f"# fs={fs}\n" + "".join(f"{x!r}\n" for x in samples.tolist()))
         assert main(["analyze", "--method", method, "--input", str(path), "--nfft", "64",
                      "--out", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert re.fullmatch(rf"error: [^\n]*\b{method} grid\b[^\n]*\n", captured.err)
+        assert re.fullmatch(rf"error: [^\n]*\b{refused} grid\b[^\n]*\n", captured.err)
         assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,6 @@
 """Exactness as a property: every invertible method keeps each frame's sum,
-so its grid inverts to the same signal as the grid it moved mass from.
+so its grid inverts to the same signal as the grid it moved mass from. The
+squeeze keeps it on any frame-local transform, not only on the STFT.
 
 Inputs span the degenerate ends the CLI admits: 1 to 200 samples, real and
 complex, with or without silent stretches, amplitudes from 1e-150 to 1e150,
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tfsqueeze as tq
+from tfsqueeze.tfr import frame_matrix
 
 FS_HZ = 128.0
 
@@ -68,5 +70,30 @@ def test_frame_sums_and_inverse_are_kept(method, data):
     base, out = data.draw(runs(method))
     assert tq.framesum_max_dev(base, out) <= 1e-12
     want = tq.istft(base).samples
+    got = tq.istft(out).samples
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def chirplet_grids(draw) -> tq.TFRGrid:
+    """The hop-1 chirplet transform (Mann & Haykin 1995): window taps
+    g(t) * exp(-j*pi*c*t^2) with a chirp rate c in Hz/s. Its frame sums are
+    nfft * g(0) * s[n], as the STFT's are, so it inverts by the same rho."""
+    a = draw(analyses())
+    w = a.w
+    t = np.arange(-w.half, w.half + 1) / w.fs_hz
+    c = draw(st.floats(-FS_HZ**2, FS_HZ**2))
+    taps = w.values * np.exp(-1j * np.pi * c * t**2)
+    return tq.TFRGrid(frame_matrix(a.sig, taps, a.nfft), a.sig.t0_s, FS_HZ / a.nfft,
+                      1.0 / (a.nfft * w.center_value), "chirplet", FS_HZ)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid=chirplet_grids(), gamma=st.sampled_from([0.0, 0.1, 0.5]))
+def test_the_squeeze_plugs_into_a_chirplet_grid(grid, gamma):
+    filtered = tq.filter_grid(grid, gamma)
+    out = tq.modular_reassign(filtered, tq.local_maxima(filtered))
+    assert tq.framesum_max_dev(filtered, out) <= 1e-12
+    want = tq.istft(filtered).samples
     got = tq.istft(out).samples
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -38,7 +38,7 @@ class TestRegroupKernel:
     @given(grids_and_destinations())
     def test_matches_per_cell_oracle_and_keeps_frame_sums(self, case):
         grid, dest = case
-        out = regroup(grid, dest, "moved")
+        out = regroup(grid, dest.__getitem__, "moved")
         scale = np.abs(grid.data).sum(axis=1)  # per frame, so cancellation is fair
         np.testing.assert_allclose(out.data, per_cell_oracle(grid.data, dest),
                                    rtol=0, atol=1e-12 * scale.max())
@@ -49,7 +49,7 @@ class TestRegroupKernel:
 
     def test_own_bins_are_the_identity(self):
         data = np.random.default_rng(2).standard_normal((5, 7)) + 0j
-        out = regroup(make_grid(data), np.tile(np.arange(7), (5, 1)), "same")
+        out = regroup(make_grid(data), np.tile(np.arange(7), (5, 1)).__getitem__, "same")
         assert np.array_equal(out.data, data)
 
 
@@ -103,9 +103,9 @@ class TestRegroupRejects:
             dest = np.zeros((3, 4), dtype=np.int64)
             dest[1, 2] = bad
             with pytest.raises(InvalidParameterError):
-                regroup(grid, dest, "moved")
+                regroup(grid, dest.__getitem__, "moved")
 
     def test_destination_shape_must_match(self):
         grid = make_grid(np.ones((3, 4), dtype=complex))
         with pytest.raises(InvalidParameterError, match="do not match grid"):
-            regroup(grid, np.zeros((3, 3), dtype=np.int64), "moved")
+            regroup(grid, np.zeros((3, 3), dtype=np.int64).__getitem__, "moved")

@@ -73,18 +73,18 @@ class TestLocalMaxima:
     def test_single_peak_column(self):
         est = tq.local_maxima(make_grid([[0, 1, 3, 2, 1]]))
         assert est.ridge_bins[0].tolist() == [2]
-        assert est.destinations()[0].tolist() == [2, 2, 2, 2, 2]
+        assert est.destinations(slice(None))[0].tolist() == [2, 2, 2, 2, 2]
 
     def test_constant_column_has_no_ridge(self):
         est = tq.local_maxima(make_grid([[2, 2, 2, 2]]))
         assert est.ridge_bins[0].size == 0
-        assert est.destinations()[0].tolist() == [0, 1, 2, 3]
+        assert est.destinations(slice(None))[0].tolist() == [0, 1, 2, 3]
 
     def test_two_ridges_with_tied_minimum(self):
         # minima candidates bins 2 and 3 tie at 1; the lower bin wins
         est = tq.local_maxima(make_grid([[0, 2, 1, 1, 4, 0]]))
         assert est.ridge_bins[0].tolist() == [1, 4]
-        assert est.destinations()[0].tolist() == [1, 1, 4, 4, 4, 4]
+        assert est.destinations(slice(None))[0].tolist() == [1, 1, 4, 4, 4, 4]
 
     def test_edges_never_ridge(self):
         est = tq.local_maxima(make_grid([[5, 1, 0, 1, 5]]))
@@ -99,7 +99,7 @@ class TestLocalMaxima:
         ]
         for block in formats:
             est = tq.local_maxima(make_grid(block))
-            dest = est.destinations()
+            dest = est.destinations(slice(None))
             for n in range(block.shape[0]):
                 ridges, edges = ridges_and_edges_oracle(block[n])
                 assert est.ridge_bins[n].tolist() == ridges
@@ -115,11 +115,21 @@ class TestLocalMaxima:
             assert table[n, :bins.size].tolist() == (0.5 * bins).tolist()
             assert np.all(np.isnan(table[n, bins.size:]))
 
+    def test_destinations_of_a_slice_are_its_rows(self, fmam, w128):
+        sig, _ = fmam
+        est = tq.local_maxima(tq.stft(sig, w128, 128))
+        whole = est.destinations(slice(None))
+        n = est.n_frames
+        for rows in (slice(0, 5), slice(3, 17), slice(n - 2, n), slice(7, 7)):
+            assert np.array_equal(est.destinations(rows), whole[rows])
+        with pytest.raises(InvalidParameterError, match="consecutive frames"):
+            est.destinations(slice(0, n, 2))
+
     def test_partition_invariants(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
         est = tq.local_maxima(grid)
-        dest = est.destinations()
+        dest = est.destinations(slice(None))
         assert dest.shape == (est.n_frames, grid.n_bins)
         for n in range(est.n_frames):
             ridges = est.ridge_bins[n]
@@ -187,14 +197,14 @@ class TestInjectIf:
         est = tq.inject_if(grid, [lambda t: 100.0 * np.ones_like(t),
                                   lambda t: 105.0 * np.ones_like(t)])
         # midpoint of 100 and 105 is 102.5; the tie resolves to the lower bin
-        assert est.destinations()[0].tolist() == [100] * 102 + [105] * 922
+        assert est.destinations(slice(None))[0].tolist() == [100] * 102 + [105] * 922
 
     def test_adjacent_ridges_stay_in_own_basins(self, crossover, w1024):
         sig, _ = crossover
         grid = tq.stft(sig, w1024, 1024)
         est = tq.inject_if(grid, [lambda t: 250.0 * np.ones_like(t),
                                   lambda t: 251.0 * np.ones_like(t)])
-        dest = est.destinations()[0]
+        dest = est.destinations(slice(None))[0]
         ridges = est.ridge_bins[0]
         assert ridges.tolist() == [250, 251]
         assert dest.tolist() == [250] * 251 + [251] * 773
@@ -263,7 +273,7 @@ class TestInjectIfOracle:
                   for col in bins.T]
         est = tq.inject_if(grid, tracks)
         assert est.counts().tolist() == [len(set(row)) for row in bins.tolist()]
-        dest = est.destinations()
+        dest = est.destinations(slice(None))
         for n in range(n_frames):
             ridges, edges = inject_oracle(bins[n], n_bins)
             assert est.ridge_bins[n].tolist() == ridges

@@ -103,6 +103,14 @@ class TestModularReassign:
         with pytest.raises(InvalidParameterError, match="do not match grid"):
             tq.modular_reassign(grid, est)
 
+    def test_estimate_with_more_frames_rejected(self, fmam, w128):
+        # same bins, so every block of the grid would find its destinations
+        sig, _ = fmam
+        grid = tq.stft(tq.Signal(sig.samples[:100], sig.sample_rate_hz), w128, 128)
+        est = tq.local_maxima(tq.stft(sig, w128, 128))
+        with pytest.raises(InvalidParameterError, match="do not match grid"):
+            tq.modular_reassign(grid, est)
+
     def test_frames_without_ridges_pass_through(self, w128):
         # one loud burst: quiet frames keep their (tiny) coefficients
         samples = np.zeros(64, dtype=complex)
