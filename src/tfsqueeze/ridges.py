@@ -118,50 +118,45 @@ def local_maxima(grid: TFRGrid, gamma: float = 0.0) -> IFEstimate:
     Basin boundaries sit at the smallest-magnitude bin strictly between
     consecutive ridges (ties resolve to the lower bin). gamma detects on the
     magnitudes filter_grid would keep against the global maximum, without
-    building the filtered grid; the default gamma of 0 drops nothing, so it
-    builds no mask.
+    building the filtered grid. Every block of frames finds its own ridges and
+    basins, so it builds no mask at any gamma.
     """
     _check_gamma(gamma)
     data = grid.data
-    n_frames, n_bins = data.shape
     floor = gamma * grid.frame_peaks.max(initial=0.0) if gamma > 0.0 else None
-    is_peak = np.zeros(data.shape, dtype=bool)
-    is_low = np.zeros(data.shape, dtype=bool)
-
-    def detected_mag(cells):
-        m = np.abs(cells)
-        if floor is not None:
-            m[m <= floor] = 0.0
-        return m
 
     def block(rows):
-        m = detected_mag(data[rows])
+        m = np.abs(data[rows])
+        if floor is not None:
+            m[m <= floor] = 0.0
         inner, left, right = m[:, 1:-1], m[:, :-2], m[:, 2:]
-        np.logical_and(inner > left, inner > right, out=is_peak[rows, 1:-1])
+        # flat indices of the interior cells, by frame then bin (column j is
+        # bin j + 1); below 3 bins there are none, so a width of 0 divides nothing
+        peaks = np.flatnonzero((inner > left) & (inner > right))
+        frame, ridges = np.divmod(peaks, inner.shape[1])
         # The lowest-bin minimum of a valley between two ridges is strictly
         # below its left neighbour and not above its right one (the ridges
         # bounding the valley are strict maxima), so only such cells compete.
-        np.logical_and(inner < left, inner <= right, out=is_low[rows, 1:-1])
+        lows = np.flatnonzero((inner < left) & (inner <= right))
+        # a candidate lies in the valley that ridge i closes when ridges i-1
+        # and i both sit in the candidate's frame
+        closing = np.searchsorted(peaks, lows)
+        low_frame, low_bin = np.divmod(lows, inner.shape[1])
+        ridge_frame = np.concatenate([[-1], frame, [-1]])  # ridge i-1's frame at [i]
+        inside = (ridge_frame[closing] == low_frame) & (ridge_frame[closing + 1] == low_frame)
+        closing, low_frame, low_bin = closing[inside], low_frame[inside], low_bin[inside]
+        # per valley: smallest magnitude first, then lowest bin
+        order = np.lexsort((low_bin, inner[low_frame, low_bin], closing))
+        closing, low_bin = closing[order], low_bin[order]
+        pick = np.ones(closing.size, dtype=bool)
+        pick[1:] = closing[1:] != closing[:-1]
+        starts = np.zeros(peaks.size, dtype=np.int64)
+        starts[closing[pick]] = low_bin[pick] + 1
+        return np.bincount(frame, minlength=m.shape[0]), ridges + 1, starts
 
-    _by_frame_blocks(block, n_frames, n_bins)
-    peaks = np.flatnonzero(is_peak)  # flat cell index, by frame then bin
-    frame, ridges = np.divmod(peaks, n_bins)
-    offsets = np.searchsorted(peaks, np.arange(n_frames + 1) * n_bins)
-    lows = np.flatnonzero(is_low)
-    # a candidate lies in the valley that ridge i closes when ridges i-1 and i
-    # both sit in the candidate's frame
-    closing = np.searchsorted(peaks, lows)
-    low_frame, low_bin = np.divmod(lows, n_bins)
-    ridge_frame = np.concatenate([[-1], frame, [-1]])  # ridge i-1's frame at [i]
-    inside = (ridge_frame[closing] == low_frame) & (ridge_frame[closing + 1] == low_frame)
-    closing, low_frame, low_bin = closing[inside], low_frame[inside], low_bin[inside]
-    # per valley: smallest magnitude first, then lowest bin
-    order = np.lexsort((low_bin, detected_mag(data[low_frame, low_bin]), closing))
-    closing, low_bin = closing[order], low_bin[order]
-    pick = np.ones(closing.size, dtype=bool)
-    pick[1:] = closing[1:] != closing[:-1]
-    starts = np.zeros(ridges.size, dtype=np.int64)
-    starts[closing[pick]] = low_bin[pick]
+    counts, ridges, starts = (np.concatenate(part) for part in
+                              zip(*_by_frame_blocks(block, *data.shape)))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
     return IFEstimate(ridges, offsets, starts, grid.time_axis_s, grid.freq_axis_hz)
 
 

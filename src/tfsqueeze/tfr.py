@@ -40,29 +40,30 @@ def _frames_per_block(n_bins: int) -> int:
     return max(1, _BLOCK_CELLS // max(1, n_bins))
 
 
-def _by_frame_blocks(fn, n_frames: int, n_bins: int) -> None:
-    """Call fn(rows) on consecutive frame slices that cover range(n_frames).
+def _by_frame_blocks(fn, n_frames: int, n_bins: int) -> list:
+    """Call fn(rows) on consecutive frame slices that cover range(n_frames)
+    and return what each call returned, in frame order.
 
     The blocks run on one thread per CPU of the process's affinity mask, at
-    most _MAX_THREADS, the caller's thread included; a grid of one block runs
-    inline. So fn writes only its own rows of an output allocated before, and
-    calls only numpy, which releases the GIL, and no module-level function of
-    this package, whose callers (a profiler, perfbench's span recorder) may
-    track one call stack. Threads start with numpy's default errstate, so fn sets
+    most _MAX_THREADS, the caller's thread included; on one CPU, or for one
+    block, no thread starts. So fn either writes only its own rows of an
+    output allocated before, or returns its part, which is held until every
+    block has run and so must be far smaller than a block. fn calls only
+    numpy, which releases the GIL, and no module-level function of this
+    package, whose callers (a profiler, perfbench's span recorder) may track
+    one call stack. Threads start with numpy's default errstate, so fn sets
     its own. The split depends only on the grid's shape, so results do not
     depend on the CPU count. If blocks raise, the lowest one's exception is
     raised here once every thread has ended, as the first one would be in a
     plain loop: blocks are claimed in order, so every block before it has run.
     """
     step = _frames_per_block(n_bins)
-    blocks = [slice(lo, min(lo + step, n_frames)) for lo in range(0, n_frames, step)]
+    # a grid of no frames is one empty block, so there is a part to return
+    blocks = [slice(lo, min(lo + step, n_frames)) for lo in range(0, max(1, n_frames), step)]
     # where the platform has no affinity mask (macOS, Windows), every CPU
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n_threads = min(len(blocks), cpus or 1, _MAX_THREADS)
-    if n_threads <= 1:
-        for rows in blocks:
-            fn(rows)
-        return
+    parts = [None] * len(blocks)
     pending = list(reversed(range(len(blocks))))  # popped lowest first
     lock = threading.Lock()
     errors = {}
@@ -74,7 +75,7 @@ def _by_frame_blocks(fn, n_frames: int, n_bins: int) -> None:
                     return
                 i = pending.pop()
             try:
-                fn(blocks[i])
+                parts[i] = fn(blocks[i])
             except BaseException as exc:  # re-raised in the caller's thread
                 with lock:
                     errors[i] = exc
@@ -95,6 +96,7 @@ def _by_frame_blocks(fn, n_frames: int, n_bins: int) -> None:
                 t.join()
     if errors:
         raise errors[min(errors)]
+    return parts
 
 
 @dataclass(frozen=True)
@@ -154,10 +156,9 @@ class TFRGrid:
     @cached_property
     def frame_peaks(self) -> np.ndarray:
         """Each frame's max |V|, read-only and computed once; read it in the caller's thread."""
-        peaks = np.empty(self.n_frames)
         # initial=0 leaves magnitudes (all >= 0) unchanged and lets a 0-bin grid through
-        _by_frame_blocks(lambda rows: np.max(np.abs(self.data[rows]), axis=1, initial=0.0,
-                                             out=peaks[rows]), *self.data.shape)
+        peaks = np.concatenate(_by_frame_blocks(
+            lambda rows: np.max(np.abs(self.data[rows]), axis=1, initial=0.0), *self.data.shape))
         peaks.setflags(write=False)
         return peaks
 

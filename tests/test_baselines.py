@@ -202,14 +202,17 @@ def chirp_2048x1024():
 # peak traced bytes of one call, output included, in grids of the analysis,
 # on two CPUs: each further CPU adds one block's transients (a few MiB). Each
 # bound sits just above the measured factor (sst 1.622, rm 2.501, set 1.630,
-# lmsst 1.140, the squeeze 1.063), so a grid-sized transient more fails it.
-# Before each method handed regroup a per-block rule and the ratio V_x / V was
-# divided block by block, they read sst 2.098, rm 2.657, set 2.098, lmsst
-# 1.609 and squeeze 1.563: the derivative transform alive beside the bins, a
-# whole-grid magnitude, a second bin grid, LMSST's and the squeeze's
-# grid-sized destinations.
+# lmsst 1.140, the squeeze 1.063, ridge detection 0.049 on the filtered grid
+# at gamma 0.1 and 0.082 on the 0 dB chirp at gamma 0), so a grid-sized
+# transient more fails it. Before each method handed regroup a per-block rule
+# and the ratio V_x / V was divided block by block, they read sst 2.098, rm
+# 2.657, set 2.098, lmsst 1.609 and squeeze 1.563: the derivative transform
+# alive beside the bins, a whole-grid magnitude, a second bin grid, LMSST's
+# and the squeeze's grid-sized destinations. Before each block found its own
+# ridges and basins, detection read 0.172 and 0.335: two grid-sized masks and
+# a whole-grid valley sort.
 PEAK_GRIDS = {"sst": 1.64, "reassignment": 2.52, "set_extract": 1.65, "lmsst": 1.16,
-              "modular_reassign": 1.08}
+              "modular_reassign": 1.08, "local_maxima": 0.06, "local_maxima-0dB": 0.10}
 
 
 @pytest.mark.parametrize("name", sorted(PEAK_GRIDS))
@@ -220,11 +223,15 @@ def test_peak_memory_in_grids(chirp_2048x1024, name, monkeypatch):
     if name == "modular_reassign":  # the squeeze of the CLI's gamma-0.1 filtered grid
         filtered = tq.filter_grid(a.grid, 0.1)
         args = filtered, tq.local_maxima(filtered)
+    elif name == "local_maxima":  # detection on the gamma-0.1 filtered grid, masked at 0.1
+        args = tq.filter_grid(a.grid, 0.1), 0.1
+    elif name == "local_maxima-0dB":  # about 35 ridges per frame, with as many valleys
+        args = tq.Analysis(tq.add_noise(a.sig, 0.0, 1), a.w, a.nfft).grid, 0.0
     else:
         args = (a,)
     tracemalloc.start()
     try:
-        out = getattr(tq, name)(*args)
+        out = getattr(tq, name.split("-")[0])(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -178,13 +178,14 @@ def edge_frame_counts(n_bins):
     return sorted({1, max(1, b - 1), b, b + 1, 2 * b + 1})
 
 
-def analysis(n_frames, nfft, complex_input=False):
-    """A noisy two-tone signal; 1 and 2 bins take a 1-tap window."""
+def analysis(n_frames, nfft, complex_input=False, white_noise=False):
+    """A noisy two-tone signal, or white noise alone, whose many ridges and
+    valleys cross every block edge; 1 and 2 bins take a 1-tap window."""
     fs = 128.0
     rng = np.random.default_rng(n_frames * 1000 + nfft)
     t = np.arange(n_frames) / fs
     x = np.cos(2 * np.pi * 20.0 * t) + 0.5 * np.cos(2 * np.pi * 41.0 * t)
-    x = x + 0.1 * rng.standard_normal(n_frames)
+    x = rng.standard_normal(n_frames) if white_noise else x + 0.1 * rng.standard_normal(n_frames)
     if complex_input:
         x = x + 1j * rng.standard_normal(n_frames)
     sigma = 0.04 if nfft >= 64 else 1e-9
@@ -239,13 +240,14 @@ class TestBlockEdges:
                                  filter_oracle(grid, gamma, per_frame))
 
     def test_local_maxima(self, n_frames, n_bins):
-        grid = analysis(n_frames, n_bins).grid
-        for view in (grid, tfr.half_circle(grid)):
-            for gamma in (0.0, 0.1):
-                est = ridges.local_maxima(view, gamma)
-                for got, want in zip((est.ridges, est.offsets, est.starts),
-                                     local_maxima_oracle(view, gamma)):
-                    assert same_bits(got, want)
+        for white_noise in (False, True):
+            grid = analysis(n_frames, n_bins, white_noise=white_noise).grid
+            for view in (grid, tfr.half_circle(grid)):
+                for gamma in (0.0, 0.1):
+                    est = ridges.local_maxima(view, gamma)
+                    for got, want in zip((est.ridges, est.offsets, est.starts),
+                                         local_maxima_oracle(view, gamma)):
+                        assert same_bits(got, want)
 
     def test_metrics(self, n_frames, n_bins):
         grid = ridges.filter_grid(analysis(n_frames, n_bins).grid, 0.1)
@@ -281,39 +283,60 @@ def test_gamma_zero_drops_nothing_and_bad_gamma_is_refused():
             ridges.local_maxima(grid, gamma)
 
 
+def test_a_grid_of_no_frames_has_no_ridges():
+    grid = tfr.TFRGrid(np.zeros((0, 5), dtype=complex), 0.0, 1.0, 1.0, "x", 1.0)
+    assert same_bits(grid.frame_peaks, np.zeros(0))
+    assert ridges.filter_grid(grid, 0.1).data.shape == (0, 5)
+    est = ridges.local_maxima(grid, 0.1)
+    assert est.ridges.size == est.starts.size == 0
+    assert est.offsets.tolist() == [0]
+
+
 class TestFaultsInBlocks:
-    def test_lowest_failing_block_is_raised(self):
+    def test_lowest_failing_block_is_raised(self, monkeypatch):
         b = tfr._frames_per_block(16)
-        done = []
 
         def fn(rows):
+            called.append(rows.start)
             if rows.start == 2 * b:
                 time.sleep(0.2)  # so that later blocks fail first
             if rows.start >= 2 * b:
                 raise KeyError(rows.start)
             done.append(rows.start)
 
-        with pytest.raises(KeyError) as info:
-            tfr._by_frame_blocks(fn, 6 * b, 16)
-        assert info.value.args == (2 * b,)
-        assert sorted(done) == [0, b]
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            called, done = [], []
+            with pytest.raises(KeyError) as info:
+                tfr._by_frame_blocks(fn, 6 * b, 16)
+            assert info.value.args == (2 * b,)
+            assert sorted(done) == [0, b]
+            if cpus == 1:  # the caller's thread runs the blocks in order, stopping at the fault
+                assert called == [0, b, 2 * b]
 
     def test_every_block_runs_once_under_contention(self, monkeypatch):
         # more threads than cores, switching as often as the interpreter allows
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         b = tfr._frames_per_block(16)
-        seen = []
+        seen, returned = [], []
+
+        def fn(rows):
+            seen.append(rows.start)
+            return rows.start
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runner = threading.Thread(target=tfr._by_frame_blocks,
-                                      args=(lambda rows: seen.append(rows.start), 200 * b + 3, 16))
+            runner = threading.Thread(
+                target=lambda: returned.append(tfr._by_frame_blocks(fn, 200 * b + 3, 16)))
             runner.start()
             runner.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
         assert sorted(seen) == list(range(0, 200 * b + 3, b))
+        # the parts come back in frame order, whatever order the blocks ran in
+        assert returned == [list(range(0, 200 * b + 3, b))]
 
     def test_interrupt_outside_a_block_stops_the_claims(self, monkeypatch):
         # Ctrl-C lands in the caller's thread, here while it starts the second worker
@@ -436,7 +459,9 @@ def run_cli(argv, out, one_cpu):
     ["compare", "--input", "chirp", "--dur", "0.5", "--snr-db", "10", "--seed", "2"],
     ["analyze", "--method", "proposed", "--input", "chirp", "--dur", "0.5", "--snr-db", "10",
      "--reconstruct"],
-], ids=["compare", "analyze-proposed"])
+    ["analyze", "--method", "proposed", "--input", "chirp", "--dur", "0.5", "--snr-db", "0",
+     "--seed", "1", "--gamma", "0", "--reconstruct"],
+], ids=["compare", "analyze-proposed", "analyze-proposed-0dB"])
 def test_artifacts_do_not_depend_on_the_cpu_count(tmp_path, argv):
     # 512 frames of 512 bins: four blocks
     pinned = run_cli(argv, tmp_path / "one", one_cpu=True)
