@@ -49,7 +49,8 @@ def phase_if_map(a: Analysis) -> tuple[np.ndarray, np.ndarray]:
 
     def block(rows):
         r, v = ratio[rows], grid.data[rows]
-        with np.errstate(divide="ignore", invalid="ignore"):  # V = 0 is insignificant
+        # V = 0 is insignificant; a near-limit V overflows numpy's scaled division
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.divide(r, v, out=r)
         np.greater(np.abs(v), floor, out=significant[rows])
         np.subtract(f_hz, np.imag(r) / (2.0 * np.pi), out=f_hat[rows])
@@ -99,7 +100,8 @@ def reassignment(a: Analysis) -> TFRGrid:
 
     def block(rows):
         r, v = ratio[rows], grid.data[rows]
-        with np.errstate(divide="ignore", invalid="ignore"):  # V = 0 is insignificant
+        # V = 0 is insignificant; a near-limit V overflows numpy's scaled division
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.divide(r, v, out=r)
         t_hat = t[rows] + np.real(r)
         np.copyto(t_hat, t[rows], where=~significant[rows])

@@ -51,11 +51,6 @@ class IFEstimate:
         """Number of ridges per frame."""
         return np.diff(self.offsets)
 
-    @property
-    def ridge_bins(self) -> tuple[np.ndarray, ...]:
-        """Per-frame view: the strictly increasing ridge bins of each frame."""
-        return tuple(np.split(self.ridges, self.offsets[1:-1]))
-
     def freq_table_hz(self) -> np.ndarray:
         """Ridge frequencies with one row per frame, left-aligned and padded
         with NaN to the largest ridge count."""
@@ -124,6 +119,7 @@ def local_maxima(grid: TFRGrid, gamma: float = 0.0) -> IFEstimate:
     _check_gamma(gamma)
     data = grid.data
     floor = gamma * grid.frame_peaks.max(initial=0.0) if gamma > 0.0 else None
+    counts = np.empty(data.shape[0], dtype=np.int64)
 
     def block(rows):
         m = np.abs(data[rows])
@@ -152,10 +148,10 @@ def local_maxima(grid: TFRGrid, gamma: float = 0.0) -> IFEstimate:
         pick[1:] = closing[1:] != closing[:-1]
         starts = np.zeros(peaks.size, dtype=np.int64)
         starts[closing[pick]] = low_bin[pick] + 1
-        return np.bincount(frame, minlength=m.shape[0]), ridges + 1, starts
+        counts[rows] = np.bincount(frame, minlength=m.shape[0])
+        return ridges + 1, starts
 
-    counts, ridges, starts = (np.concatenate(part) for part in
-                              zip(*_by_frame_blocks(block, *data.shape)))
+    ridges, starts = (np.concatenate(part) for part in zip(*_by_frame_blocks(block, *data.shape)))
     offsets = np.concatenate([[0], np.cumsum(counts)])
     return IFEstimate(ridges, offsets, starts, grid.time_axis_s, grid.freq_axis_hz)
 

@@ -110,20 +110,6 @@ class ModeModel:
         t = np.asarray(times_s, dtype=float)
         return np.stack([np.broadcast_to(m.if_hz(t), t.shape) for m in self.modes])
 
-    def max_if_deviation_hz(self, duration_s: float) -> float:
-        """Largest gap between each mode's stated IF and a finite-difference
-        estimate from its phase, probed at 100 uniformly spaced times.
-
-        A correct model keeps this below 1e-3 Hz with h = 1e-6 s.
-        """
-        h = 1e-6
-        t = np.linspace(h, duration_s - h, 100)
-        worst = 0.0
-        for m in self.modes:
-            fd = (m.phase_rad(t + h) - m.phase_rad(t - h)) / (4.0 * np.pi * h)
-            worst = max(worst, float(np.max(np.abs(m.if_hz(t) - fd))))
-        return worst
-
 
 def sample_count(fs_hz: float, duration_s: float) -> int:
     """Samples in duration_s at fs_hz, once the rate, then the duration, then

@@ -13,7 +13,6 @@ import os
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -46,9 +45,10 @@ def _by_frame_blocks(fn, n_frames: int, n_bins: int) -> list:
 
     The blocks run on one thread per CPU of the process's affinity mask, at
     most _MAX_THREADS, the caller's thread included; on one CPU, or for one
-    block, no thread starts. So fn either writes only its own rows of an
-    output allocated before, or returns its part, which is held until every
-    block has run and so must be far smaller than a block. fn calls only
+    block, no thread starts. So fn writes per-frame results into its own
+    rows of arrays allocated before; what it returns, its part, is held
+    until every block has run and so must be far smaller than a block,
+    which per-frame values are not on a one-bin grid. fn calls only
     numpy, which releases the GIL, and no module-level function of this
     package, whose callers (a profiler, perfbench's span recorder) may track
     one call stack. Threads start with numpy's default errstate, so fn sets
@@ -107,6 +107,7 @@ class TFRGrid:
     per sample) and frequency k * df_hz; time_axis_s and freq_axis_hz derive
     from this sampling. rho maps a frame's frequency sum back to the signal
     sample; NaN marks a non-invertible grid (reassignment-method output).
+    One pass at construction keeps, read-only, frame_peaks (max |V|), frame_sums, nonzero_count.
     """
 
     data: np.ndarray
@@ -120,16 +121,29 @@ class TFRGrid:
         data = np.asarray(self.data, dtype=np.complex128)
         if data.ndim != 2:
             raise InvalidParameterError("grid data must be 2-D")
-        if not np.all(np.isfinite(data)):
-            raise InvalidParameterError(f"{self.method_tag} grid entries must be finite")
+        peaks, sums = np.empty(data.shape[0]), np.empty(data.shape[0], dtype=np.complex128)
+
+        def block(rows):  # -> the block's nonzero count
+            v = data[rows]
+            with np.errstate(over="ignore", invalid="ignore"):  # a finite |V| or sum may overflow
+                np.max(np.abs(v), axis=1, initial=0.0, out=peaks[rows])  # initial: 0-bin grids
+                np.sum(v, axis=1, out=sums[rows])
+            # a peak is finite unless a cell is not or its |V| overflowed; only then read the cells
+            if not (np.isfinite(peaks[rows]).all() or np.isfinite(v).all()):
+                raise InvalidParameterError(f"{self.method_tag} grid entries must be finite")
+            return np.count_nonzero(v, axis=1).sum()
+
+        counts = _by_frame_blocks(block, *data.shape)
         # written so that NaN fails every comparison
         if not -np.inf < self.t0_s < np.inf:
             raise InvalidParameterError(f"t0_s={self.t0_s} must be finite")
         for value, name in ((self.df_hz, "df_hz"), (self.source_fs_hz, "source_fs_hz")):
             if not 0.0 < value < np.inf:
                 raise InvalidParameterError(f"{name}={value} must be finite and > 0")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        for name, array in (("data", data), ("frame_peaks", peaks), ("frame_sums", sums)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "nonzero_count", int(sum(counts)))
         for name in ("t0_s", "df_hz", "rho", "source_fs_hz"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
@@ -152,15 +166,6 @@ class TFRGrid:
     @property
     def invertible(self) -> bool:
         return bool(np.isfinite(self.rho))
-
-    @cached_property
-    def frame_peaks(self) -> np.ndarray:
-        """Each frame's max |V|, read-only and computed once; read it in the caller's thread."""
-        # initial=0 leaves magnitudes (all >= 0) unchanged and lets a 0-bin grid through
-        peaks = np.concatenate(_by_frame_blocks(
-            lambda rows: np.max(np.abs(self.data[rows]), axis=1, initial=0.0), *self.data.shape))
-        peaks.setflags(write=False)
-        return peaks
 
     def with_data(self, data: np.ndarray, method_tag: str | None = None,
                   rho: float | None = None) -> "TFRGrid":
@@ -245,8 +250,8 @@ def istft(grid: TFRGrid) -> Signal:
         raise NonInvertibleGridError(
             f"grid {grid.method_tag!r} has no finite reconstruction factor"
         )
-    with np.errstate(all="ignore"):  # an overflowed sum is refused below
-        samples = grid.rho * grid.data.sum(axis=1)
+    with np.errstate(all="ignore"):  # an overflowed sample is refused below
+        samples = grid.rho * grid.frame_sums
     if not np.all(np.isfinite(samples)):
         raise InvalidParameterError(
             f"inverting the {grid.method_tag} grid overflows the float range")

@@ -39,6 +39,27 @@ def interior_mask(n_frames: int, w) -> np.ndarray:
     return mask
 
 
+def ridge_bins(est) -> tuple[np.ndarray, ...]:
+    """Per-frame view of an IFEstimate: the strictly increasing ridge bins of
+    each frame."""
+    return tuple(np.split(est.ridges, est.offsets[1:-1]))
+
+
+def max_if_deviation_hz(model, duration_s: float) -> float:
+    """Largest gap between each mode's stated IF and a finite-difference
+    estimate from its phase, probed at 100 uniformly spaced times.
+
+    A correct model keeps this below 1e-3 Hz with h = 1e-6 s.
+    """
+    h = 1e-6
+    t = np.linspace(h, duration_s - h, 100)
+    worst = 0.0
+    for m in model.modes:
+        fd = (m.phase_rad(t + h) - m.phase_rad(t - h)) / (4.0 * np.pi * h)
+        worst = max(worst, float(np.max(np.abs(m.if_hz(t) - fd))))
+    return worst
+
+
 def rel_l2(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(a))
 

@@ -237,3 +237,19 @@ def test_peak_memory_in_grids(chirp_2048x1024, name, monkeypatch):
         tracemalloc.stop()
     del out
     assert peak / a.grid.data.nbytes <= PEAK_GRIDS[name]
+
+
+def test_peak_memory_of_building_a_grid(chirp_2048x1024, monkeypatch):
+    # one pass takes a grid's frame peaks, frame sums and nonzero count, and
+    # holds one block's |V| and nonzero mask per thread: 0.042 grids, for the
+    # grid and its half circle, on two CPUs. A whole-grid finiteness mask,
+    # one bool per cell, read 0.0625.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    data = chirp_2048x1024.grid.data
+    tracemalloc.start()
+    try:
+        tq.half_circle(tq.TFRGrid(data, 0.0, 1.0, 1.0, "x", 1024.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / data.nbytes <= 0.05

@@ -250,10 +250,19 @@ class TestBlockEdges:
                         assert same_bits(got, want)
 
     def test_metrics(self, n_frames, n_bins):
-        grid = ridges.filter_grid(analysis(n_frames, n_bins).grid, 0.1)
+        base = analysis(n_frames, n_bins).grid
+        grid = ridges.filter_grid(base, 0.1)
         assert metrics.renyi_entropy(grid) == renyi_oracle(grid)
         assert metrics.nonzero_fraction(grid) == \
             float(np.count_nonzero(grid.data) / grid.data.size)
+        for g in (base, grid, tfr.half_circle(grid)):
+            assert same_bits(g.frame_peaks, np.max(np.abs(g.data), axis=1, initial=0.0))
+            assert same_bits(g.frame_sums, g.data.sum(axis=1))
+            assert g.nonzero_count == np.count_nonzero(g.data)
+        assert same_bits(tfr.istft(grid).samples, grid.rho * grid.data.sum(axis=1))
+        sums_in, sums_out = base.data.sum(axis=1), grid.data.sum(axis=1)
+        assert metrics.framesum_max_dev(base, grid) == \
+            float(np.max(np.abs(sums_out - sums_in)) / float(np.max(np.abs(sums_in))))
 
     def test_heatmap(self, n_frames, n_bins, tmp_path):
         grid = analysis(n_frames, n_bins).grid
@@ -283,9 +292,28 @@ def test_gamma_zero_drops_nothing_and_bad_gamma_is_refused():
             ridges.local_maxima(grid, gamma)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_cell_in_the_last_block_is_refused(bad):
+    b = tfr._frames_per_block(128)
+    data = analysis(2 * b + 1, 128).grid.data.copy()  # three blocks, the last of one frame
+    data[-1, 100] = bad
+    with pytest.raises(InvalidParameterError, match="x grid entries must be finite"):
+        tfr.TFRGrid(data, 0.0, 1.0, 1.0, "x", 128.0)
+
+
+def test_an_overflowed_magnitude_is_not_a_non_finite_cell():
+    data = np.zeros((3 * tfr._frames_per_block(2), 2), dtype=complex)
+    data[-1] = complex(1.5e308, 1.5e308)  # finite, but |V| and the frame sum overflow
+    grid = tfr.TFRGrid(data, 0.0, 1.0, 1.0, "x", 2.0)
+    assert np.isinf(grid.frame_peaks[-1]) and not np.isfinite(grid.frame_sums[-1])
+    assert grid.nonzero_count == 2
+
+
 def test_a_grid_of_no_frames_has_no_ridges():
     grid = tfr.TFRGrid(np.zeros((0, 5), dtype=complex), 0.0, 1.0, 1.0, "x", 1.0)
     assert same_bits(grid.frame_peaks, np.zeros(0))
+    assert same_bits(grid.frame_sums, np.zeros(0, dtype=complex))
+    assert grid.nonzero_count == 0
     assert ridges.filter_grid(grid, 0.1).data.shape == (0, 5)
     est = ridges.local_maxima(grid, 0.1)
     assert est.ridges.size == est.starts.size == 0

@@ -8,6 +8,8 @@ import tfsqueeze as tq
 from tfsqueeze.errors import InvalidParameterError
 from tfsqueeze.tfr import regroup
 
+from conftest import ridge_bins
+
 
 def make_grid(data):
     n_frames, n_bins = data.shape
@@ -57,7 +59,7 @@ def reduceat_oracle(grid, est):
     """The squeeze as a per-frame reduceat over each frame's basins, read
     straight from the estimate's basin starts."""
     out = np.zeros_like(grid.data)
-    for n, ridges in enumerate(est.ridge_bins):
+    for n, ridges in enumerate(ridge_bins(est)):
         if ridges.size == 0:
             out[n] = grid.data[n]
         else:

@@ -4,7 +4,7 @@ import pytest
 import tfsqueeze as tq
 from tfsqueeze.errors import FormatError, InvalidParameterError
 
-from conftest import interior_mask
+from conftest import interior_mask, ridge_bins
 
 
 def make_grid(rows, fs=1.0, df=1.0):
@@ -72,23 +72,23 @@ class TestFilterGrid:
 class TestLocalMaxima:
     def test_single_peak_column(self):
         est = tq.local_maxima(make_grid([[0, 1, 3, 2, 1]]))
-        assert est.ridge_bins[0].tolist() == [2]
+        assert ridge_bins(est)[0].tolist() == [2]
         assert est.destinations(slice(None))[0].tolist() == [2, 2, 2, 2, 2]
 
     def test_constant_column_has_no_ridge(self):
         est = tq.local_maxima(make_grid([[2, 2, 2, 2]]))
-        assert est.ridge_bins[0].size == 0
+        assert ridge_bins(est)[0].size == 0
         assert est.destinations(slice(None))[0].tolist() == [0, 1, 2, 3]
 
     def test_two_ridges_with_tied_minimum(self):
         # minima candidates bins 2 and 3 tie at 1; the lower bin wins
         est = tq.local_maxima(make_grid([[0, 2, 1, 1, 4, 0]]))
-        assert est.ridge_bins[0].tolist() == [1, 4]
+        assert ridge_bins(est)[0].tolist() == [1, 4]
         assert est.destinations(slice(None))[0].tolist() == [1, 1, 4, 4, 4, 4]
 
     def test_edges_never_ridge(self):
         est = tq.local_maxima(make_grid([[5, 1, 0, 1, 5]]))
-        assert est.ridge_bins[0].size == 0
+        assert ridge_bins(est)[0].size == 0
 
     def test_matches_exhaustive_oracle_on_random_columns(self):
         rng = np.random.default_rng(4)
@@ -102,7 +102,7 @@ class TestLocalMaxima:
             dest = est.destinations(slice(None))
             for n in range(block.shape[0]):
                 ridges, edges = ridges_and_edges_oracle(block[n])
-                assert est.ridge_bins[n].tolist() == ridges
+                assert ridge_bins(est)[n].tolist() == ridges
                 assert dest[n].tolist() == edges_to_destinations(ridges, edges).tolist()
 
     def test_freq_table_pads_with_nan_after_each_frames_ridges(self):
@@ -111,7 +111,7 @@ class TestLocalMaxima:
         est = tq.local_maxima(make_grid(block, df=0.5))
         table = est.freq_table_hz()
         assert table.shape == (40, est.counts().max())
-        for n, bins in enumerate(est.ridge_bins):
+        for n, bins in enumerate(ridge_bins(est)):
             assert table[n, :bins.size].tolist() == (0.5 * bins).tolist()
             assert np.all(np.isnan(table[n, bins.size:]))
 
@@ -132,7 +132,7 @@ class TestLocalMaxima:
         dest = est.destinations(slice(None))
         assert dest.shape == (est.n_frames, grid.n_bins)
         for n in range(est.n_frames):
-            ridges = est.ridge_bins[n]
+            ridges = ridge_bins(est)[n]
             # a basin is a run of one destination, so run starts are its edges;
             # ridges increase, so this also says the runs are distinct and in order
             edges = np.flatnonzero(np.diff(dest[n], prepend=-1))
@@ -148,7 +148,7 @@ class TestLocalMaxima:
         est = tq.local_maxima(tq.filter_grid(grid, 0.1))
         interior = interior_mask(grid.n_frames, w128)
         for n in np.nonzero(interior)[0]:
-            assert est.ridge_bins[n].tolist() == [32]
+            assert ridge_bins(est)[n].tolist() == [32]
 
     def test_fmam_two_ridges_below_nyquist(self, fmam, w128):
         sig, model = fmam
@@ -174,16 +174,16 @@ class TestInjectIf:
         sig, _ = crossover
         grid = tq.stft(sig, w1024, 1024)
         est = tq.inject_if(grid, [lambda t: 250.0 * np.ones_like(t)])
-        assert [bins.tolist() for bins in est.ridge_bins] == [[250]] * est.n_frames
+        assert [bins.tolist() for bins in ridge_bins(est)] == [[250]] * est.n_frames
 
     def test_crossing_trajectories_merge(self, crossover, w1024):
         sig, model = crossover
         grid = tq.stft(sig, w1024, 1024)
         est = tq.inject_if(grid, [m.if_hz for m in model.modes])
         n_cross = int(np.argmin(np.abs(grid.time_axis_s - 0.25)))
-        assert est.ridge_bins[n_cross].tolist() == [250]
+        assert ridge_bins(est)[n_cross].tolist() == [250]
         n_mid = int(np.argmin(np.abs(grid.time_axis_s - 0.5)))
-        assert est.ridge_bins[n_mid].tolist() == [150, 250, 350]
+        assert ridge_bins(est)[n_mid].tolist() == [150, 250, 350]
 
     def test_out_of_range_on_half_circle(self, crossover, w1024):
         sig, _ = crossover
@@ -205,7 +205,7 @@ class TestInjectIf:
         est = tq.inject_if(grid, [lambda t: 250.0 * np.ones_like(t),
                                   lambda t: 251.0 * np.ones_like(t)])
         dest = est.destinations(slice(None))[0]
-        ridges = est.ridge_bins[0]
+        ridges = ridge_bins(est)[0]
         assert ridges.tolist() == [250, 251]
         assert dest.tolist() == [250] * 251 + [251] * 773
         for r in ridges:
@@ -276,7 +276,7 @@ class TestInjectIfOracle:
         dest = est.destinations(slice(None))
         for n in range(n_frames):
             ridges, edges = inject_oracle(bins[n], n_bins)
-            assert est.ridge_bins[n].tolist() == ridges
+            assert ridge_bins(est)[n].tolist() == ridges
             assert dest[n].tolist() == edges_to_destinations(ridges, edges).tolist()
             for i, r in enumerate(ridges):
                 assert edges[i] <= r < edges[i + 1]

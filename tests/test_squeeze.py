@@ -4,7 +4,7 @@ import pytest
 import tfsqueeze as tq
 from tfsqueeze.errors import InvalidParameterError, NonInvertibleGridError
 
-from conftest import interior_mask, rel_l2
+from conftest import interior_mask, rel_l2, ridge_bins
 
 
 class TestModularReassign:
@@ -78,10 +78,10 @@ class TestModularReassign:
         grid = tq.stft(sig, w1024, 1024)
         est = tq.inject_if(grid, [m.if_hz for m in model.modes])
         out = tq.modular_reassign(grid, est)
-        ridge_bins = est.ridge_bins  # each access splits every frame's ridges
+        per_frame = ridge_bins(est)  # splits every frame's ridges
         for n in range(grid.n_frames):
             nz = np.nonzero(np.abs(out.data[n]))[0]
-            assert nz.tolist() == ridge_bins[n].tolist()
+            assert nz.tolist() == per_frame[n].tolist()
 
     def test_output_support_matches_ideal_tfr(self, fmam, w128):
         # with oracle IFs the squeezed support must sit on the ideal ridge
@@ -119,7 +119,7 @@ class TestModularReassign:
         filtered = tq.filter_grid(grid, 0.5)
         est = tq.local_maxima(filtered)
         out = tq.modular_reassign(filtered, est)
-        quiet = [n for n in range(64) if est.ridge_bins[n].size == 0]
+        quiet = [n for n in range(64) if ridge_bins(est)[n].size == 0]
         assert quiet, "expected some frames below the filter threshold"
         for n in quiet:
             assert np.array_equal(out.data[n], filtered.data[n])
