@@ -26,7 +26,7 @@ import numpy as np
 from .errors import FormatError, InvalidParameterError
 from .metrics import MethodReport
 from .signals import Signal
-from .tfr import MAX_GRID_CELLS, TFRGrid, _by_frame_blocks, half_circle
+from .tfr import MAX_GRID_CELLS, TFRGrid, _by_frame_blocks
 
 __all__ = ["output_dir", "load_signal", "save_signal_csv", "load_trajectories_csv",
            "export_trajectories_csv", "export_grid_csv", "import_grid_csv",
@@ -265,7 +265,7 @@ def export_heatmap_pgm(grid: TFRGrid, path) -> None:
     peak = grid.frame_peaks.max(initial=0.0)
     if peak == 0.0:
         raise InvalidParameterError("cannot render an all-zero grid")
-    shown = half_circle(grid).data
+    shown = grid.data[:, :(grid.n_bins + 1) // 2]  # the bins half_circle keeps, as a view
     image = np.empty(shown.shape[::-1], dtype=np.uint8)
 
     def block(rows):

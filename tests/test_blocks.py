@@ -252,7 +252,9 @@ class TestBlockEdges:
     def test_metrics(self, n_frames, n_bins):
         base = analysis(n_frames, n_bins).grid
         grid = ridges.filter_grid(base, 0.1)
-        assert metrics.renyi_entropy(grid) == renyi_oracle(grid)
+        # block partial sums add in another order than the whole-grid oracle
+        want = renyi_oracle(grid)
+        assert abs(metrics.renyi_entropy(grid) - want) <= 1e-14 * abs(want)
         assert metrics.nonzero_fraction(grid) == \
             float(np.count_nonzero(grid.data) / grid.data.size)
         for g in (base, grid, tfr.half_circle(grid)):

@@ -486,6 +486,36 @@ class TestNoPartialOutput:
         assert re.fullmatch(r"error: [^\n]*\n", captured.err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("amplitude, code", [(1e152, 0), (3e152, 2)])
+    @pytest.mark.parametrize("command", [["analyze", "--method", "rm"],
+                                         ["compare", "--methods", "stft,rm"]],
+                             ids=["analyze-rm", "compare-stft-rm"])
+    def test_near_limit_energies_are_scored_or_refused(self, tmp_path, capsys, command,
+                                                       amplitude, code):
+        # at 1e152 the sum of RM's energies passes the float range, which the
+        # entropy's peak-scaled sums never reach; at 3e152 RM's frame sums do,
+        # and the conservation metric is refused rather than reported as inf
+        x = np.random.default_rng(0).standard_normal(256) * amplitude
+        (tmp_path / "big.csv").write_text("# fs=128\n" + "\n".join(map(repr, x.tolist())) + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").write_text("earlier\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(command + ["--nfft", "64", "--input", str(tmp_path / "big.csv"),
+                                   "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if code:
+            assert captured.err == "error: rm frame sums exceed the float range\n"
+            assert tree(out) == {"report.json": b"earlier\n"}
+        else:
+            assert captured.err == ""
+            reports = json.loads((out / "report.json").read_text())
+            assert sorted(r["method_tag"] for r in reports) == sorted(command[-1].split(","))
+            assert all(np.isfinite(r["renyi_entropy_bits"]) for r in reports)
+        assert_no_stage(tmp_path)
+
 
 def _refuse_call(*args, **kwargs):
     raise AssertionError("called before the run was admitted")

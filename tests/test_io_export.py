@@ -276,6 +276,18 @@ class TestHeatmapPgm:
         brightest_row = int(np.argmax(image.sum(axis=1)))
         assert brightest_row == (height - 1) - 48
 
+    def test_builds_no_grid(self, tmp_path, monkeypatch, fmam, w128):
+        # the shown bins are a view of the data: a half-circle TFRGrid would
+        # take its facts in a construction pass the heatmap never reads
+        grid = tq.stft(fmam[0], w128, 128)
+        built, post_init = [], tq.TFRGrid.__post_init__
+        monkeypatch.setattr(tq.TFRGrid, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        tq.export_heatmap_pgm(grid, tmp_path / "map.pgm")
+        assert built == []
+        tq.half_circle(grid)
+        assert len(built) == 1  # the count sees a construction
+
     def test_zero_grid_rejected(self, tmp_path, w128):
         grid = tq.stft(tq.Signal(np.zeros(8), 128.0), w128, 128)
         with pytest.raises(InvalidParameterError, match="cannot render an all-zero grid"):

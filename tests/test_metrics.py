@@ -33,6 +33,19 @@ class TestRenyiEntropy:
         with pytest.raises(InvalidParameterError, match="entropy of an all-zero grid"):
             tq.renyi_entropy(make_grid([[0.0, 0.0]]))
 
+    @pytest.mark.parametrize("exponent", [-500, 500])
+    def test_power_of_two_scale_leaves_every_bit(self, w128, exponent):
+        # four frame blocks of a noisy tone; q = |G| / max|G| is scale-free
+        rng = np.random.default_rng(5)
+        x = np.cos(2 * np.pi * 20.0 * np.arange(2048) / 128.0) + rng.standard_normal(2048)
+        grid = tq.stft(tq.Signal(x, 128.0), w128, 128)
+        scaled = grid.with_data(grid.data * 2.0 ** exponent)
+        assert tq.renyi_entropy(scaled) == tq.renyi_entropy(grid)
+
+    def test_cells_near_the_float_limit_score_exactly(self):
+        # 4096 equal cells are log2(4096) = 12 bits; sum|G| = 4.1e309 would overflow
+        assert tq.renyi_entropy(make_grid(np.full((64, 64), 1e306))) == 12.0
+
     def test_phase_invariance(self):
         mag = make_grid([[1.0, 2.0, 3.0]])
         rotated = make_grid([[1.0 * 1j, -2.0, 3.0 * np.exp(0.5j)]])
