@@ -117,6 +117,7 @@ def reassignment(a: Analysis) -> TFRGrid:
     del ratio, significant  # before the bincount's grid-sized outputs
     out = np.bincount(flat.ravel(), weights=power.ravel(),
                       minlength=grid.n_frames * grid.n_bins)
+    del flat, power  # so the complex cast holds only the summed energies beside it
     out = out.reshape(grid.data.shape).astype(np.complex128)
     return grid.with_data(out, method_tag="rm", rho=float("nan"))
 
@@ -143,6 +144,13 @@ def lmsst(a: Analysis, delta_bins: int | None = None) -> TFRGrid:
     bin within delta_bins of its own. Ties pick the lower bin. The move is a
     frequency-only permutation of frame mass, so reconstruction stays exact.
 
+    Each bin's window maximum is found by doubling: |V|, padded by delta_bins
+    on each side with -1 (which every |V| beats), gives the windows of width
+    1; each pass joins windows of width w starting `step` bins apart into
+    width w + step, with step = min(w, 2*delta_bins + 1 - w), so that
+    ceil(log2(2*delta_bins + 1)) passes reach the full window. The upper
+    window's bin wins only on a strict >, so ties keep the lower bin.
+
     delta_bins defaults to the window's measured -3 dB half width in bins,
     cut to the axis; it must lie in [0, n_bins).
     """
@@ -151,20 +159,25 @@ def lmsst(a: Analysis, delta_bins: int | None = None) -> TFRGrid:
         delta_bins = min(halfwidth_bins(a.w, a.nfft), n_bins - 1)
     if not 0 <= delta_bins < n_bins:
         raise InvalidParameterError(f"delta_bins must lie in [0, {n_bins})")
-    bins = np.arange(n_bins)
+    full = 2 * delta_bins + 1
+    padded_bins = np.arange(-delta_bins, n_bins + delta_bins)
 
     def best_bins(rows):
-        mag = np.abs(a.grid.data[rows])
-        best_val = np.full(mag.shape, -1.0)
-        best = np.zeros(mag.shape, dtype=np.int64)
-        # scan candidates in ascending bin order; strict > keeps the lowest tie
-        for d in range(-delta_bins, delta_bins + 1):
-            lo = max(0, -d)
-            hi = min(n_bins, n_bins - d)
-            cand = mag[:, lo + d : hi + d]
-            better = cand > best_val[:, lo:hi]
-            np.copyto(best_val[:, lo:hi], cand, where=better)
-            np.copyto(best[:, lo:hi], bins[lo + d : hi + d], where=better)
-        return best
+        v = a.grid.data[rows]
+        span = padded_bins.size  # windows of the current width, one per start
+        val = np.full((v.shape[0], span), -1.0)
+        np.abs(v, out=val[:, delta_bins:delta_bins + n_bins])
+        best = np.empty(val.shape, dtype=np.int64)
+        best[:] = padded_bins
+        width = 1
+        while width < full:
+            step = min(width, full - width)
+            span -= step
+            better = val[:, step:step + span] > val[:, :span]
+            # each source overlaps its target, so numpy copies it first: one block more
+            np.copyto(val[:, :span], val[:, step:step + span], where=better)
+            np.copyto(best[:, :span], best[:, step:step + span], where=better)
+            width += step
+        return best[:, :n_bins]
 
     return regroup(a.grid, best_bins, "lmsst")

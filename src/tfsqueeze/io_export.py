@@ -265,6 +265,9 @@ def export_heatmap_pgm(grid: TFRGrid, path) -> None:
     peak = grid.frame_peaks.max(initial=0.0)
     if peak == 0.0:
         raise InvalidParameterError("cannot render an all-zero grid")
+    if peak == np.inf:  # a finite cell whose |G| passes the float range
+        raise InvalidParameterError(
+            f"cannot render the {grid.method_tag} grid: a magnitude exceeds the float range")
     shown = grid.data[:, :(grid.n_bins + 1) // 2]  # the bins half_circle keeps, as a view
     image = np.empty(shown.shape[::-1], dtype=np.uint8)
 

@@ -51,6 +51,9 @@ def renyi_entropy(grid: TFRGrid) -> float:
     data, peak = grid.data, grid.frame_peaks.max(initial=0.0)
     if peak == 0.0:
         raise InvalidParameterError("cannot measure entropy of an all-zero grid")
+    if peak == np.inf:  # a finite cell whose |G| passes the float range
+        raise InvalidParameterError(
+            f"cannot measure entropy of the {grid.method_tag} grid: a magnitude exceeds the float range")
 
     def block(rows):
         q = np.abs(data[rows])

@@ -201,18 +201,21 @@ def chirp_2048x1024():
 
 # peak traced bytes of one call, output included, in grids of the analysis,
 # on two CPUs: each further CPU adds one block's transients (a few MiB). Each
-# bound sits just above the measured factor (sst 1.622, rm 2.501, set 1.630,
-# lmsst 1.140, the squeeze 1.063, ridge detection 0.049 on the filtered grid
+# bound sits just above the measured factor (sst 1.622, rm 2.157, set 1.630,
+# lmsst 1.145, the squeeze 1.063, ridge detection 0.049 on the filtered grid
 # at gamma 0.1 and 0.082 on the 0 dB chirp at gamma 0), so a grid-sized
-# transient more fails it. Before each method handed regroup a per-block rule
-# and the ratio V_x / V was divided block by block, they read sst 2.098, rm
-# 2.657, set 2.098, lmsst 1.609 and squeeze 1.563: the derivative transform
-# alive beside the bins, a whole-grid magnitude, a second bin grid, LMSST's
-# and the squeeze's grid-sized destinations. Before each block found its own
+# transient more fails it. RM read 2.501 while its flat targets and energies
+# lived on through the cast of its bincount to complex. LMSST read 1.140 with
+# the 2*delta + 1 scan; the doubling search holds a block-sized copy more per
+# thread. Before each method handed regroup a per-block rule and the ratio
+# V_x / V was divided block by block, they read sst 2.098, rm 2.657, set
+# 2.098, lmsst 1.609 and squeeze 1.563: the derivative transform alive beside
+# the bins, a whole-grid magnitude, a second bin grid, LMSST's and the
+# squeeze's grid-sized destinations. Before each block found its own
 # ridges and basins, detection read 0.172 and 0.335: two grid-sized masks and
 # a whole-grid valley sort. Renyi scoring holds one block's q and q^2 per
 # thread, 0.063; over a whole-grid magnitude buffer it read 0.50.
-PEAK_GRIDS = {"sst": 1.64, "reassignment": 2.52, "set_extract": 1.65, "lmsst": 1.16,
+PEAK_GRIDS = {"sst": 1.64, "reassignment": 2.17, "set_extract": 1.65, "lmsst": 1.16,
               "modular_reassign": 1.08, "local_maxima": 0.06, "local_maxima-0dB": 0.10,
               "renyi_entropy": 0.07}
 

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,20 @@ def same_bits(got, want):
         got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n_bins", [1, 2, 3, 5, 33])
+def test_lmsst_ties_keep_the_lower_bin(n_bins):
+    # magnitudes 0-3 tie often, exactly under quarter-turn phases; every
+    # radius, over three frame blocks
+    rng = np.random.default_rng(n_bins)
+    n_frames = 2 * tfr._frames_per_block(n_bins) + 1
+    shape = (n_frames, n_bins)
+    data = rng.integers(0, 4, shape) * rng.choice(np.array([1, 1j, -1, -1j]), shape)
+    # lmsst reads only the grid once the radius is given
+    a = types.SimpleNamespace(grid=tfr.TFRGrid(data, 0.0, 1.0, 1.0, "ties", 1.0))
+    for delta in range(n_bins):
+        assert same_bits(baselines.lmsst(a, delta).data, lmsst_oracle(a, delta))
+
+
 @pytest.mark.parametrize("n_frames, n_bins", SHAPES)
 class TestBlockEdges:
     def test_frame_matrix(self, n_frames, n_bins):
@@ -229,7 +244,10 @@ class TestBlockEdges:
         assert same_bits(baselines.sst(a).data, regroup_oracle(a.grid.data, if_bins_oracle(a)[0]))
         assert same_bits(baselines.reassignment(a).data, reassignment_oracle(a))
         assert same_bits(baselines.set_extract(a).data, set_oracle(a))
-        for delta in sorted({0, min(3, n_bins - 1)}):
+        # delta 0 makes no doubling pass; the width 2*delta + 1 lies one above a
+        # power of two at delta 1, 2, 4, 8 (the last pass joins windows one bin
+        # apart) and one below at 3, 7 (they overlap by one bin)
+        for delta in sorted({d for d in (0, 1, 2, 3, 4, 7, 8, n_bins - 1) if d < n_bins}):
             assert same_bits(baselines.lmsst(a, delta).data, lmsst_oracle(a, delta))
 
     def test_filter_grid(self, n_frames, n_bins):

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,16 @@ class TestHeatmapPgm:
         grid = tq.stft(tq.Signal(np.zeros(8), 128.0), w128, 128)
         with pytest.raises(InvalidParameterError, match="cannot render an all-zero grid"):
             tq.export_heatmap_pgm(grid, tmp_path / "map.pgm")
+
+    def test_magnitude_past_the_float_range_rejected(self, tmp_path):
+        # a finite cell whose |G| overflows would be painted 0 after a cast warning
+        grid = tq.TFRGrid(np.array([[1.5e308 + 1.5e308j, 1.0]]), 0.0, 1.0, 1.0, "t", 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError,
+                               match="render the t grid: a magnitude exceeds the float range"):
+                tq.export_heatmap_pgm(grid, tmp_path / "map.pgm")
+        assert not (tmp_path / "map.pgm").exists()
 
 
 class TestReportJson:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -32,6 +34,15 @@ class TestRenyiEntropy:
     def test_zero_grid_rejected(self):
         with pytest.raises(InvalidParameterError, match="entropy of an all-zero grid"):
             tq.renyi_entropy(make_grid([[0.0, 0.0]]))
+
+    def test_magnitude_past_the_float_range_rejected(self):
+        # a finite cell whose |G| overflows: its frame peak is infinite
+        grid = tq.TFRGrid(np.array([[1.5e308 + 1.5e308j, 1.0]]), 0.0, 1.0, 1.0, "t", 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError,
+                               match="entropy of the t grid: a magnitude exceeds the float range"):
+                tq.renyi_entropy(grid)
 
     @pytest.mark.parametrize("exponent", [-500, 500])
     def test_power_of_two_scale_leaves_every_bit(self, w128, exponent):
