@@ -10,7 +10,6 @@ from .baselines import lmsst, phase_if_map, reassignment, set_extract, sst
 from .errors import (
     FormatError,
     InvalidParameterError,
-    NoGroundTruthError,
     NonInvertibleGridError,
     TFSqueezeError,
 )

@@ -17,7 +17,6 @@ from .errors import (
     FormatError,
     InvalidParameterError,
     NonInvertibleGridError,
-    NoGroundTruthError,
     TFSqueezeError,
 )
 from .io_export import (
@@ -110,7 +109,12 @@ def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, args
     else:
         base = ridges.filter_grid(a.grid, args.gamma, args.per_frame_max)
         if args.if_from:  # injected tracks replace detection, so none runs
-            est = ridges.inject_if(base, load_trajectories_csv(args.if_from))
+            tracks = load_trajectories_csv(args.if_from)
+            if a.sig.is_real:  # the conjugate half squeezes onto each track's mirror: -f
+                # wrapped onto [-df/2, fs - df/2), so a track near 0 Hz stays on the axis
+                df, fs = base.df_hz, a.sig.sample_rate_hz
+                tracks += [lambda t, f=f: np.remainder(df / 2 - f(t), fs) - df / 2 for f in tracks]
+            est = ridges.inject_if(base, tracks)
         else:
             est = ridges.local_maxima(base)
         out = squeeze.modular_reassign(base, est)
@@ -120,11 +124,8 @@ def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, args
     mae = None
     if model is not None:
         view = tfr.half_circle(out) if a.sig.is_real else out
-        try:
-            mae = metrics.ridge_mae(ridges.local_maxima(view, args.gamma), model,
-                                    frames=slice(a.w.half, out.n_frames - a.w.half))
-        except NoGroundTruthError:
-            mae = None
+        mae = metrics.ridge_mae(ridges.local_maxima(view, args.gamma), model,
+                                frames=slice(a.w.half, out.n_frames - a.w.half))
     return metrics.MethodReport(
         method_tag=out.method_tag,
         renyi_entropy_bits=metrics.renyi_entropy(out),

@@ -14,10 +14,6 @@ class NonInvertibleGridError(TFSqueezeError):
     """Reconstruction requested from a grid without a finite reconstruction factor."""
 
 
-class NoGroundTruthError(TFSqueezeError):
-    """A metric requiring a ground-truth mode model was called without one."""
-
-
 class FormatError(TFSqueezeError):
     """A file could not be parsed or uses a variant this library does not
     accept; the message names the file."""

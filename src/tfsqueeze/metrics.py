@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NoGroundTruthError
+from .errors import InvalidParameterError
 from .ridges import IFEstimate
 from .signals import ModeModel, Signal
 from .tfr import TFRGrid, _by_frame_blocks
@@ -70,18 +70,19 @@ def nonzero_fraction(grid: TFRGrid) -> float:
 
 
 def ridge_mae(ifest: IFEstimate, model: ModeModel,
-              frames: np.ndarray | slice | None = None) -> float:
+              frames: np.ndarray | slice | None = None) -> float | None:
     """Mean absolute gap, in bins, between detected ridges and true IFs.
 
     Only frames whose ridge count equals the number of modes contribute;
     each true IF is matched to its nearest detected ridge. ``frames`` may
     restrict the evaluation (boolean mask, index array or slice), e.g. to
-    interior frames. Raises when no frame qualifies.
+    interior frames. None when no frame qualifies or the axis has fewer
+    than 2 bins, so no bin width; an empty model is refused.
     """
     if len(model) == 0:
-        raise NoGroundTruthError("mode model has no components")
+        raise InvalidParameterError("mode model has no components")
     if ifest.n_bins < 2:
-        raise NoGroundTruthError("a frequency axis of fewer than 2 bins has no bin width")
+        return None
     t = ifest.time_axis_s
     f0 = float(ifest.freq_axis_hz[0])
     df = float(ifest.freq_axis_hz[1] - ifest.freq_axis_hz[0])
@@ -90,7 +91,7 @@ def ridge_mae(ifest: IFEstimate, model: ModeModel,
     selected = np.arange(ifest.n_frames) if frames is None else np.arange(ifest.n_frames)[frames]
     selected = selected[ifest.counts()[selected] == len(model)]
     if selected.size == 0:
-        raise NoGroundTruthError("no frame has a ridge count matching the mode count")
+        return None
     # (frame, ridge) matrix of the qualifying frames, against (frame, truth)
     ridges = ifest.ridges[ifest.offsets[selected][:, None] + np.arange(len(model))]
     truth = true_bins[:, selected].T

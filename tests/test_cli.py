@@ -129,6 +129,34 @@ class TestAnalyze:
         report = json.loads((out_dir / "report.json").read_text())[0]
         assert report["recon_rel_l2"] <= 1e-10
 
+    def test_injected_tracks_on_a_real_signal_keep_its_conjugate_half(self, tmp_path):
+        # each track's mirror at -f takes the upper half's mass, so it is not
+        # squeezed onto the top track; the mirrors are listed as ridges, so
+        # feeding ridges.csv back gives the same grid
+        gen, run, again = tmp_path / "gen", tmp_path / "run", tmp_path / "again"
+        assert main(["generate", "fmam", "--out", str(gen)]) == 0
+        for if_from, out in ((gen / "true_if.csv", run), (run / "ridges.csv", again)):
+            assert main(["analyze", "--input", str(gen / "signal.csv"), "--if-from",
+                         str(if_from), "--gamma", "0", "--reconstruct", "--out", str(out)]) == 0
+        report = json.loads((run / "report.json").read_text())[0]
+        assert report["recon_rel_l2"] <= 1e-10
+        assert report["framesum_max_dev"] <= 1e-12
+        magnitude = np.abs(tq.import_grid_csv(run / "grid.npz").data)
+        upper = magnitude[:, (magnitude.shape[1] + 1) // 2:].sum() / magnitude.sum()
+        assert 0.4 <= upper <= 0.6
+        assert (again / "grid.npz").read_bytes() == (run / "grid.npz").read_bytes()
+        assert (again / "ridges.csv").read_bytes() == (run / "ridges.csv").read_bytes()
+
+    def test_injected_track_near_0_hz_on_a_wav_tone(self, tmp_path):
+        # fs - 0.1 Hz lies off the axis; the mirror wraps to -0.1 Hz, bin 0
+        t = np.arange(128) / 128.0
+        write_wav(tmp_path / "tone.wav", (8000 * np.cos(2 * np.pi * 32 * t)).astype("<i2"),
+                  fs=128)
+        (tmp_path / "dc.csv").write_text("time_s,f1_hz\n0,0.1\n1,0.1\n")
+        assert main(["analyze", "--input", str(tmp_path / "tone.wav"), "--if-from",
+                     str(tmp_path / "dc.csv"), "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "ridges.csv").read_text().splitlines()[1] == "0,0"
+
     def test_per_frame_max_flag(self, tmp_path):
         rc = main(["analyze", "--method", "proposed", "--input", "fmam",
                    "--per-frame-max", "--out", str(tmp_path)])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tfsqueeze as tq
-from tfsqueeze.errors import InvalidParameterError, NoGroundTruthError
+from tfsqueeze.errors import InvalidParameterError
 
 from conftest import interior_mask
 
@@ -122,18 +122,25 @@ class TestRidgeMae:
         sig, _ = tone32
         grid = tq.stft(sig, w128, 128)
         est = tq.local_maxima(grid)
-        with pytest.raises(NoGroundTruthError):
+        with pytest.raises(InvalidParameterError, match="mode model has no components"):
             tq.ridge_mae(est, tq.ModeModel(modes=()))
 
-    def test_no_matching_frames_rejected(self, fmam, w128):
+    def test_no_matching_frames_give_none(self, fmam, w128):
         # unfiltered full-circle grid never shows exactly K=2 ridges
         sig, model = fmam
         grid = tq.stft(sig, w128, 128)
         est = tq.local_maxima(grid)
         counts = est.counts()
         assert not np.any(counts == 2)
-        with pytest.raises(NoGroundTruthError):
-            tq.ridge_mae(est, model)
+        assert tq.ridge_mae(est, model) is None
+
+    def test_one_bin_axis_gives_none(self, tone32):
+        # only an injected estimate has a ridge on a one-bin axis, which has
+        # no bin width to measure the gap in
+        _, model = tone32
+        est = tq.inject_if(make_grid([[1.0], [2.0]]), [np.zeros_like])
+        assert est.counts().tolist() == [1, 1]
+        assert tq.ridge_mae(est, model) is None
 
 
 class TestReconRelL2:
