@@ -33,6 +33,7 @@ from .metrics import (
 )
 from .ridges import (
     IFEstimate,
+    Ridges,
     filter_grid,
     inject_if,
     local_maxima,
@@ -46,7 +47,6 @@ from .signals import (
     gen_crossover,
     gen_fmam,
     gen_tone,
-    ideal_tfr,
 )
 from .squeeze import mode_reconstruct, modular_reassign
 from .tfr import Analysis, TFRGrid, half_circle, istft, stft

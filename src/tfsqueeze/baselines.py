@@ -17,6 +17,8 @@ For the Gaussian window the second transform is -sigma^2 times the first.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import InvalidParameterError
@@ -56,7 +58,7 @@ def phase_if_map(a: Analysis) -> tuple[np.ndarray, np.ndarray]:
         np.subtract(f_hz, np.imag(r) / (2.0 * np.pi), out=f_hat[rows])
         np.copyto(f_hat[rows], f_hz, where=~significant[rows])
 
-    _by_frame_blocks(block, *grid.data.shape)
+    _by_frame_blocks(block, grid.data.shape)
     return f_hat, significant
 
 
@@ -73,7 +75,7 @@ def _if_bins(a: Analysis) -> tuple[np.ndarray, np.ndarray]:
         f /= df_hz
         np.remainder(np.rint(f, out=f).astype(np.int64), n_bins, out=bins[rows])
 
-    _by_frame_blocks(block, *bins.shape)
+    _by_frame_blocks(block, bins.shape)
     return bins, significant
 
 
@@ -113,13 +115,13 @@ def reassignment(a: Analysis) -> TFRGrid:
         with np.errstate(over="ignore"):  # TFRGrid refuses the overflowed energy
             np.square(np.abs(v), out=power[rows])
 
-    _by_frame_blocks(block, *grid.data.shape)
+    _by_frame_blocks(block, grid.data.shape)
     del ratio, significant  # before the bincount's grid-sized outputs
     out = np.bincount(flat.ravel(), weights=power.ravel(),
                       minlength=grid.n_frames * grid.n_bins)
     del flat, power  # so the complex cast holds only the summed energies beside it
     out = out.reshape(grid.data.shape).astype(np.complex128)
-    return grid.with_data(out, method_tag="rm", rho=float("nan"))
+    return replace(grid, data=out, method_tag="rm", rho=float("nan"))
 
 
 def set_extract(a: Analysis) -> TFRGrid:
@@ -135,7 +137,7 @@ def set_extract(a: Analysis) -> TFRGrid:
         keep = significant[rows] & (target[rows] == own)
         out[rows] = np.where(keep, grid.data[rows], 0.0)
 
-    _by_frame_blocks(block, *out.shape)
+    _by_frame_blocks(block, out.shape)
     return grid.with_data(out, method_tag="set")
 
 

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .io_export import (
     export_grid_csv,
-    export_heatmap_pgm,
+    export_pgm,
     export_report_json,
     export_trajectories_csv,
     import_grid_csv,
@@ -59,20 +59,16 @@ def _resolve_input(name: str, opts) -> tuple[signals.Signal, signals.ModeModel |
     return sig, model
 
 
-def _default_sigma(fs_hz: float) -> float:
-    # 0.04 s suits the 128 Hz experiment, 0.02 s the 1024 Hz ones; wider
-    # windows split ridges at IF turning points on the 128 Hz signal
-    return 0.04 if fs_hz <= 256.0 else 0.02
-
-
-def _default_nfft(n_samples: int) -> int:
-    return min(4096, 1 << int(np.ceil(np.log2(max(2, n_samples)))))
-
-
 def _prepare(args, sig: signals.Signal) -> tfr.Analysis:
-    """Check the window length and the grid's cells before building either."""
-    sigma = args.sigma if args.sigma is not None else _default_sigma(sig.sample_rate_hz)
-    nfft = args.nfft if args.nfft is not None else _default_nfft(len(sig))
+    """Resolve the window and DFT size, then check the window length and the
+    grid's cells before building either."""
+    sigma, nfft = args.sigma, args.nfft
+    if sigma is None:
+        # 0.04 s suits the 128 Hz experiment, 0.02 s the 1024 Hz ones; wider
+        # windows split ridges at IF turning points on the 128 Hz signal
+        sigma = 0.04 if sig.sample_rate_hz <= 256.0 else 0.02
+    if nfft is None:  # the next power of two covering the signal, at most 4096
+        nfft = min(4096, 1 << int(np.ceil(np.log2(max(2, len(sig))))))
     w = windows.WindowSpec(sigma, sig.sample_rate_hz)
     if nfft < w.taps:
         raise InvalidParameterError(
@@ -88,12 +84,12 @@ def _prepare(args, sig: signals.Signal) -> tfr.Analysis:
 
 
 def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, args
-         ) -> tuple[metrics.MethodReport, tfr.TFRGrid, ridges.IFEstimate | None]:
+         ) -> tuple[metrics.MethodReport, tfr.TFRGrid, ridges.IFEstimate | None, np.ndarray]:
     """Runs one method on the analysis and scores it.
 
-    Returns (report, output grid, proposed's estimate). Conservation is
-    measured against the grid the method moved mass from, which is the
-    gamma-filtered grid for 'proposed'.
+    Returns (report, output grid, proposed's estimate, heatmap pixels).
+    Conservation is measured against the grid the method moved mass from,
+    which is the gamma-filtered grid for 'proposed'.
     """
     base, est = a.grid, None
     if method == "stft":
@@ -121,19 +117,23 @@ def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, args
     recon = None
     if out.invertible:
         recon = metrics.recon_rel_l2(a.sig, tfr.istft(out))
+    metrics.renyi_peak(out)  # an output the entropy cannot score is refused before conservation
+    dev = metrics.framesum_max_dev(base, out)
+    del base  # proposed's filtered grid is freed before the scoring pass
+    # ridges are detected only to be scored against true IFs
+    entropy, found, image = metrics.scan(out, None if model is None else args.gamma,
+                                         a.sig.is_real)
     mae = None
     if model is not None:
-        view = tfr.half_circle(out) if a.sig.is_real else out
-        mae = metrics.ridge_mae(ridges.local_maxima(view, args.gamma), model,
-                                frames=slice(a.w.half, out.n_frames - a.w.half))
+        mae = metrics.ridge_mae(found, model, frames=slice(a.w.half, out.n_frames - a.w.half))
     return metrics.MethodReport(
         method_tag=out.method_tag,
-        renyi_entropy_bits=metrics.renyi_entropy(out),
+        renyi_entropy_bits=entropy,
         nonzero_fraction=metrics.nonzero_fraction(out),
         recon_rel_l2=recon,
         ridge_mae_bins=mae,
-        framesum_max_dev=metrics.framesum_max_dev(base, out),
-    ), out, est
+        framesum_max_dev=dev,
+    ), out, est, image
 
 
 def cmd_generate(args) -> int:
@@ -150,12 +150,13 @@ def cmd_analyze(args) -> int:
         raise InvalidParameterError("--if-from needs the proposed method")
     sig, model = _resolve_input(args.input, args)
     a = _prepare(args, sig)
-    report, out, est = _run(args.method, a, model, args)
-    del a  # the exports need only out
+    report, out, est, image = _run(args.method, a, model, args)
+    del a  # the exports need only out and the pixels
 
     with output_dir(args.out) as stage:
+        export_pgm(image, stage / "heatmap.pgm")
+        del image  # before the grid file's write, which sets the command's peak
         export_grid_csv(out, stage / "grid.npz")
-        export_heatmap_pgm(out, stage / "heatmap.pgm")
         export_report_json([report], stage / "report.json")
         if est is not None:
             export_trajectories_csv(est.time_axis_s, est.freq_table_hz(),
@@ -186,10 +187,10 @@ def cmd_compare(args) -> int:
     reports = []
     with output_dir(args.out) as stage:
         for method in methods:
-            report, out, _ = _run(method, a, model, args)
+            report, out, _, image = _run(method, a, model, args)
             reports.append(report)
-            export_heatmap_pgm(out, stage / f"heatmap_{method}.pgm")
-            del out  # free this method's grid before the next one runs
+            export_pgm(image, stage / f"heatmap_{method}.pgm")
+            del out, image  # free this method's grid and pixels before the next one runs
         reports.sort(key=lambda r: r.renyi_entropy_bits)
         export_report_json(reports, stage / "report.json")
     return 0

@@ -19,18 +19,20 @@ import math
 import tempfile
 import wave
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import FormatError, InvalidParameterError
-from .metrics import MethodReport
 from .signals import Signal
 from .tfr import MAX_GRID_CELLS, TFRGrid, _by_frame_blocks
 
+if TYPE_CHECKING:  # metrics renders its heatmaps with _pixels, so it imports this module
+    from .metrics import MethodReport
+
 __all__ = ["output_dir", "load_signal", "save_signal_csv", "load_trajectories_csv",
            "export_trajectories_csv", "export_grid_csv", "import_grid_csv",
-           "export_heatmap_pgm", "export_report_json"]
+           "export_heatmap_pgm", "export_pgm", "export_report_json"]
 
 # the grid file's members, each with the scalar type and rank it must have
 _GRID_MEMBERS = {"method": (np.str_, 0), "fs": (np.float64, 0), "t0": (np.float64, 0),
@@ -179,8 +181,11 @@ def load_trajectories_csv(path) -> list[Callable[[np.ndarray], np.ndarray]]:
     """
     rows: list[list[float]] = []
     for lineno, cells in _read_rows(path):
-        if not rows and not _is_number(cells[0]):
-            continue
+        if not rows:
+            try:
+                float(cells[0])
+            except ValueError:  # a name row, before the first row of numbers
+                continue
         if len(cells) < 2:
             raise FormatError(f"{path}: line {lineno}: need time and >= 1 frequency")
         try:
@@ -195,14 +200,6 @@ def load_trajectories_csv(path) -> list[Callable[[np.ndarray], np.ndarray]]:
     data = np.array(rows)
     data = data[np.argsort(data[:, 0])].T.copy()
     return [functools.partial(np.interp, xp=data[0], fp=column) for column in data[1:]]
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
 
 
 def export_grid_csv(grid: TFRGrid, path) -> None:
@@ -270,15 +267,30 @@ def export_heatmap_pgm(grid: TFRGrid, path) -> None:
             f"cannot render the {grid.method_tag} grid: a magnitude exceeds the float range")
     shown = grid.data[:, :(grid.n_bins + 1) // 2]  # the bins half_circle keeps, as a view
     image = np.empty(shown.shape[::-1], dtype=np.uint8)
+    _by_frame_blocks(lambda rows: np.copyto(image[:, rows], _pixels(np.abs(shown[rows]) / peak)),
+                     shown.shape)
+    export_pgm(image, path)
 
-    def block(rows):
-        with np.errstate(divide="ignore"):
-            db = 20.0 * np.log10(np.abs(shown[rows]) / peak)
-        db = np.clip(db, HEATMAP_FLOOR_DB, 0.0)
-        pixels = np.rint(255.0 * (db - HEATMAP_FLOOR_DB) / (-HEATMAP_FLOOR_DB)).astype(np.uint8)
-        image[:, rows] = pixels.T[::-1]  # rows = bins, flipped so top row is highest frequency
 
-    _by_frame_blocks(block, *shown.shape)
+def _pixels(q: np.ndarray) -> np.ndarray:
+    """The heatmap's columns for a block of frames, from q = |G| / max|G| on
+    the shown bins: 20 log10 q in dB, clipped at HEATMAP_FLOOR_DB and mapped
+    linearly to 0..255, one column per frame and one row per bin, the
+    highest bin on top. A block helper, so it calls only numpy."""
+    # a cell at or below the floor is black either way; raising it to the
+    # floor keeps zeros, whose -inf numpy's log takes a slow path for, out
+    db = np.log10(np.maximum(q, 10.0 ** (HEATMAP_FLOOR_DB / 20.0)))
+    # in place, in the order 255 * (clip(20 log10 q) - floor) / -floor rounds
+    db *= 20.0
+    np.clip(db, HEATMAP_FLOOR_DB, 0.0, out=db)
+    db -= HEATMAP_FLOOR_DB
+    db *= 255.0
+    db /= -HEATMAP_FLOOR_DB
+    return np.rint(db, out=db).astype(np.uint8).T[::-1]
+
+
+def export_pgm(image: np.ndarray, path) -> None:
+    """Write a 2-D uint8 image as a binary 8-bit PGM (P5), row 0 on top."""
     with open(path, "wb") as fh:
         fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii"))
         fh.write(image.tobytes())

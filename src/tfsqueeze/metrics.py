@@ -7,12 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .ridges import IFEstimate
+from .io_export import _pixels
+from .ridges import Ridges, _check_gamma, _strict_maxima
 from .signals import ModeModel, Signal
 from .tfr import TFRGrid, _by_frame_blocks
 
-__all__ = ["MethodReport", "renyi_entropy", "ridge_mae", "recon_rel_l2",
-           "framesum_max_dev", "nonzero_fraction"]
+__all__ = ["MethodReport", "renyi_peak", "renyi_entropy", "scan", "ridge_mae",
+           "recon_rel_l2", "framesum_max_dev", "nonzero_fraction"]
 
 # the Renyi order, the usual time-frequency choice; renyi_entropy cubes for it
 ALPHA = 3.0
@@ -32,14 +33,40 @@ class MethodReport:
     framesum_max_dev: float
 
 
+def renyi_peak(grid: TFRGrid) -> float:
+    """The max|G| that Renyi entropy scales a grid by. Refuses an all-zero
+    grid, and one with a finite cell whose |G| passes the float range."""
+    peak = grid.frame_peaks.max(initial=0.0)
+    if peak == 0.0:
+        raise InvalidParameterError("cannot measure entropy of an all-zero grid")
+    if peak == np.inf:
+        raise InvalidParameterError(
+            f"cannot measure entropy of the {grid.method_tag} grid: a magnitude exceeds the float range")
+    return float(peak)
+
+
+def _renyi_sums(q: np.ndarray) -> tuple[float, float]:
+    """A block's (sum q, sum q^3), q = |G| / max|G|. A block helper, so it
+    calls only numpy."""
+    cubes = q * q
+    cubes *= q
+    return q.sum(), cubes.sum()
+
+
+def _renyi_bits(parts) -> float:
+    """Renyi entropy in bits from the blocks' _renyi_sums, added in frame order."""
+    s1, s3 = map(sum, zip(*parts))
+    return float(np.log2(s3 / s1**3) / (1.0 - ALPHA))
+
+
 def renyi_entropy(grid: TFRGrid) -> float:
     """Renyi entropy in bits of the distribution of the stored magnitudes.
 
     P = |G| / sum|G| and H = log2(sum P^ALPHA) / (1 - ALPHA); lower means
     more concentrated. It is taken as log2(sum q^3 / (sum q)^3) / (1 - ALPHA)
-    on q = |G| / max|G| <= 1, so no sum overflows and a power-of-two scale
-    leaves H unchanged. Each frame block returns its (sum q, sum q^3), added
-    in frame order: H does not depend on the CPU count.
+    on q = |G| / max|G| <= 1 (renyi_peak), so no sum overflows and a
+    power-of-two scale leaves H unchanged. Each frame block returns its
+    (sum q, sum q^3), added in frame order: H does not depend on the CPU count.
 
     The weight is |G|, not |G|^2: SST, LMSST and the squeeze conserve each
     frame's complex sum, not sum|G|^2, and approximate the amplitude-valued
@@ -48,20 +75,56 @@ def renyi_entropy(grid: TFRGrid) -> float:
     it could. RM's grid stores reassigned energy, so it is scored on the
     reassigned spectrogram itself.
     """
-    data, peak = grid.data, grid.frame_peaks.max(initial=0.0)
-    if peak == 0.0:
-        raise InvalidParameterError("cannot measure entropy of an all-zero grid")
-    if peak == np.inf:  # a finite cell whose |G| passes the float range
-        raise InvalidParameterError(
-            f"cannot measure entropy of the {grid.method_tag} grid: a magnitude exceeds the float range")
+    data, peak = grid.data, renyi_peak(grid)
+    return _renyi_bits(_by_frame_blocks(lambda rows: _renyi_sums(np.abs(data[rows]) / peak),
+                                        data.shape))
+
+
+def scan(grid: TFRGrid, gamma: float | None, real: bool
+         ) -> tuple[float, Ridges | None, np.ndarray]:
+    """Score a method's output, find its ridges and render it in one
+    frame-block pass, which takes each block's |G| once. Returns (entropy,
+    ridges, image), each bit for bit what a public function gives:
+    - entropy is renyi_entropy(grid);
+    - ridges are the ridges and per-frame counts of local_maxima(view,
+      gamma), without basins; view is half_circle(grid) for a real signal
+      (real=True), so the floor is gamma times the half circle's peak, and
+      grid otherwise. gamma None detects nothing and gives None;
+    - image holds the pixels export_heatmap_pgm(grid, path) writes, for
+      io_export.export_pgm.
+    A gamma outside [0, 1) is refused first, then a grid renyi_peak refuses.
+    """
+    if gamma is not None:
+        _check_gamma(gamma)
+    data, peak = grid.data, renyi_peak(grid)
+    n_frames, n_bins = data.shape
+    shown = (n_bins + 1) // 2  # half_circle's bins: the heatmap's, and a real signal's view
+    width = shown if real else n_bins
+    floor = 0.0
+    if gamma:  # gamma times the view's peak
+        floor = gamma * (max(_by_frame_blocks(
+            lambda rows: np.abs(data[rows, :shown]).max(initial=0.0), data.shape)) if real else peak)
+    image = np.empty((shown, n_frames), dtype=np.uint8)
+    counts = np.empty(n_frames, dtype=np.int64)
 
     def block(rows):
-        q = np.abs(data[rows])
-        q /= peak
-        return q.sum(), (q * q * q).sum()
+        m = np.abs(data[rows])
+        bins = None
+        if gamma is not None:
+            view = m[:, :width]
+            frame, bins = np.divmod(_strict_maxima(view, floor), max(0, width - 2))
+            bins += 1
+            counts[rows] = np.bincount(frame, minlength=view.shape[0])
+        q = np.divide(m, peak, out=m)  # detection has read |G|
+        image[:, rows] = _pixels(q[:, :shown])
+        return _renyi_sums(q), bins
 
-    s1, s3 = map(sum, zip(*_by_frame_blocks(block, *data.shape)))
-    return float(np.log2(s3 / s1**3) / (1.0 - ALPHA))
+    sums, parts = zip(*_by_frame_blocks(block, data.shape))
+    found = None
+    if gamma is not None:
+        found = Ridges(np.concatenate(parts), np.concatenate([[0], np.cumsum(counts)]),
+                       grid.time_axis_s, grid.freq_axis_hz[:width])
+    return _renyi_bits(sums), found, image
 
 
 def nonzero_fraction(grid: TFRGrid) -> float:
@@ -69,9 +132,10 @@ def nonzero_fraction(grid: TFRGrid) -> float:
     return grid.nonzero_count / grid.data.size
 
 
-def ridge_mae(ifest: IFEstimate, model: ModeModel,
+def ridge_mae(ifest: Ridges, model: ModeModel,
               frames: np.ndarray | slice | None = None) -> float | None:
-    """Mean absolute gap, in bins, between detected ridges and true IFs.
+    """Mean absolute gap, in bins, between ridges (detected by local_maxima
+    or scan, or injected) and true IFs.
 
     Only frames whose ridge count equals the number of modes contribute;
     each true IF is matched to its nearest detected ridge. ``frames`` may

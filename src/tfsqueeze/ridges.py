@@ -17,25 +17,20 @@ import numpy as np
 from .errors import InvalidParameterError
 from .tfr import TFRGrid, _by_frame_blocks, nearest_bins
 
-__all__ = ["IFEstimate", "filter_grid", "local_maxima", "inject_if"]
+__all__ = ["Ridges", "IFEstimate", "filter_grid", "local_maxima", "inject_if"]
 
 
 @dataclass(frozen=True)
-class IFEstimate:
-    """Ridge bins of every frame and the basin partition of the frequency axis.
+class Ridges:
+    """Ridge bins of every frame, on the axes of the grid they were found on.
 
     The ridges are flat: ridges lists every ridge bin, frame by frame and
     strictly increasing inside a frame, and frame n owns
-    ridges[offsets[n]:offsets[n+1]]. Ridge i's basin is the half-open bin
-    range from starts[i] up to the next ridge's start in the same frame (or
-    n_bins); a frame's first basin starts at 0, and every ridge lies inside
-    its own basin. A frame with no ridge keeps the single basin [0, n_bins)
-    and is left untouched by the squeeze step.
+    ridges[offsets[n]:offsets[n+1]].
     """
 
     ridges: np.ndarray
     offsets: np.ndarray
-    starts: np.ndarray
     time_axis_s: np.ndarray
     freq_axis_hz: np.ndarray
 
@@ -59,6 +54,20 @@ class IFEstimate:
         table = np.full((self.n_frames, columns.size), np.nan)
         table[columns < counts[:, None]] = self.freq_axis_hz[self.ridges]
         return table
+
+
+@dataclass(frozen=True)
+class IFEstimate(Ridges):
+    """Ridges and the basin partition of the frequency axis.
+
+    Ridge i's basin is the half-open bin range from starts[i] up to the next
+    ridge's start in the same frame (or n_bins); a frame's first basin starts
+    at 0, and every ridge lies inside its own basin. A frame with no ridge
+    keeps the single basin [0, n_bins) and is left untouched by the squeeze
+    step.
+    """
+
+    starts: np.ndarray
 
     def destinations(self, rows: slice) -> np.ndarray:
         """Each cell's basin ridge in rows, a slice of consecutive frames, as
@@ -94,16 +103,27 @@ def filter_grid(grid: TFRGrid, gamma: float, per_frame: bool = False) -> TFRGrid
 
     # |V| is taken again rather than kept: freeing a grid-sized magnitude
     # buffer here raised later peak RSS, through malloc's dynamic mmap threshold
-    def block(rows):
-        np.copyto(kept[rows], data[rows], where=np.abs(data[rows]) > threshold[rows, None])
-
-    _by_frame_blocks(block, *data.shape)
+    _by_frame_blocks(lambda rows: np.copyto(kept[rows], data[rows],
+                                            where=np.abs(data[rows]) > threshold[rows, None]),
+                     data.shape)
     return grid.with_data(kept, method_tag=grid.method_tag + "+filtered")
 
 
 def _check_gamma(gamma: float) -> None:
     if not (0.0 <= gamma < 1.0):
         raise InvalidParameterError("gamma must lie in [0, 1)")
+
+
+def _strict_maxima(m: np.ndarray, floor: float) -> np.ndarray:
+    """Flat indices into m[:, 1:-1] of the cells of m above both neighbours
+    in their frame and above floor, by frame then bin (column j is bin
+    j + 1); below 3 bins there are none. On m >= 0 a floor of 0 keeps every
+    strict maximum, and a floor keeps what zeroing m <= floor would. A block
+    helper, so it calls only numpy."""
+    inner = m[:, 1:-1]
+    peaks = (inner > m[:, :-2]) & (inner > m[:, 2:])
+    peaks &= inner > floor
+    return np.flatnonzero(peaks)
 
 
 def local_maxima(grid: TFRGrid, gamma: float = 0.0) -> IFEstimate:
@@ -126,10 +146,8 @@ def local_maxima(grid: TFRGrid, gamma: float = 0.0) -> IFEstimate:
         if floor is not None:
             m[m <= floor] = 0.0
         inner, left, right = m[:, 1:-1], m[:, :-2], m[:, 2:]
-        # flat indices of the interior cells, by frame then bin (column j is
-        # bin j + 1); below 3 bins there are none, so a width of 0 divides nothing
-        peaks = np.flatnonzero((inner > left) & (inner > right))
-        frame, ridges = np.divmod(peaks, inner.shape[1])
+        peaks = _strict_maxima(m, 0.0)  # the floor has zeroed m, for the valleys too
+        frame, ridges = np.divmod(peaks, inner.shape[1])  # a width of 0 divides nothing
         # The lowest-bin minimum of a valley between two ridges is strictly
         # below its left neighbour and not above its right one (the ridges
         # bounding the valley are strict maxima), so only such cells compete.
@@ -151,9 +169,9 @@ def local_maxima(grid: TFRGrid, gamma: float = 0.0) -> IFEstimate:
         counts[rows] = np.bincount(frame, minlength=m.shape[0])
         return ridges + 1, starts
 
-    ridges, starts = (np.concatenate(part) for part in zip(*_by_frame_blocks(block, *data.shape)))
+    ridges, starts = (np.concatenate(part) for part in zip(*_by_frame_blocks(block, data.shape)))
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    return IFEstimate(ridges, offsets, starts, grid.time_axis_s, grid.freq_axis_hz)
+    return IFEstimate(ridges, offsets, grid.time_axis_s, grid.freq_axis_hz, starts)
 
 
 def inject_if(grid: TFRGrid, trajectories: Sequence[Callable[[np.ndarray], np.ndarray]]
@@ -179,4 +197,4 @@ def inject_if(grid: TFRGrid, trajectories: Sequence[Callable[[np.ndarray], np.nd
     below = np.concatenate([[0], ridges[:-1]])
     starts = np.maximum(below + 1, (below + ridges) // 2)
     starts[offsets[:-1]] = 0  # every frame has a ridge; its first basin starts at 0
-    return IFEstimate(ridges, offsets, starts, t, grid.freq_axis_hz)
+    return IFEstimate(ridges, offsets, t, grid.freq_axis_hz, starts)

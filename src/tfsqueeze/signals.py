@@ -23,7 +23,6 @@ __all__ = [
     "gen_chirp_surrogate",
     "gen_tone",
     "add_noise",
-    "ideal_tfr",
     "sample_count",
 ]
 
@@ -199,15 +198,9 @@ def gen_chirp_surrogate(f_start_hz: float, f_end_hz: float, power: float, fs_hz:
         raise InvalidParameterError("power must be >= 1")
 
     span = f_end_hz - f_start_hz
-
-    def phase(tt):
-        return 2.0 * np.pi * (
-            f_start_hz * tt
-            + span * duration_s * (tt / duration_s) ** (power + 1.0) / (power + 1.0)
-        )
-
-    def if_hz(tt):
-        return f_start_hz + span * (tt / duration_s) ** power
+    phase = lambda tt: 2.0 * np.pi * (
+        f_start_hz * tt + span * duration_s * (tt / duration_s) ** (power + 1.0) / (power + 1.0))
+    if_hz = lambda tt: f_start_hz + span * (tt / duration_s) ** power
 
     t = _sample_times(fs_hz, duration_s, f_end_hz, "f_end_hz")
     samples = np.exp(1j * phase(t))
@@ -253,21 +246,3 @@ def add_noise(sig: Signal, snr_db: float | None, seed: int) -> Signal:
     else:
         noise = np.sqrt(p_noise / 2.0) * (re + 1j * im)
     return Signal(sig.samples + noise, sig.sample_rate_hz, sig.t0_s)
-
-
-def ideal_tfr(model: ModeModel, like):
-    """Reference surface on the sampling of grid like: each mode contributes
-    its complex envelope A(t)*exp(j*phase(t)) at the bin nearest its IF.
-
-    Coinciding modes sum. The result is the target every post-processor is
-    judged against; its rho of 1 is nominal, not a reconstruction factor.
-    """
-    from .tfr import nearest_bins  # local import to avoid a module cycle
-
-    t = like.time_axis_s
-    data = np.zeros(like.data.shape, dtype=np.complex128)
-    for mode in model.modes:
-        bins = nearest_bins(np.broadcast_to(mode.if_hz(t), t.shape), like, "mode IF")
-        vals = mode.amplitude(t) * np.exp(1j * mode.phase_rad(t))
-        np.add.at(data, (np.arange(t.size), bins), vals)
-    return like.with_data(data, method_tag="ideal", rho=1.0)

@@ -39,24 +39,28 @@ def _frames_per_block(n_bins: int) -> int:
     return max(1, _BLOCK_CELLS // max(1, n_bins))
 
 
-def _by_frame_blocks(fn, n_frames: int, n_bins: int) -> list:
-    """Call fn(rows) on consecutive frame slices that cover range(n_frames)
-    and return what each call returned, in frame order.
+def _by_frame_blocks(fn, shape: tuple[int, int]) -> list:
+    """Call fn(rows) on consecutive frame slices that cover the frames of a
+    grid of shape (n_frames, n_bins) and return what each call returned, in
+    frame order.
 
     The blocks run on one thread per CPU of the process's affinity mask, at
     most _MAX_THREADS, the caller's thread included; on one CPU, or for one
     block, no thread starts. So fn writes per-frame results into its own
     rows of arrays allocated before; what it returns, its part, is held
     until every block has run and so must be far smaller than a block,
-    which per-frame values are not on a one-bin grid. fn calls only
-    numpy, which releases the GIL, and no module-level function of this
-    package, whose callers (a profiler, perfbench's span recorder) may track
-    one call stack. Threads start with numpy's default errstate, so fn sets
-    its own. The split depends only on the grid's shape, so results do not
-    depend on the CPU count. If blocks raise, the lowest one's exception is
-    raised here once every thread has ended, as the first one would be in a
-    plain loop: blocks are claimed in order, so every block before it has run.
+    which per-frame values are not on a one-bin grid. fn calls numpy, which
+    releases the GIL, and may call the package's private block helpers
+    (metrics._renyi_sums, ridges._strict_maxima, io_export._pixels), which
+    perfbench does not wrap, but never a public function: its callers (a
+    profiler, perfbench's span recorder) may track one call stack. Threads
+    start with numpy's default errstate, so fn sets its own. The split
+    depends only on the grid's shape, so results do not depend on the CPU
+    count. If blocks raise, the lowest one's exception is raised here once
+    every thread has ended, as the first one would be in a plain loop:
+    blocks are claimed in order, so every block before it has run.
     """
+    n_frames, n_bins = shape
     step = _frames_per_block(n_bins)
     # a grid of no frames is one empty block, so there is a part to return
     blocks = [slice(lo, min(lo + step, n_frames)) for lo in range(0, max(1, n_frames), step)]
@@ -133,7 +137,7 @@ class TFRGrid:
                 raise InvalidParameterError(f"{self.method_tag} grid entries must be finite")
             return np.count_nonzero(v, axis=1).sum()
 
-        counts = _by_frame_blocks(block, *data.shape)
+        counts = _by_frame_blocks(block, data.shape)
         # written so that NaN fails every comparison
         if not -np.inf < self.t0_s < np.inf:
             raise InvalidParameterError(f"t0_s={self.t0_s} must be finite")
@@ -167,15 +171,10 @@ class TFRGrid:
     def invertible(self) -> bool:
         return bool(np.isfinite(self.rho))
 
-    def with_data(self, data: np.ndarray, method_tag: str | None = None,
-                  rho: float | None = None) -> "TFRGrid":
-        """Same sampling, new coefficients; optionally a new tag or rho."""
-        return replace(
-            self,
-            data=data,
-            method_tag=self.method_tag if method_tag is None else method_tag,
-            rho=self.rho if rho is None else rho,
-        )
+    def with_data(self, data: np.ndarray, method_tag: str | None = None) -> "TFRGrid":
+        """Same sampling and rho, new coefficients; optionally a new tag."""
+        return replace(self, data=data,
+                       method_tag=self.method_tag if method_tag is None else method_tag)
 
 
 def frame_matrix(sig: Signal, weights: np.ndarray, nfft: int) -> np.ndarray:
@@ -202,7 +201,7 @@ def frame_matrix(sig: Signal, weights: np.ndarray, nfft: int) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # TFRGrid refuses a non-finite sum
             out[rows] = np.fft.fft(buf, axis=1)
 
-    _by_frame_blocks(block, len(sig), nfft)
+    _by_frame_blocks(block, out.shape)
     return out
 
 
@@ -292,7 +291,7 @@ def regroup(grid: TFRGrid, dest_of: Callable[[slice], np.ndarray], method_tag: s
             np.add.at(out[rows].reshape(-1), target,
                       np.add.reduceat(data[rows].ravel(), starts))
 
-    _by_frame_blocks(block, *data.shape)
+    _by_frame_blocks(block, data.shape)
     return grid.with_data(out, method_tag=method_tag)
 
 

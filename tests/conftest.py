@@ -1,9 +1,11 @@
+import dataclasses
 import wave
 
 import numpy as np
 import pytest
 
 import tfsqueeze as tq
+from tfsqueeze.tfr import nearest_bins
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +45,22 @@ def ridge_bins(est) -> tuple[np.ndarray, ...]:
     """Per-frame view of an IFEstimate: the strictly increasing ridge bins of
     each frame."""
     return tuple(np.split(est.ridges, est.offsets[1:-1]))
+
+
+def ideal_tfr(model, like):
+    """Reference surface on the sampling of grid like: each mode contributes
+    its complex envelope A(t)*exp(j*phase(t)) at the bin nearest its IF.
+
+    Coinciding modes sum. The result is the target every post-processor is
+    judged against; its rho of 1 is nominal, not a reconstruction factor.
+    """
+    t = like.time_axis_s
+    data = np.zeros(like.data.shape, dtype=np.complex128)
+    for mode in model.modes:
+        bins = nearest_bins(np.broadcast_to(mode.if_hz(t), t.shape), like, "mode IF")
+        vals = mode.amplitude(t) * np.exp(1j * mode.phase_rad(t))
+        np.add.at(data, (np.arange(t.size), bins), vals)
+    return dataclasses.replace(like, data=data, method_tag="ideal", rho=1.0)
 
 
 def max_if_deviation_hz(model, duration_s: float) -> float:

@@ -14,6 +14,7 @@ import sys
 import threading
 import time
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -181,7 +182,8 @@ def edge_frame_counts(n_bins):
 
 def analysis(n_frames, nfft, complex_input=False, white_noise=False):
     """A noisy two-tone signal, or white noise alone, whose many ridges and
-    valleys cross every block edge; 1 and 2 bins take a 1-tap window."""
+    valleys cross every block edge; 1 and 2 bins take a 1-tap window, 3 to
+    63 bins a 3-tap one."""
     fs = 128.0
     rng = np.random.default_rng(n_frames * 1000 + nfft)
     t = np.arange(n_frames) / fs
@@ -189,7 +191,7 @@ def analysis(n_frames, nfft, complex_input=False, white_noise=False):
     x = rng.standard_normal(n_frames) if white_noise else x + 0.1 * rng.standard_normal(n_frames)
     if complex_input:
         x = x + 1j * rng.standard_normal(n_frames)
-    sigma = 0.04 if nfft >= 64 else 1e-9
+    sigma = 0.04 if nfft >= 64 else 0.002 if nfft >= 3 else 1e-9
     return tfr.Analysis(signals.Signal(x, fs), windows.WindowSpec(sigma, fs), nfft)
 
 
@@ -290,6 +292,90 @@ class TestBlockEdges:
         assert (tmp_path / "h.pgm").read_bytes() == heatmap_oracle(grid)
 
 
+@pytest.mark.parametrize("n_frames, n_bins", [(n_frames, n_bins) for n_bins in (1, 2, 3, 128)
+                                               for n_frames in edge_frame_counts(n_bins)])
+@pytest.mark.parametrize("complex_input, real", [(False, True), (True, False), (True, True)],
+                         ids=["real", "complex", "complex-half"])
+def test_scan_gives_the_bits_of_the_three_passes(n_frames, n_bins, complex_input, real, tmp_path):
+    grid = analysis(n_frames, n_bins, complex_input=complex_input).grid
+    if complex_input and real:  # the half circle peaks below the grid: its own floor
+        data = grid.data.copy()
+        data[:, (n_bins + 1) // 2:] *= 4.0
+        grid = grid.with_data(data)
+    view = tfr.half_circle(grid) if real else grid
+    io_export.export_heatmap_pgm(grid, tmp_path / "want.pgm")
+    for gamma in (None, 0.0, 0.1):
+        entropy, found, image = metrics.scan(grid, gamma, real)
+        assert same_bits(entropy, metrics.renyi_entropy(grid))
+        io_export.export_pgm(image, tmp_path / "got.pgm")
+        assert (tmp_path / "got.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
+        if gamma is None:  # nothing to score ridges against
+            assert found is None
+            continue
+        est = ridges.local_maxima(view, gamma)
+        for name in ("ridges", "offsets", "time_axis_s", "freq_axis_hz"):
+            assert same_bits(getattr(found, name), getattr(est, name))
+        assert same_bits(found.counts(), est.counts())
+        if n_bins == 128 and n_frames > 1:
+            assert found.ridges.size > 0
+
+
+def test_pixels_at_the_floor_are_the_formulas():
+    # zeros, subnormals and magnitudes around the floor (10^-3 of the peak)
+    # and the first grey level, which the helper raises to the floor first
+    edge = 10.0 ** (io_export.HEATMAP_FLOOR_DB / 20.0)
+    level = 10.0 ** ((io_export.HEATMAP_FLOOR_DB * (1 - 1 / 510)) / 20.0)
+    q = np.array([0.0, 5e-324, 1e-310, 1e-30, edge / 2] +
+                 [x * (1 + k * 2.0**-52) for x in (edge, level) for k in range(-4, 5)] +
+                 [0.5, 1.0])[None, :]
+    with np.errstate(divide="ignore"):
+        db = np.clip(20.0 * np.log10(q), io_export.HEATMAP_FLOOR_DB, 0.0)
+    want = np.rint(255.0 * (db - io_export.HEATMAP_FLOOR_DB)
+                   / (-io_export.HEATMAP_FLOOR_DB)).astype(np.uint8)
+    assert same_bits(np.ascontiguousarray(io_export._pixels(q)), want.T[::-1])
+
+
+class TestScanRefusals:
+    """The scan refuses what renyi_entropy refuses, with its messages, before
+    any block runs; a bad gamma comes first, as detection came first."""
+
+    @pytest.mark.parametrize("gamma, real", [(None, True), (0.0, False), (0.1, True)])
+    def test_all_zero_output(self, gamma, real):
+        grid = tfr.TFRGrid(np.zeros((5, 8), dtype=complex), 0.0, 1.0, 1.0, "x", 8.0)
+        with pytest.raises(InvalidParameterError,
+                           match="^cannot measure entropy of an all-zero grid$"):
+            metrics.scan(grid, gamma, real)
+
+    @pytest.mark.parametrize("gamma, real", [(None, True), (0.0, False), (0.1, True)])
+    def test_infinite_magnitude(self, gamma, real):
+        data = np.ones((5, 8), dtype=complex)
+        data[3, 2] = complex(1.5e308, 1.5e308)  # finite, but |V| overflows
+        grid = tfr.TFRGrid(data, 0.0, 1.0, 1.0, "x", 8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="^cannot measure entropy of the x "
+                               "grid: a magnitude exceeds the float range$"):
+                metrics.scan(grid, gamma, real)
+
+    def test_bad_gamma_comes_first(self):
+        grid = tfr.TFRGrid(np.zeros((5, 8), dtype=complex), 0.0, 1.0, 1.0, "x", 8.0)
+        with pytest.raises(InvalidParameterError, match="gamma must lie in"):
+            metrics.scan(grid, 1.0, True)
+
+    @pytest.mark.parametrize("command", [["analyze", "--method", "rm"],
+                                         ["compare", "--methods", "rm,stft"]])
+    def test_all_zero_rm_output_is_refused_by_the_entropy(self, tmp_path, capsys, command):
+        # every input frame sums to zero too, which the conservation metric
+        # refuses; the entropy's refusal comes first
+        path = tmp_path / "zeros.csv"
+        path.write_text("# fs=128\n" + "0\n" * 300)
+        assert main(command + ["--input", str(path), "--nfft", "64",
+                               "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot measure entropy of an all-zero grid\n"
+        assert not (tmp_path / "out").exists()
+
+
 def test_frame_matrix_needs_no_numpy_2_fft_keyword(monkeypatch):
     # numpy before 2.0, which pyproject.toml admits, has no out= on np.fft.fft
     fft = np.fft.fft
@@ -356,7 +442,7 @@ class TestFaultsInBlocks:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             called, done = [], []
             with pytest.raises(KeyError) as info:
-                tfr._by_frame_blocks(fn, 6 * b, 16)
+                tfr._by_frame_blocks(fn, (6 * b, 16))
             assert info.value.args == (2 * b,)
             assert sorted(done) == [0, b]
             if cpus == 1:  # the caller's thread runs the blocks in order, stopping at the fault
@@ -376,7 +462,7 @@ class TestFaultsInBlocks:
         sys.setswitchinterval(1e-6)
         try:
             runner = threading.Thread(
-                target=lambda: returned.append(tfr._by_frame_blocks(fn, 200 * b + 3, 16)))
+                target=lambda: returned.append(tfr._by_frame_blocks(fn, (200 * b + 3, 16))))
             runner.start()
             runner.join(timeout=60)
         finally:
@@ -405,7 +491,7 @@ class TestFaultsInBlocks:
             seen.append(rows.start)
 
         with pytest.raises(KeyboardInterrupt):
-            tfr._by_frame_blocks(fn, 40 * tfr._frames_per_block(16), 16)
+            tfr._by_frame_blocks(fn, (40 * tfr._frames_per_block(16), 16))
         assert not started[0].is_alive()
         assert len(seen) < 40  # the started worker ended after its current block
 
@@ -419,7 +505,7 @@ class TestFaultsInBlocks:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(threading, "Thread", Counted)
-        tfr._by_frame_blocks(lambda rows: None, 100 * tfr._frames_per_block(16), 16)
+        tfr._by_frame_blocks(lambda rows: None, (100 * tfr._frames_per_block(16), 16))
         assert len(made) == tfr._MAX_THREADS - 1  # the caller's thread is one of them
 
     def test_one_block_runs_inline(self, monkeypatch):

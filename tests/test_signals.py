@@ -6,7 +6,7 @@ import pytest
 import tfsqueeze as tq
 from tfsqueeze.errors import FormatError, InvalidParameterError
 
-from conftest import max_if_deviation_hz, write_wav
+from conftest import ideal_tfr, max_if_deviation_hz, write_wav
 
 
 class TestSignalType:
@@ -291,7 +291,7 @@ class TestIdealTfr:
     def test_on_bin_tone_single_cell_per_frame(self, tone32):
         sig, model = tone32
         t = sig.times_s
-        grid = tq.ideal_tfr(model, like(sig, 128))
+        grid = ideal_tfr(model, like(sig, 128))
         counts = (np.abs(grid.data) > 0).sum(axis=1)
         assert np.all(counts == 1)
         assert np.allclose(grid.data[:, 32], np.exp(1j * 2 * np.pi * 32 * t))
@@ -300,13 +300,13 @@ class TestIdealTfr:
 
     def test_fmam_two_cells_per_frame(self, fmam):
         sig, model = fmam
-        grid = tq.ideal_tfr(model, like(sig, 128))
+        grid = ideal_tfr(model, like(sig, 128))
         counts = (np.abs(grid.data) > 0).sum(axis=1)
         assert np.all(counts == 2)
 
     def test_crossover_modes_merge_at_crossing(self, crossover):
         sig, model = crossover
-        grid = tq.ideal_tfr(model, like(sig, 1024))
+        grid = ideal_tfr(model, like(sig, 1024))
         n = int(np.argmin(np.abs(sig.times_s - 0.25)))
         assert (np.abs(grid.data[n]) > 0).sum() == 1
         counts = (np.abs(grid.data) > 0).sum(axis=1)
@@ -315,4 +315,4 @@ class TestIdealTfr:
     def test_out_of_range_if_rejected(self, fmam):
         sig, model = fmam
         with pytest.raises(InvalidParameterError, match="mode IF range"):
-            tq.ideal_tfr(model, like(sig, 32))
+            ideal_tfr(model, like(sig, 32))

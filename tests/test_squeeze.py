@@ -4,7 +4,7 @@ import pytest
 import tfsqueeze as tq
 from tfsqueeze.errors import InvalidParameterError, NonInvertibleGridError
 
-from conftest import interior_mask, rel_l2, ridge_bins
+from conftest import ideal_tfr, interior_mask, rel_l2, ridge_bins
 
 
 class TestModularReassign:
@@ -89,7 +89,7 @@ class TestModularReassign:
         grid = tq.stft(sig, w128, 128)
         est = tq.inject_if(grid, [m.if_hz for m in model.modes])
         out = tq.modular_reassign(grid, est)
-        ideal = tq.ideal_tfr(model, grid)
+        ideal = ideal_tfr(model, grid)
         for n in range(grid.n_frames):
             out_bins = np.nonzero(np.abs(out.data[n]))[0]
             ideal_bins = np.nonzero(np.abs(ideal.data[n]))[0]

@@ -5,7 +5,7 @@ import tfsqueeze as tq
 from tfsqueeze.errors import InvalidParameterError, NonInvertibleGridError
 from tfsqueeze.tfr import nearest_bins
 
-from conftest import interior_mask, rel_l2
+from conftest import ideal_tfr, interior_mask, rel_l2
 
 
 def stft_frame_oracle(sig, w, nfft, frame):
@@ -213,4 +213,4 @@ class TestNearestBins:
                 tq.mode_reconstruct(grid, track, 3.0)
             mode = tq.Mode(model.modes[0].amplitude, model.modes[0].phase_rad, track)
             with pytest.raises(InvalidParameterError, match="mode IF range"):
-                tq.ideal_tfr(tq.ModeModel((mode,)), grid)
+                ideal_tfr(tq.ModeModel((mode,)), grid)

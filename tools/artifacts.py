@@ -52,6 +52,10 @@ COMMANDS = (
     "generate fmam --out fmam/gen",
     "analyze --input fmam/gen/signal.csv --if-from fmam/gen/true_if.csv --gamma 0 "
     "--reconstruct --out fmam/injected",
+    # every method on a real signal at gamma 0.1, whose ridges are detected
+    # above gamma times the half circle's peak, and on a 2-bin axis
+    "compare --input fmam --snr-db 10 --seed 1 --out fmam-10db",
+    "compare --input tone --nfft 2 --sigma 0.001 --out tone-2-bins",
 )
 
 
