@@ -15,7 +15,7 @@ from .errors import (
 )
 from .io_export import (
     export_grid_csv,
-    export_heatmap_pgm,
+    export_pgm,
     export_report_json,
     export_trajectories_csv,
     import_grid_csv,
@@ -28,8 +28,8 @@ from .metrics import (
     framesum_max_dev,
     nonzero_fraction,
     recon_rel_l2,
-    renyi_entropy,
     ridge_mae,
+    scan,
 )
 from .ridges import (
     IFEstimate,

@@ -25,14 +25,14 @@ import numpy as np
 
 from .errors import FormatError, InvalidParameterError
 from .signals import Signal
-from .tfr import MAX_GRID_CELLS, TFRGrid, _by_frame_blocks
+from .tfr import MAX_GRID_CELLS, TFRGrid
 
 if TYPE_CHECKING:  # metrics renders its heatmaps with _pixels, so it imports this module
     from .metrics import MethodReport
 
 __all__ = ["output_dir", "load_signal", "save_signal_csv", "load_trajectories_csv",
            "export_trajectories_csv", "export_grid_csv", "import_grid_csv",
-           "export_heatmap_pgm", "export_pgm", "export_report_json"]
+           "export_pgm", "export_report_json"]
 
 # the grid file's members, each with the scalar type and rank it must have
 _GRID_MEMBERS = {"method": (np.str_, 0), "fs": (np.float64, 0), "t0": (np.float64, 0),
@@ -175,9 +175,9 @@ def load_trajectories_csv(path) -> list[Callable[[np.ndarray], np.ndarray]]:
     """Read IF trajectories from CSV columns time_s, f1_hz[, f2_hz, ...].
 
     '#' lines are comments, and rows before the first row that starts with
-    a number are column names. Returns one callable per frequency column;
-    lookups interpolate linearly between rows and clamp outside the covered
-    time span.
+    a number are column names; a time that is not finite is refused. Returns
+    one callable per frequency column; lookups interpolate linearly between
+    rows and clamp outside the covered time span.
     """
     rows: list[list[float]] = []
     for lineno, cells in _read_rows(path):
@@ -192,6 +192,8 @@ def load_trajectories_csv(path) -> list[Callable[[np.ndarray], np.ndarray]]:
             values = [float(c) for c in cells]
         except ValueError:
             raise FormatError(f"{path}: line {lineno}: non-numeric cell in {','.join(cells)!r}")
+        if not math.isfinite(values[0]):
+            raise FormatError(f"{path}: line {lineno}: time {values[0]} is not finite")
         if rows and len(values) != len(rows[0]):
             raise FormatError(f"{path}: line {lineno}: expected {len(rows[0])} columns")
         rows.append(values)
@@ -250,26 +252,6 @@ def import_grid_csv(path) -> TFRGrid:
         return TFRGrid(data.reshape(shape), *scalars)
     except InvalidParameterError as exc:
         raise FormatError(f"{path}: {exc}")
-
-
-def export_heatmap_pgm(grid: TFRGrid, path) -> None:
-    """Render |G| over [0, fs/2) as a binary 8-bit PGM (P5) image.
-
-    One pixel per (frame, bin); magnitude in dB relative to the grid maximum,
-    clipped at HEATMAP_FLOOR_DB and mapped linearly to 0..255. Row 0 is the
-    highest displayed frequency.
-    """
-    peak = grid.frame_peaks.max(initial=0.0)
-    if peak == 0.0:
-        raise InvalidParameterError("cannot render an all-zero grid")
-    if peak == np.inf:  # a finite cell whose |G| passes the float range
-        raise InvalidParameterError(
-            f"cannot render the {grid.method_tag} grid: a magnitude exceeds the float range")
-    shown = grid.data[:, :(grid.n_bins + 1) // 2]  # the bins half_circle keeps, as a view
-    image = np.empty(shown.shape[::-1], dtype=np.uint8)
-    _by_frame_blocks(lambda rows: np.copyto(image[:, rows], _pixels(np.abs(shown[rows]) / peak)),
-                     shown.shape)
-    export_pgm(image, path)
 
 
 def _pixels(q: np.ndarray) -> np.ndarray:

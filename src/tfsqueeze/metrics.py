@@ -12,10 +12,10 @@ from .ridges import Ridges, _check_gamma, _strict_maxima
 from .signals import ModeModel, Signal
 from .tfr import TFRGrid, _by_frame_blocks
 
-__all__ = ["MethodReport", "renyi_peak", "renyi_entropy", "scan", "ridge_mae",
-           "recon_rel_l2", "framesum_max_dev", "nonzero_fraction"]
+__all__ = ["MethodReport", "renyi_peak", "scan", "ridge_mae", "recon_rel_l2",
+           "framesum_max_dev", "nonzero_fraction"]
 
-# the Renyi order, the usual time-frequency choice; renyi_entropy cubes for it
+# the Renyi order, the usual time-frequency choice; scan cubes for it
 ALPHA = 3.0
 
 
@@ -45,28 +45,29 @@ def renyi_peak(grid: TFRGrid) -> float:
     return float(peak)
 
 
-def _renyi_sums(q: np.ndarray) -> tuple[float, float]:
-    """A block's (sum q, sum q^3), q = |G| / max|G|. A block helper, so it
-    calls only numpy."""
-    cubes = q * q
-    cubes *= q
-    return q.sum(), cubes.sum()
-
-
-def _renyi_bits(parts) -> float:
-    """Renyi entropy in bits from the blocks' _renyi_sums, added in frame order."""
-    s1, s3 = map(sum, zip(*parts))
-    return float(np.log2(s3 / s1**3) / (1.0 - ALPHA))
-
-
-def renyi_entropy(grid: TFRGrid) -> float:
-    """Renyi entropy in bits of the distribution of the stored magnitudes.
-
-    P = |G| / sum|G| and H = log2(sum P^ALPHA) / (1 - ALPHA); lower means
-    more concentrated. It is taken as log2(sum q^3 / (sum q)^3) / (1 - ALPHA)
-    on q = |G| / max|G| <= 1 (renyi_peak), so no sum overflows and a
-    power-of-two scale leaves H unchanged. Each frame block returns its
-    (sum q, sum q^3), added in frame order: H does not depend on the CPU count.
+def scan(grid: TFRGrid, gamma: float | None, real: bool
+         ) -> tuple[float, Ridges | None, np.ndarray]:
+    """Score a method's output, find its ridges and render it in one
+    frame-block pass, which takes each block's |G| once. Returns (entropy,
+    ridges, image):
+    - entropy is the Renyi entropy in bits of the distribution of the stored
+      magnitudes, P = |G| / sum|G| and H = log2(sum P^ALPHA) / (1 - ALPHA);
+      lower means more concentrated. It is taken as
+      log2(sum q^3 / (sum q)^3) / (1 - ALPHA) on q = |G| / max|G| <= 1
+      (renyi_peak), so no sum overflows and a power-of-two scale leaves H
+      unchanged. Each block gives its (sum q, sum q^3), added in frame
+      order: H does not depend on the CPU count;
+    - ridges are, per frame, the interior bins of the view whose |G| lies
+      above both neighbours and above gamma times the view's peak, with
+      their per-frame counts and no basins: the ridges of
+      local_maxima(filter_grid(view, gamma)). The view is half_circle(grid)
+      for a real signal (real=True) and grid otherwise. gamma None detects
+      nothing and gives None;
+    - image is the heatmap of the bins below fs/2 (half_circle's), for
+      io_export.export_pgm: one column per frame and one row per bin, the
+      highest bin on top, each pixel 20 log10 q in dB clipped at
+      io_export.HEATMAP_FLOOR_DB and mapped linearly to 0..255.
+    A gamma outside [0, 1) is refused first, then a grid renyi_peak refuses.
 
     The weight is |G|, not |G|^2: SST, LMSST and the squeeze conserve each
     frame's complex sum, not sum|G|^2, and approximate the amplitude-valued
@@ -74,25 +75,6 @@ def renyi_entropy(grid: TFRGrid) -> float:
     empty bin of its frame keeps sum|G|, so it can never lower H; on |G|^2
     it could. RM's grid stores reassigned energy, so it is scored on the
     reassigned spectrogram itself.
-    """
-    data, peak = grid.data, renyi_peak(grid)
-    return _renyi_bits(_by_frame_blocks(lambda rows: _renyi_sums(np.abs(data[rows]) / peak),
-                                        data.shape))
-
-
-def scan(grid: TFRGrid, gamma: float | None, real: bool
-         ) -> tuple[float, Ridges | None, np.ndarray]:
-    """Score a method's output, find its ridges and render it in one
-    frame-block pass, which takes each block's |G| once. Returns (entropy,
-    ridges, image), each bit for bit what a public function gives:
-    - entropy is renyi_entropy(grid);
-    - ridges are the ridges and per-frame counts of local_maxima(view,
-      gamma), without basins; view is half_circle(grid) for a real signal
-      (real=True), so the floor is gamma times the half circle's peak, and
-      grid otherwise. gamma None detects nothing and gives None;
-    - image holds the pixels export_heatmap_pgm(grid, path) writes, for
-      io_export.export_pgm.
-    A gamma outside [0, 1) is refused first, then a grid renyi_peak refuses.
     """
     if gamma is not None:
         _check_gamma(gamma)
@@ -117,14 +99,16 @@ def scan(grid: TFRGrid, gamma: float | None, real: bool
             counts[rows] = np.bincount(frame, minlength=view.shape[0])
         q = np.divide(m, peak, out=m)  # detection has read |G|
         image[:, rows] = _pixels(q[:, :shown])
-        return _renyi_sums(q), bins
+        cubes = q * q
+        cubes *= q
+        return q.sum(), cubes.sum(), bins
 
-    sums, parts = zip(*_by_frame_blocks(block, data.shape))
+    s1, s3, parts = zip(*_by_frame_blocks(block, data.shape))
     found = None
     if gamma is not None:
         found = Ridges(np.concatenate(parts), np.concatenate([[0], np.cumsum(counts)]),
                        grid.time_axis_s, grid.freq_axis_hz[:width])
-    return _renyi_bits(sums), found, image
+    return float(np.log2(sum(s3) / sum(s1)**3) / (1.0 - ALPHA)), found, image
 
 
 def nonzero_fraction(grid: TFRGrid) -> float:

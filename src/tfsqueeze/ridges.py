@@ -126,27 +126,22 @@ def _strict_maxima(m: np.ndarray, floor: float) -> np.ndarray:
     return np.flatnonzero(peaks)
 
 
-def local_maxima(grid: TFRGrid, gamma: float = 0.0) -> IFEstimate:
+def local_maxima(grid: TFRGrid) -> IFEstimate:
     """Detect per-frame ridges as strict interior local maxima of |G|.
 
     Plateaus yield no ridge and the first and last bins are never ridges.
     Basin boundaries sit at the smallest-magnitude bin strictly between
-    consecutive ridges (ties resolve to the lower bin). gamma detects on the
-    magnitudes filter_grid would keep against the global maximum, without
-    building the filtered grid. Every block of frames finds its own ridges and
-    basins, so it builds no mask at any gamma.
+    consecutive ridges (ties resolve to the lower bin). Detection at a gamma
+    floor runs on filter_grid's output. Every block of frames finds its own
+    ridges and basins, so it builds no grid-sized mask.
     """
-    _check_gamma(gamma)
     data = grid.data
-    floor = gamma * grid.frame_peaks.max(initial=0.0) if gamma > 0.0 else None
     counts = np.empty(data.shape[0], dtype=np.int64)
 
     def block(rows):
         m = np.abs(data[rows])
-        if floor is not None:
-            m[m <= floor] = 0.0
         inner, left, right = m[:, 1:-1], m[:, :-2], m[:, 2:]
-        peaks = _strict_maxima(m, 0.0)  # the floor has zeroed m, for the valleys too
+        peaks = _strict_maxima(m, 0.0)
         frame, ridges = np.divmod(peaks, inner.shape[1])  # a width of 0 divides nothing
         # The lowest-bin minimum of a valley between two ridges is strictly
         # below its left neighbour and not above its right one (the ridges

@@ -51,14 +51,14 @@ def _by_frame_blocks(fn, shape: tuple[int, int]) -> list:
     until every block has run and so must be far smaller than a block,
     which per-frame values are not on a one-bin grid. fn calls numpy, which
     releases the GIL, and may call the package's private block helpers
-    (metrics._renyi_sums, ridges._strict_maxima, io_export._pixels), which
-    perfbench does not wrap, but never a public function: its callers (a
-    profiler, perfbench's span recorder) may track one call stack. Threads
-    start with numpy's default errstate, so fn sets its own. The split
-    depends only on the grid's shape, so results do not depend on the CPU
-    count. If blocks raise, the lowest one's exception is raised here once
-    every thread has ended, as the first one would be in a plain loop:
-    blocks are claimed in order, so every block before it has run.
+    (ridges._strict_maxima, io_export._pixels), which perfbench does not
+    wrap, but never a public function: its callers (a profiler, perfbench's
+    span recorder) may track one call stack. Threads start with numpy's
+    default errstate, so fn sets its own. The split depends only on the
+    grid's shape, so results do not depend on the CPU count. If blocks
+    raise, the lowest one's exception is raised here once every thread has
+    ended, as the first one would be in a plain loop: blocks are claimed in
+    order, so every block before it has run.
     """
     n_frames, n_bins = shape
     step = _frames_per_block(n_bins)

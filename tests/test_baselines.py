@@ -213,11 +213,12 @@ def chirp_2048x1024():
 # the bins, a whole-grid magnitude, a second bin grid, LMSST's and the
 # squeeze's grid-sized destinations. Before each block found its own
 # ridges and basins, detection read 0.172 and 0.335: two grid-sized masks and
-# a whole-grid valley sort. Renyi scoring holds one block's q and q^2 per
-# thread, 0.063; over a whole-grid magnitude buffer it read 0.50.
+# a whole-grid valley sort. The scan holds one block's q and q^2 per thread
+# beside its heatmap pixels, 1/32 grid: 0.095 at gamma 0.1 on the real view.
+# Renyi scoring alone read 0.063, and 0.50 over a whole-grid magnitude buffer.
 PEAK_GRIDS = {"sst": 1.64, "reassignment": 2.17, "set_extract": 1.65, "lmsst": 1.16,
               "modular_reassign": 1.08, "local_maxima": 0.06, "local_maxima-0dB": 0.10,
-              "renyi_entropy": 0.07}
+              "scan": 0.10}
 
 
 @pytest.mark.parametrize("name", sorted(PEAK_GRIDS))
@@ -228,12 +229,12 @@ def test_peak_memory_in_grids(chirp_2048x1024, name, monkeypatch):
     if name == "modular_reassign":  # the squeeze of the CLI's gamma-0.1 filtered grid
         filtered = tq.filter_grid(a.grid, 0.1)
         args = filtered, tq.local_maxima(filtered)
-    elif name == "local_maxima":  # detection on the gamma-0.1 filtered grid, masked at 0.1
-        args = tq.filter_grid(a.grid, 0.1), 0.1
-    elif name == "renyi_entropy":  # the STFT grid itself
-        args = (a.grid,)
+    elif name == "local_maxima":  # detection on the gamma-0.1 filtered grid
+        args = (tq.filter_grid(a.grid, 0.1),)
+    elif name == "scan":  # the STFT grid itself, at gamma 0.1 on the real view
+        args = a.grid, 0.1, True
     elif name == "local_maxima-0dB":  # about 35 ridges per frame, with as many valleys
-        args = tq.Analysis(tq.add_noise(a.sig, 0.0, 1), a.w, a.nfft).grid, 0.0
+        args = (tq.Analysis(tq.add_noise(a.sig, 0.0, 1), a.w, a.nfft).grid,)
     else:
         args = (a,)
     tracemalloc.start()

@@ -264,7 +264,7 @@ class TestBlockEdges:
             grid = analysis(n_frames, n_bins, white_noise=white_noise).grid
             for view in (grid, tfr.half_circle(grid)):
                 for gamma in (0.0, 0.1):
-                    est = ridges.local_maxima(view, gamma)
+                    est = ridges.local_maxima(ridges.filter_grid(view, gamma))
                     for got, want in zip((est.ridges, est.offsets, est.starts),
                                          local_maxima_oracle(view, gamma)):
                         assert same_bits(got, want)
@@ -274,7 +274,7 @@ class TestBlockEdges:
         grid = ridges.filter_grid(base, 0.1)
         # block partial sums add in another order than the whole-grid oracle
         want = renyi_oracle(grid)
-        assert abs(metrics.renyi_entropy(grid) - want) <= 1e-14 * abs(want)
+        assert abs(metrics.scan(grid, None, False)[0] - want) <= 1e-14 * abs(want)
         assert metrics.nonzero_fraction(grid) == \
             float(np.count_nonzero(grid.data) / grid.data.size)
         for g in (base, grid, tfr.half_circle(grid)):
@@ -288,7 +288,7 @@ class TestBlockEdges:
 
     def test_heatmap(self, n_frames, n_bins, tmp_path):
         grid = analysis(n_frames, n_bins).grid
-        io_export.export_heatmap_pgm(grid, tmp_path / "h.pgm")
+        io_export.export_pgm(metrics.scan(grid, None, True)[2], tmp_path / "h.pgm")
         assert (tmp_path / "h.pgm").read_bytes() == heatmap_oracle(grid)
 
 
@@ -297,27 +297,35 @@ class TestBlockEdges:
 @pytest.mark.parametrize("complex_input, real", [(False, True), (True, False), (True, True)],
                          ids=["real", "complex", "complex-half"])
 def test_scan_gives_the_bits_of_the_three_passes(n_frames, n_bins, complex_input, real, tmp_path):
+    # the entropy, the ridges of the view and the heatmap, each against its
+    # whole-grid formula
     grid = analysis(n_frames, n_bins, complex_input=complex_input).grid
     if complex_input and real:  # the half circle peaks below the grid: its own floor
         data = grid.data.copy()
         data[:, (n_bins + 1) // 2:] *= 4.0
         grid = grid.with_data(data)
     view = tfr.half_circle(grid) if real else grid
-    io_export.export_heatmap_pgm(grid, tmp_path / "want.pgm")
+    want = renyi_oracle(grid)
+    entropies = set()
     for gamma in (None, 0.0, 0.1):
         entropy, found, image = metrics.scan(grid, gamma, real)
-        assert same_bits(entropy, metrics.renyi_entropy(grid))
+        # block partial sums add in another order than the whole-grid oracle
+        assert abs(entropy - want) <= 1e-14 * abs(want)
+        entropies.add(entropy)
         io_export.export_pgm(image, tmp_path / "got.pgm")
-        assert (tmp_path / "got.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
+        assert (tmp_path / "got.pgm").read_bytes() == heatmap_oracle(grid)
         if gamma is None:  # nothing to score ridges against
             assert found is None
             continue
-        est = ridges.local_maxima(view, gamma)
-        for name in ("ridges", "offsets", "time_axis_s", "freq_axis_hz"):
-            assert same_bits(getattr(found, name), getattr(est, name))
-        assert same_bits(found.counts(), est.counts())
+        ridge_bins, offsets, _ = local_maxima_oracle(view, gamma)
+        assert same_bits(found.ridges, ridge_bins)
+        assert same_bits(found.offsets, offsets)
+        assert same_bits(found.counts(), np.diff(offsets))
+        assert same_bits(found.time_axis_s, view.time_axis_s)
+        assert same_bits(found.freq_axis_hz, view.freq_axis_hz)
         if n_bins == 128 and n_frames > 1:
             assert found.ridges.size > 0
+    assert len(entropies) == 1  # detection leaves the score alone
 
 
 def test_pixels_at_the_floor_are_the_formulas():
@@ -336,8 +344,8 @@ def test_pixels_at_the_floor_are_the_formulas():
 
 
 class TestScanRefusals:
-    """The scan refuses what renyi_entropy refuses, with its messages, before
-    any block runs; a bad gamma comes first, as detection came first."""
+    """The scan refuses what renyi_peak refuses, with its messages, before
+    any block runs; a bad gamma comes first."""
 
     @pytest.mark.parametrize("gamma, real", [(None, True), (0.0, False), (0.1, True)])
     def test_all_zero_output(self, gamma, real):
@@ -390,12 +398,16 @@ def test_gamma_zero_drops_nothing_and_bad_gamma_is_refused():
     data = analysis(300, 128).grid.data.copy()
     data[::7, 5:40] = 0.0
     grid = tfr.TFRGrid(data, 0.0, 1.0, 1.0, "x", 128.0)
-    masked, plain = ridges.local_maxima(grid, 5e-324), ridges.local_maxima(grid, 0.0)
+    masked = ridges.local_maxima(ridges.filter_grid(grid, 5e-324))
+    plain = ridges.local_maxima(grid)
     for name in ("ridges", "offsets", "starts"):
         assert same_bits(getattr(plain, name), getattr(masked, name))
+    assert same_bits(metrics.scan(grid, 5e-324, False)[1].ridges, plain.ridges)
     for gamma in (-0.1, 1.0, float("nan")):
         with pytest.raises(InvalidParameterError, match="gamma"):
-            ridges.local_maxima(grid, gamma)
+            ridges.filter_grid(grid, gamma)
+        with pytest.raises(InvalidParameterError, match="gamma"):
+            metrics.scan(grid, gamma, False)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -421,7 +433,7 @@ def test_a_grid_of_no_frames_has_no_ridges():
     assert same_bits(grid.frame_sums, np.zeros(0, dtype=complex))
     assert grid.nonzero_count == 0
     assert ridges.filter_grid(grid, 0.1).data.shape == (0, 5)
-    est = ridges.local_maxima(grid, 0.1)
+    est = ridges.local_maxima(ridges.filter_grid(grid, 0.1))
     assert est.ridges.size == est.starts.size == 0
     assert est.offsets.tolist() == [0]
 
@@ -516,7 +528,7 @@ class TestFaultsInBlocks:
         a = analysis(tfr._frames_per_block(64), 64)
         baselines.sst(a)
         ridges.filter_grid(a.grid, 0.1)
-        metrics.renyi_entropy(a.grid)
+        metrics.scan(a.grid, 0.1, True)
 
     @pytest.mark.parametrize("bad", [-1, 128])
     def test_destination_outside_the_bins_in_a_later_block(self, bad):

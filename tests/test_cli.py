@@ -366,6 +366,11 @@ class TestNoPartialOutput:
          "trajectory range"),
         (["reconstruct", "{inputs}/grid.npz", "--mode-track", "{inputs}/nan.csv"], 2,
          "mode track range"),
+        # but not a non-finite time, which would lose or flatten the track
+        (["analyze", "--input", "fmam", "--if-from", "{inputs}/nan_time.csv"], 3,
+         "nan_time.csv: line 3: time nan is not finite"),
+        (["analyze", "--input", "fmam", "--if-from", "{inputs}/inf_time.csv"], 3,
+         "inf_time.csv: line 3: time inf is not finite"),
         # bad numbers are refused where they are used; NaN fails every check
         (["analyze", "--input", "fmam", "--sigma", "nan"], 2, "sigma_s=nan"),
         (["analyze", "--input", "tone", "--dur", "nan"], 2, "duration_s=nan"),
@@ -417,6 +422,7 @@ class TestNoPartialOutput:
           "--reference", "{inputs}/missing.csv"], 2, "not allowed with"),
     ], ids=["rm-reconstruct", "nyquist", "unparseable-grid",
             "track-off-axis", "compare-second-method", "nan-if-track", "nan-mode-track",
+            "nan-if-time", "inf-if-time",
             "sigma-nan", "dur-nan", "dur-inf", "fs-inf", "csv-fs-inf", "csv-t0-inf",
             "csv-t0-nan", "wav-rate-zero", "snr-huge",
             "snr-minus-huge", "snr-minus-inf", "delta-bins-past-axis", "analyze-seed-negative",
@@ -441,6 +447,8 @@ class TestNoPartialOutput:
         (inputs / "tracks.csv").write_text("time_s,f1_hz,f2_hz\n0,20,20\n1,20,500\n")
         (inputs / "nan.csv").write_text("time_s,f1_hz\n0,nan\n1,nan\n")
         (inputs / "tone.csv").write_text("time_s,f1_hz\n0,20\n1,20\n")
+        for time in ("nan", "inf"):
+            (inputs / f"{time}_time.csv").write_text(f"time_s,f1_hz\n0,20\n{time},30\n")
         (inputs / "fs_inf.csv").write_text("# fs=inf\n1\n2\n3\n")
         (inputs / "big.csv").write_text("# fs=1\n1e300\n")
         (inputs / "huge.csv").write_text("# fs=1\n1.7e308\n")

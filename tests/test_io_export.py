@@ -1,7 +1,6 @@
 import ast
 import dataclasses
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tfsqueeze as tq
-from tfsqueeze.errors import FormatError, InvalidParameterError
+from tfsqueeze.errors import FormatError
 
 from conftest import rewrite_grid
 
@@ -219,6 +218,16 @@ class TestTrajectoryCsv:
             tq.load_trajectories_csv(path)
 
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_non_finite_time_rejected(self, tmp_path, time):
+        # a NaN time would drop its row from the interpolation, an infinite
+        # one would flatten the track to one value
+        path = tmp_path / "traj.csv"
+        path.write_text(f"time_s,f1_hz\n0,20\n{time},30\n1,40\n")
+        with pytest.raises(FormatError, match=f"traj.csv: line 3: time {time} is not finite"):
+            tq.load_trajectories_csv(path)
+
+
 @pytest.mark.parametrize("read", [tq.load_signal, tq.load_trajectories_csv])
 def test_non_utf8_text_rejected(tmp_path, read):
     path = tmp_path / "latin1.csv"
@@ -227,12 +236,18 @@ def test_non_utf8_text_rejected(tmp_path, read):
         read(path)
 
 
+def write_heatmap(grid, path):
+    tq.export_pgm(tq.scan(grid, None, True)[2], path)
+
+
 class TestHeatmapPgm:
+    """The heatmap that scan renders and export_pgm writes."""
+
     def test_header_and_dimensions(self, tmp_path, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
         path = tmp_path / "map.pgm"
-        tq.export_heatmap_pgm(grid, path)
+        write_heatmap(grid, path)
         blob = path.read_bytes()
         magic, dims, maxval = blob.split(b"\n", 3)[:3]
         assert magic == b"P5" and maxval == b"255"
@@ -248,7 +263,7 @@ class TestHeatmapPgm:
         below = np.count_nonzero(grid.freq_axis_hz < fs / 2)
         assert tq.half_circle(grid).n_bins == below
         path = tmp_path / "map.pgm"
-        tq.export_heatmap_pgm(grid, path)
+        write_heatmap(grid, path)
         assert path.read_bytes().split(b"\n", 3)[1] == f"4 {below}".encode()
 
     def test_peak_maps_to_255_and_floor_to_0(self, tmp_path):
@@ -258,7 +273,7 @@ class TestHeatmapPgm:
         fs = 8.0
         grid = tq.TFRGrid(data, 0.0, 1.0, 1.0, "t", fs)
         path = tmp_path / "map.pgm"
-        tq.export_heatmap_pgm(grid, path)
+        write_heatmap(grid, path)
         pixels = np.frombuffer(path.read_bytes().split(b"\n", 3)[3], dtype=np.uint8)
         image = pixels.reshape(4, 2)  # rows top..bottom = bins 3..0
         assert image[2, 0] == 255    # bin 1, frame 0
@@ -269,7 +284,7 @@ class TestHeatmapPgm:
         sig, _ = tq.gen_tone(48, 128, 1)
         grid = tq.stft(sig, w128, 128)
         path = tmp_path / "map.pgm"
-        tq.export_heatmap_pgm(grid, path)
+        write_heatmap(grid, path)
         blob = path.read_bytes()
         width, height = map(int, blob.split(b"\n", 3)[1].split())
         pixels = np.frombuffer(blob.split(b"\n", 3)[3], dtype=np.uint8)
@@ -277,32 +292,18 @@ class TestHeatmapPgm:
         brightest_row = int(np.argmax(image.sum(axis=1)))
         assert brightest_row == (height - 1) - 48
 
-    def test_builds_no_grid(self, tmp_path, monkeypatch, fmam, w128):
-        # the shown bins are a view of the data: a half-circle TFRGrid would
-        # take its facts in a construction pass the heatmap never reads
+    def test_builds_no_grid(self, monkeypatch, fmam, w128):
+        # the shown bins and a real signal's view are slices of the data: a
+        # half-circle TFRGrid would take its facts in a construction pass the
+        # scan never reads
         grid = tq.stft(fmam[0], w128, 128)
         built, post_init = [], tq.TFRGrid.__post_init__
         monkeypatch.setattr(tq.TFRGrid, "__post_init__",
                             lambda self: built.append(self) or post_init(self))
-        tq.export_heatmap_pgm(grid, tmp_path / "map.pgm")
+        tq.scan(grid, 0.1, True)
         assert built == []
         tq.half_circle(grid)
         assert len(built) == 1  # the count sees a construction
-
-    def test_zero_grid_rejected(self, tmp_path, w128):
-        grid = tq.stft(tq.Signal(np.zeros(8), 128.0), w128, 128)
-        with pytest.raises(InvalidParameterError, match="cannot render an all-zero grid"):
-            tq.export_heatmap_pgm(grid, tmp_path / "map.pgm")
-
-    def test_magnitude_past_the_float_range_rejected(self, tmp_path):
-        # a finite cell whose |G| overflows would be painted 0 after a cast warning
-        grid = tq.TFRGrid(np.array([[1.5e308 + 1.5e308j, 1.0]]), 0.0, 1.0, 1.0, "t", 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvalidParameterError,
-                               match="render the t grid: a magnitude exceeds the float range"):
-                tq.export_heatmap_pgm(grid, tmp_path / "map.pgm")
-        assert not (tmp_path / "map.pgm").exists()
 
 
 class TestReportJson:

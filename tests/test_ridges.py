@@ -161,12 +161,15 @@ class TestLocalMaxima:
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.6])
     def test_gamma_detects_on_the_filtered_grid(self, gamma):
+        # the scan's ridges are those of local_maxima on filter_grid's output,
+        # on the grid or on its half circle
         rng = np.random.default_rng(7)
         grid = make_grid(rng.standard_normal((40, 64)) + 1j * rng.standard_normal((40, 64)))
-        est = tq.local_maxima(grid, gamma)
-        oracle = tq.local_maxima(tq.filter_grid(grid, gamma))
-        for name in ("ridges", "offsets", "starts"):
-            assert np.array_equal(getattr(est, name), getattr(oracle, name)), name
+        for real, view in ((False, grid), (True, tq.half_circle(grid))):
+            found = tq.scan(grid, gamma, real)[1]
+            oracle = tq.local_maxima(tq.filter_grid(view, gamma))
+            for name in ("ridges", "offsets", "freq_axis_hz"):
+                assert np.array_equal(getattr(found, name), getattr(oracle, name)), name
 
 
 class TestInjectIf:
