@@ -94,11 +94,21 @@ def filter_grid(grid: TFRGrid, gamma: float, per_frame: bool = False) -> TFRGrid
 
     The reference is the global grid maximum; per_frame=True switches to each
     frame's own maximum, which keeps ridges alive in quiet frames at the cost
-    of keeping noise there too.
+    of keeping noise there too. Where every threshold is zero (gamma 0, or an
+    all-zero grid) no cell is dropped, and the result shares the input's
+    cells instead of copying them; a -0.0 cell then stays -0.0. A grid with a
+    finite cell whose |V| passes the float range is refused: its threshold
+    would be inf or NaN and zero every cell.
     """
     _check_gamma(gamma)
     data, peaks = grid.data, grid.frame_peaks
-    threshold = gamma * np.where(per_frame, peaks, peaks.max(initial=0.0))
+    top = peaks.max(initial=0.0)
+    if top == np.inf:
+        raise InvalidParameterError(
+            f"cannot filter the {grid.method_tag} grid: a magnitude exceeds the float range")
+    threshold = gamma * np.where(per_frame, peaks, top)
+    if not threshold.any():
+        return grid.with_data(data, method_tag=grid.method_tag + "+filtered")
     kept = np.zeros(data.shape, dtype=np.complex128)
 
     # |V| is taken again rather than kept: freeing a grid-sized magnitude

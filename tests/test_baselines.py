@@ -247,6 +247,34 @@ def test_peak_memory_in_grids(chirp_2048x1024, name, monkeypatch):
     assert peak / a.grid.data.nbytes <= PEAK_GRIDS[name]
 
 
+@pytest.mark.parametrize("per_frame", [False, True])
+def test_gamma_zero_filters_without_a_grid(chirp_2048x1024, per_frame, monkeypatch):
+    # at gamma 0 filter_grid keeps the STFT's own cells and takes only its
+    # frame peaks and sums again: 0.034 grids, for either reference, on two
+    # CPUs. Filtering, detecting and squeezing then hold the squeeze's
+    # output, the traced 1.268. Copying the kept cells into a zeroed grid read
+    # 1.040 and 2.268.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    a = chirp_2048x1024
+
+    def squeezed():
+        filtered = tq.filter_grid(a.grid, 0.0, per_frame)
+        return tq.modular_reassign(filtered, tq.local_maxima(filtered))
+
+    def peak_grids(run):
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del out
+        return peak / a.grid.data.nbytes
+
+    assert peak_grids(lambda: tq.filter_grid(a.grid, 0.0, per_frame)) <= 0.05
+    assert peak_grids(squeezed) <= 1.35
+
+
 def test_peak_memory_of_building_a_grid(chirp_2048x1024, monkeypatch):
     # one pass takes a grid's frame peaks, frame sums and nonzero count, and
     # holds one block's |V| and nonzero mask per thread: 0.042 grids, for the

@@ -506,16 +506,19 @@ class TestNoPartialOutput:
                          "--out", str(tmp_path / "out")]) == 2
         assert re.search(rf"\b{method} grid\b", capsys.readouterr().err)
 
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", [*METHODS, "proposed --gamma 0",
+                                        "proposed --gamma 0 --per-frame-max"])
     def test_near_limit_complex_input_is_refused_without_a_warning(self, tmp_path, capsys,
                                                                    method):
         # a cell of V near the float limit overflows numpy's scaled complex
-        # division V_x / V, which the phase map and RM take
+        # division V_x / V, which the phase map and RM take, and its |V|, which
+        # the gamma filter scales
         rows = ["1.5e308,1.5e308" if n % 7 == 0 else "0.5,-0.25" for n in range(64)]
         (tmp_path / "near.csv").write_text("# fs=1\n" + "\n".join(rows) + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["analyze", "--method", method, "--input", str(tmp_path / "near.csv"),
+            assert main(["analyze", "--method", *method.split(),
+                         "--input", str(tmp_path / "near.csv"),
                          "--out", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

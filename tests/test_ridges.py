@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,48 @@ class TestFilterGrid:
         frame_out = tq.filter_grid(grid, 0.5, per_frame=True)
         assert np.count_nonzero(global_out.data[0]) == 0
         assert np.count_nonzero(frame_out.data[0]) == 1
+
+    @pytest.mark.parametrize("per_frame", [False, True])
+    def test_zero_threshold_shares_the_cells(self, per_frame):
+        # gamma 0 drops nothing, so the cells are the input's, -0.0 included
+        grid = make_grid([[-0.0, 2.0, complex(-0.0, -0.0), 1.0, -0.0],
+                          [0.5, -0.0, 3.0, complex(0.0, -0.0), 0.25],
+                          [-0.0, -0.0, -0.0, -0.0, -0.0]])
+        out = tq.filter_grid(grid, 0.0, per_frame)
+        assert np.shares_memory(out.data, grid.data)
+        assert out.method_tag == "test+filtered"
+        assert np.array_equal(np.signbit(out.data.real), np.signbit(grid.data.real))
+        assert np.array_equal(np.signbit(out.data.imag), np.signbit(grid.data.imag))
+        # what filtering once copied: the kept cells into a zeroed grid, -0.0 as +0.0
+        copied = grid.with_data(np.where(np.abs(grid.data) > 0, grid.data, 0.0))
+        assert np.signbit(copied.data.real).sum() == 0
+        est, copied_est = tq.local_maxima(out), tq.local_maxima(copied)
+        for name in ("ridges", "offsets", "starts"):
+            assert np.array_equal(getattr(est, name), getattr(copied_est, name))
+        squeezed = tq.modular_reassign(out, est).data
+        assert squeezed.tobytes() == tq.modular_reassign(copied, copied_est).data.tobytes()
+        # frame sums differ at most in the sign of a zero
+        assert np.array_equal(out.frame_sums, copied.frame_sums)
+
+    def test_all_zero_grid_shares_the_cells(self):
+        grid = make_grid(np.zeros((2, 4)))
+        for gamma in (0.0, 0.5):
+            out = tq.filter_grid(grid, gamma)
+            assert np.shares_memory(out.data, grid.data) and out.nonzero_count == 0
+
+    @pytest.mark.parametrize("per_frame", [False, True])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_magnitude_past_the_float_range_rejected(self, gamma, per_frame):
+        # finite cells whose |V| overflows: 0 * inf and 0.1 * inf thresholds
+        # would zero every cell
+        grid = tq.TFRGrid([[1.5e308 + 1.5e308j, 1, 2], [1, 3, 0]], 0, 1, 1, "stft", 1)
+        assert grid.frame_peaks.tolist() == [np.inf, 3.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError,
+                               match=r"^cannot filter the stft grid: a magnitude exceeds "
+                                     r"the float range$"):
+                tq.filter_grid(grid, gamma, per_frame)
 
     @pytest.mark.parametrize("gamma", [-0.1, 1.0, 2.0])
     def test_rejects_bad_gamma(self, gamma, tone32, w128):

@@ -39,6 +39,9 @@ COMMANDS = (
     "compare --input crossover --snr-db 0 --seed 2 --gamma 0 --methods stft,sst,set,rm "
     "--out crossover-0db",
     f"analyze --method rm {CHIRP} --snr-db 0 --seed 1 --gamma 0 --out chirp-0db-rm",
+    # detection at gamma 0, on the grid itself: about 36 ridges per frame
+    f"analyze --method proposed {CHIRP} --snr-db 0 --seed 1 --gamma 0 --out chirp-0db-proposed",
+    "compare --input fmam --gamma 0 --per-frame-max --methods stft,proposed --out fmam-pf-0",
     "analyze --method rm --input fmam --snr-db 10 --seed 1 --out fmam-10db-rm",
     # the roundtrip-crossover benchmark workload (perfbench/workloads.py)
     *(command for seed in (1, 2, 3) for command in (
