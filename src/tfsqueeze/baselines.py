@@ -33,50 +33,39 @@ __all__ = ["phase_if_map", "sst", "reassignment", "set_extract", "lmsst", "SIGNI
 SIGNIFICANCE_FLOOR = 1e-8
 
 
-def phase_if_map(a: Analysis) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-derived IF estimate of every cell of the analysis grid.
+def _floor(grid: TFRGrid) -> float:
+    """The significance floor: a cell with |V| at or below it has no usable phase."""
+    return SIGNIFICANCE_FLOOR * grid.frame_peaks.max()
 
-    Returns (f_hat_hz, significant). f_hat[n, k] is the frequency the
-    coefficient at bin k belongs to, obtained from the derivative-window
-    transform: f_hat = f_k - Im(V_dg / V) / (2*pi). Where the magnitude is
-    below the significance floor, f_hat falls back to the bin's own
-    frequency and significant is False.
+
+def phase_if_map(a: Analysis) -> np.ndarray:
+    """Phase-derived IF of every cell of the analysis grid, as a DFT bin.
+
+    Returns an int64 array of the grid's shape: bin[n, k] is the bin the
+    coefficient at bin k belongs to, f_hat = f_k - Im(V_dg / V) / (2*pi)
+    from the derivative-window transform, rounded to the nearest bin and
+    wrapped on the DFT circle. Where |V| is at or below the significance
+    floor, the bin is the cell's own; readers that treat such cells apart
+    test |V| against the floor themselves.
     """
     grid = a.grid
     ratio = frame_matrix(a.sig, a.w.d_values, a.nfft)  # V_dg, divided by V block by block
-    floor = SIGNIFICANCE_FLOOR * grid.frame_peaks.max()
-    f_hz = grid.freq_axis_hz
-    significant = np.empty(grid.data.shape, dtype=bool)
-    f_hat = np.empty(grid.data.shape)
+    floor, f_hz = _floor(grid), grid.freq_axis_hz
+    bins = np.empty(grid.data.shape, dtype=np.int64)
 
     def block(rows):
         r, v = ratio[rows], grid.data[rows]
         # V = 0 is insignificant; a near-limit V overflows numpy's scaled division
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.divide(r, v, out=r)
-        np.greater(np.abs(v), floor, out=significant[rows])
-        np.subtract(f_hz, np.imag(r) / (2.0 * np.pi), out=f_hat[rows])
-        np.copyto(f_hat[rows], f_hz, where=~significant[rows])
-
-    _by_frame_blocks(block, grid.data.shape)
-    return f_hat, significant
-
-
-def _if_bins(a: Analysis) -> tuple[np.ndarray, np.ndarray]:
-    """(bin, significant): each cell's phase IF rounded to the nearest DFT bin,
-    wrapped on the circle; an insignificant cell's bin is its own. The bins
-    overwrite the Hz map they are rounded from."""
-    f_hat, significant = phase_if_map(a)
-    df_hz, n_bins = a.grid.df_hz, a.grid.n_bins
-    bins = f_hat.view(np.int64)
-
-    def block(rows):
-        f = f_hat[rows]
-        f /= df_hz
-        np.remainder(np.rint(f, out=f).astype(np.int64), n_bins, out=bins[rows])
+        f = np.imag(r) / (2.0 * np.pi)
+        np.subtract(f_hz, f, out=f)
+        np.copyto(f, f_hz, where=np.abs(v) <= floor)
+        f /= grid.df_hz
+        np.remainder(np.rint(f, out=f).astype(np.int64), grid.n_bins, out=bins[rows])
 
     _by_frame_blocks(block, bins.shape)
-    return bins, significant
+    return bins
 
 
 def sst(a: Analysis) -> TFRGrid:
@@ -84,7 +73,7 @@ def sst(a: Analysis) -> TFRGrid:
     nearest its phase-derived IF. Frame sums are conserved, so the result
     reconstructs exactly through istft."""
     # the bins exist, and the derivative transform is freed, before regroup's output
-    return regroup(a.grid, _if_bins(a)[0].__getitem__, "sst")
+    return regroup(a.grid, phase_if_map(a).__getitem__, "sst")
 
 
 def reassignment(a: Analysis) -> TFRGrid:
@@ -95,28 +84,32 @@ def reassignment(a: Analysis) -> TFRGrid:
     conserved, invertibility is not: rho is NaN and istft refuses the grid.
     """
     grid = a.grid
-    flat, significant = _if_bins(a)  # bins, turned into flat cell targets in place
+    floor, t = _floor(grid), grid.time_axis_s[:, None]
+    flat = phase_if_map(a)  # bins, turned into flat cell targets in place
     ratio = frame_matrix(a.sig, a.w.t_values, a.nfft)  # V_tg, divided by V block by block
-    t = grid.time_axis_s[:, None]
-    power = np.empty(grid.data.shape)
 
-    def block(rows):
+    def targets(rows):
         r, v = ratio[rows], grid.data[rows]
         # V = 0 is insignificant; a near-limit V overflows numpy's scaled division
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.divide(r, v, out=r)
         t_hat = t[rows] + np.real(r)
-        np.copyto(t_hat, t[rows], where=~significant[rows])
+        np.copyto(t_hat, t[rows], where=np.abs(v) <= floor)
         frame_target = np.clip(
             np.rint((t_hat - grid.t0_s) * grid.source_fs_hz).astype(np.int64),
             0, grid.n_frames - 1,
         )
         flat[rows] += frame_target * grid.n_bins
-        with np.errstate(over="ignore"):  # TFRGrid refuses the overflowed energy
-            np.square(np.abs(v), out=power[rows])
 
-    _by_frame_blocks(block, grid.data.shape)
-    del ratio, significant  # before the bincount's grid-sized outputs
+    _by_frame_blocks(targets, grid.data.shape)
+    del ratio  # before the energies, so they never sit beside V_tg
+    power = np.empty(grid.data.shape)
+
+    def energies(rows):
+        with np.errstate(over="ignore"):  # TFRGrid refuses the overflowed energy
+            np.square(np.abs(grid.data[rows]), out=power[rows])
+
+    _by_frame_blocks(energies, power.shape)
     out = np.bincount(flat.ravel(), weights=power.ravel(),
                       minlength=grid.n_frames * grid.n_bins)
     del flat, power  # so the complex cast holds only the summed energies beside it
@@ -129,13 +122,14 @@ def set_extract(a: Analysis) -> TFRGrid:
     back onto its own bin; everything else, including the insignificant
     floor, is discarded. Sharp but deliberately lossy."""
     grid = a.grid
-    target, significant = _if_bins(a)
+    floor, target = _floor(grid), phase_if_map(a)
     own = np.arange(grid.n_bins)
     out = np.empty(grid.data.shape, dtype=np.complex128)
 
     def block(rows):
-        keep = significant[rows] & (target[rows] == own)
-        out[rows] = np.where(keep, grid.data[rows], 0.0)
+        v = grid.data[rows]
+        keep = (np.abs(v) > floor) & (target[rows] == own)
+        out[rows] = np.where(keep, v, 0.0)
 
     _by_frame_blocks(block, out.shape)
     return grid.with_data(out, method_tag="set")

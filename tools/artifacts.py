@@ -42,7 +42,8 @@ COMMANDS = (
     # detection at gamma 0, on the grid itself: about 36 ridges per frame
     f"analyze --method proposed {CHIRP} --snr-db 0 --seed 1 --gamma 0 --out chirp-0db-proposed",
     "compare --input fmam --gamma 0 --per-frame-max --methods stft,proposed --out fmam-pf-0",
-    "analyze --method rm --input fmam --snr-db 10 --seed 1 --out fmam-10db-rm",
+    *(f"analyze --method {m} --input fmam --snr-db 10 --seed 1 --out fmam-10db-{m}"
+      for m in ("rm", "sst", "set")),
     # the roundtrip-crossover benchmark workload (perfbench/workloads.py)
     *(command for seed in (1, 2, 3) for command in (
         f"generate crossover --snr-db 20 --seed {seed} --out rt-{seed}/gen",
