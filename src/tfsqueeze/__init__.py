@@ -34,7 +34,7 @@ from .metrics import (
 from .ridges import (
     IFEstimate,
     Ridges,
-    filter_grid,
+    gamma_floor,
     inject_if,
     local_maxima,
 )

@@ -88,10 +88,10 @@ def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, args
     """Runs one method on the analysis and scores it.
 
     Returns (report, output grid, proposed's estimate, heatmap pixels).
-    Conservation is measured against the grid the method moved mass from,
-    which is the gamma-filtered grid for 'proposed'.
+    Conservation is measured against the frame sums of the cells the method
+    moved, which for 'proposed' are the cells the gamma filter kept.
     """
-    base, est = a.grid, None
+    sums, est = a.grid.frame_sums, None
     if method == "stft":
         out = a.grid
     elif method == "sst":
@@ -103,23 +103,23 @@ def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, args
     elif method == "lmsst":
         out = baselines.lmsst(a, args.delta_bins)
     else:
-        base = ridges.filter_grid(a.grid, args.gamma, args.per_frame_max)
+        floor = ridges.gamma_floor(a.grid, args.gamma, args.per_frame_max)
         if args.if_from:  # injected tracks replace detection, so none runs
             tracks = load_trajectories_csv(args.if_from)
             if a.sig.is_real:  # the conjugate half squeezes onto each track's mirror: -f
                 # wrapped onto [-df/2, fs - df/2), so a track near 0 Hz stays on the axis
-                df, fs = base.df_hz, a.sig.sample_rate_hz
+                df, fs = a.grid.df_hz, a.sig.sample_rate_hz
                 tracks += [lambda t, f=f: np.remainder(df / 2 - f(t), fs) - df / 2 for f in tracks]
-            est = ridges.inject_if(base, tracks)
+            est = ridges.inject_if(a.grid, tracks)
         else:
-            est = ridges.local_maxima(base)
-        out = squeeze.modular_reassign(base, est)
+            est = ridges.local_maxima(a.grid, floor)
+        sums = np.empty(a.grid.n_frames, dtype=np.complex128)
+        out = squeeze.modular_reassign(a.grid, est, floor, sums)
     recon = None
     if out.invertible:
         recon = metrics.recon_rel_l2(a.sig, tfr.istft(out))
     metrics.renyi_peak(out)  # an output the entropy cannot score is refused before conservation
-    dev = metrics.framesum_max_dev(base, out)
-    del base  # proposed's filtered grid is freed before the scoring pass
+    dev = metrics.framesum_max_dev(sums, out)
     # ridges are detected only to be scored against true IFs
     entropy, found, image = metrics.scan(out, None if model is None else args.gamma,
                                          a.sig.is_real)

@@ -1,5 +1,6 @@
 """Every file format: signal CSV and WAV, IF trajectory CSV, the binary grid
-file, PGM heatmaps and JSON reports; output_dir publishes a command's files.
+file, PGM heatmaps and JSON reports; output_dir publishes a command's files,
+and _quota_cpus reads the cgroup's CPU quota.
 
 Text is UTF-8 with LF endings: optional '# key=value' header lines, then one
 row of comma-separated cells per line, written by _write_lines and streamed
@@ -34,11 +35,24 @@ __all__ = ["output_dir", "load_signal", "save_signal_csv", "load_trajectories_cs
            "export_trajectories_csv", "export_grid_csv", "import_grid_csv",
            "export_pgm", "export_report_json"]
 
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"  # a cgroup v2 CPU quota: "<quota> <period>" or "max <period>"
 # the grid file's members, each with the scalar type and rank it must have
 _GRID_MEMBERS = {"method": (np.str_, 0), "fs": (np.float64, 0), "t0": (np.float64, 0),
                  "dfreq": (np.float64, 0), "rho": (np.float64, 0),
                  "shape": (np.int64, 1), "idx": (np.int64, 1), "val": (np.complex128, 1)}
 HEATMAP_FLOOR_DB = -60.0
+
+
+@functools.cache
+def _quota_cpus() -> int | None:
+    """The CPUs a cgroup v2 quota buys per period, rounded up, read once per
+    process; None if no quota is set or the file is unreadable."""
+    try:
+        with open(_CPU_MAX) as fh:
+            quota, period = (int(word) for word in fh.read().split())
+    except (OSError, ValueError):
+        return None
+    return -(-quota // period) if quota > 0 < period else None
 
 
 @contextlib.contextmanager

@@ -60,9 +60,9 @@ def scan(grid: TFRGrid, gamma: float | None, real: bool
     - ridges are, per frame, the interior bins of the view whose |G| lies
       above both neighbours and above gamma times the view's peak, with
       their per-frame counts and no basins: the ridges of
-      local_maxima(filter_grid(view, gamma)). The view is half_circle(grid)
-      for a real signal (real=True) and grid otherwise. gamma None detects
-      nothing and gives None;
+      local_maxima(view, gamma_floor(view, gamma)). The view is
+      half_circle(grid) for a real signal (real=True) and grid otherwise.
+      gamma None detects nothing and gives None;
     - image is the heatmap of the bins below fs/2 (half_circle's), for
       io_export.export_pgm: one column per frame and one row per bin, the
       highest bin on top, each pixel 20 log10 q in dB clipped at
@@ -165,21 +165,21 @@ def recon_rel_l2(original: Signal, recovered: Signal) -> float:
     return err / denom
 
 
-def framesum_max_dev(g_in: TFRGrid, g_out: TFRGrid) -> float:
-    """Worst-frame relative deviation between input and output frame sums.
+def framesum_max_dev(sums_in: np.ndarray, g_out: TFRGrid) -> float:
+    """Worst-frame relative deviation between input frame sums and g_out's.
 
     Zero (to rounding) certifies that a post-processor conserved per-frame
     mass and therefore reconstructs exactly.
     """
-    if g_in.n_frames != g_out.n_frames:
+    if sums_in.size != g_out.n_frames:
         raise InvalidParameterError(
-            f"frame counts differ: {g_in.n_frames} vs {g_out.n_frames}"
+            f"frame counts differ: {sums_in.size} vs {g_out.n_frames}"
         )
-    scale = float(np.max(np.abs(g_in.frame_sums)))
+    scale = float(np.max(np.abs(sums_in)))
     if scale == 0.0:
         raise InvalidParameterError("every input frame sums to zero")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        dev = float(np.max(np.abs(g_out.frame_sums - g_in.frame_sums)) / scale)
+        dev = float(np.max(np.abs(g_out.frame_sums - sums_in)) / scale)
     if not np.isfinite(dev):
         raise InvalidParameterError(f"{g_out.method_tag} frame sums exceed the float range")
     return dev

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .tfr import TFRGrid, _by_frame_blocks, nearest_bins
 
-__all__ = ["Ridges", "IFEstimate", "filter_grid", "local_maxima", "inject_if"]
+__all__ = ["Ridges", "IFEstimate", "gamma_floor", "local_maxima", "inject_if"]
 
 
 @dataclass(frozen=True)
@@ -89,34 +89,24 @@ class IFEstimate(Ridges):
         return dest
 
 
-def filter_grid(grid: TFRGrid, gamma: float, per_frame: bool = False) -> TFRGrid:
-    """Zero every cell whose magnitude is not above gamma times the maximum.
+def gamma_floor(grid: TFRGrid, gamma: float, per_frame: bool = False) -> np.ndarray:
+    """The gamma filter as one magnitude floor per frame: detection and the
+    squeeze drop every cell whose |V| is not above its frame's floor.
 
-    The reference is the global grid maximum; per_frame=True switches to each
-    frame's own maximum, which keeps ridges alive in quiet frames at the cost
-    of keeping noise there too. Where every threshold is zero (gamma 0, or an
-    all-zero grid) no cell is dropped, and the result shares the input's
-    cells instead of copying them; a -0.0 cell then stays -0.0. A grid with a
-    finite cell whose |V| passes the float range is refused: its threshold
-    would be inf or NaN and zero every cell.
+    The floor is gamma times the grid's maximum |V|; per_frame=True switches
+    to each frame's own maximum, which keeps ridges alive in quiet frames at
+    the cost of keeping noise there too. Every floor is zero at gamma 0 or on
+    an all-zero grid, and then no cell is dropped. A grid with a finite cell
+    whose |V| passes the float range is refused: its floor would be inf or
+    NaN and drop every cell.
     """
     _check_gamma(gamma)
-    data, peaks = grid.data, grid.frame_peaks
+    peaks = grid.frame_peaks
     top = peaks.max(initial=0.0)
     if top == np.inf:
         raise InvalidParameterError(
             f"cannot filter the {grid.method_tag} grid: a magnitude exceeds the float range")
-    threshold = gamma * np.where(per_frame, peaks, top)
-    if not threshold.any():
-        return grid.with_data(data, method_tag=grid.method_tag + "+filtered")
-    kept = np.zeros(data.shape, dtype=np.complex128)
-
-    # |V| is taken again rather than kept: freeing a grid-sized magnitude
-    # buffer here raised later peak RSS, through malloc's dynamic mmap threshold
-    _by_frame_blocks(lambda rows: np.copyto(kept[rows], data[rows],
-                                            where=np.abs(data[rows]) > threshold[rows, None]),
-                     data.shape)
-    return grid.with_data(kept, method_tag=grid.method_tag + "+filtered")
+    return gamma * np.where(per_frame, peaks, top)
 
 
 def _check_gamma(gamma: float) -> None:
@@ -136,20 +126,23 @@ def _strict_maxima(m: np.ndarray, floor: float) -> np.ndarray:
     return np.flatnonzero(peaks)
 
 
-def local_maxima(grid: TFRGrid) -> IFEstimate:
+def local_maxima(grid: TFRGrid, floor: np.ndarray | None = None) -> IFEstimate:
     """Detect per-frame ridges as strict interior local maxima of |G|.
 
     Plateaus yield no ridge and the first and last bins are never ridges.
     Basin boundaries sit at the smallest-magnitude bin strictly between
-    consecutive ridges (ties resolve to the lower bin). Detection at a gamma
-    floor runs on filter_grid's output. Every block of frames finds its own
-    ridges and basins, so it builds no grid-sized mask.
+    consecutive ridges (ties resolve to the lower bin). floor, one magnitude
+    per frame (gamma_floor's), first reads every |G| at or below its frame's
+    floor as 0. Every block of frames finds its own ridges and basins, so it
+    builds no grid-sized mask.
     """
     data = grid.data
     counts = np.empty(data.shape[0], dtype=np.int64)
 
     def block(rows):
         m = np.abs(data[rows])
+        if floor is not None:
+            m[m <= floor[rows, None]] = 0.0
         inner, left, right = m[:, 1:-1], m[:, :-2], m[:, 2:]
         peaks = _strict_maxima(m, 0.0)
         frame, ridges = np.divmod(peaks, inner.shape[1])  # a width of 0 divides nothing

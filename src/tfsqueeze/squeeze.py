@@ -22,18 +22,20 @@ from .tfr import TFRGrid, istft, nearest_bins, regroup
 __all__ = ["modular_reassign", "mode_reconstruct"]
 
 
-def modular_reassign(grid: TFRGrid, ifest: IFEstimate) -> TFRGrid:
-    """Sum each basin's coefficients into its ridge bin, frame by frame.
+def modular_reassign(grid: TFRGrid, ifest: IFEstimate, floor: np.ndarray | None = None,
+                     kept_sums: np.ndarray | None = None) -> TFRGrid:
+    """Sum each basin's kept coefficients into its ridge bin, frame by frame.
 
     Every cell's destination is its basin's ridge, decoded by the estimate
-    one block of frames at a time, and tfr.regroup makes the move. Frames
-    without a detected ridge pass through unchanged; zeroing quiet frames is
-    the gamma filter's job, not the squeeze's. The output keeps the source
+    one block of frames at a time, and tfr.regroup makes the move, dropping
+    the cells at or below floor (ridges.gamma_floor's) and writing the kept
+    cells' frame sums, which the output conserves, into kept_sums. A frame
+    without a ridge keeps its cells in place. The output keeps the source
     grid's axes and reconstruction factor.
     """
     if (ifest.n_frames, ifest.n_bins) != grid.data.shape:
         raise InvalidParameterError(f"estimate's cells do not match grid {grid.data.shape}")
-    return regroup(grid, ifest.destinations, "proposed")
+    return regroup(grid, ifest.destinations, "proposed", floor, kept_sums)
 
 
 def mode_reconstruct(tgrid: TFRGrid, ridge_track: Callable[[np.ndarray], np.ndarray],

@@ -30,8 +30,7 @@ MAX_GRID_CELLS = 1 << 27
 # transients stay in one core's cache
 _BLOCK_CELLS = 1 << 16
 # each thread holds one block's transients, a few MiB; the cap bounds that
-# extra memory on a many-core host, where the affinity mask ignores any
-# cgroup CPU quota
+# extra memory on a many-core host
 _MAX_THREADS = 8
 
 
@@ -60,13 +59,15 @@ def _by_frame_blocks(fn, shape: tuple[int, int]) -> list:
     ended, as the first one would be in a plain loop: blocks are claimed in
     order, so every block before it has run.
     """
+    from .io_export import _quota_cpus  # io_export, which reads every file, imports tfr
     n_frames, n_bins = shape
     step = _frames_per_block(n_bins)
     # a grid of no frames is one empty block, so there is a part to return
     blocks = [slice(lo, min(lo + step, n_frames)) for lo in range(0, max(1, n_frames), step)]
-    # where the platform has no affinity mask (macOS, Windows), every CPU
+    # where the platform has no affinity mask (macOS, Windows), every CPU;
+    # a cgroup v2 quota, which the mask does not see, caps the threads too
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_threads = min(len(blocks), cpus or 1, _MAX_THREADS)
+    n_threads = min(len(blocks), cpus or 1, _quota_cpus() or _MAX_THREADS, _MAX_THREADS)
     parts = [None] * len(blocks)
     pending = list(reversed(range(len(blocks))))  # popped lowest first
     lock = threading.Lock()
@@ -257,7 +258,8 @@ def istft(grid: TFRGrid) -> Signal:
     return Signal(samples, grid.source_fs_hz, grid.t0_s)
 
 
-def regroup(grid: TFRGrid, dest_of: Callable[[slice], np.ndarray], method_tag: str) -> TFRGrid:
+def regroup(grid: TFRGrid, dest_of: Callable[[slice], np.ndarray], method_tag: str,
+            floor: np.ndarray | None = None, kept_sums: np.ndarray | None = None) -> TFRGrid:
     """Add every coefficient V[n, k] into bin dest[n, k] of its own frame n.
 
     This is the one move of every invertible post-processor here (SST, LMSST
@@ -267,20 +269,33 @@ def regroup(grid: TFRGrid, dest_of: Callable[[slice], np.ndarray], method_tag: s
     under the frame-block contract, returns those frames' integer
     destinations, a (frames, n_bins) array of bins in [0, n_bins).
 
+    floor, one magnitude per frame, drops in each block the cells with |V|
+    at or below it; where every floor is zero no cell, not even -0.0, is.
+    kept_sums, if given, receives each frame's sum of the moved cells.
+
     Each run of consecutive cells sharing a destination is summed with one
     reduceat, so a contiguous basin adds up exactly as a per-frame reduceat
     would; the run sums are then added into the zeroed output.
     """
     data, n_bins = grid.data, grid.n_bins
     out = np.zeros(data.shape, dtype=np.complex128)
+    masked = floor is not None and floor.any()
+    if kept_sums is not None and not masked:
+        kept_sums[:] = grid.frame_sums
 
     def block(rows):
         d = dest_of(rows)
         if d.shape != data[rows].shape:
             raise InvalidParameterError(
                 f"block destinations {d.shape} do not match grid {data.shape}")
-        if d.min() < 0 or d.max() >= n_bins:
+        if d.size and (d.min() < 0 or d.max() >= n_bins):  # a grid may have no frames
             raise InvalidParameterError(f"destination bins must lie in [0, {n_bins})")
+        v = data[rows]
+        if masked:
+            v = np.where(np.abs(v) > floor[rows, None], v, 0.0)
+            if kept_sums is not None:
+                with np.errstate(over="ignore", invalid="ignore"):  # TFRGrid's frame-sum arithmetic
+                    np.sum(v, axis=1, out=kept_sums[rows])
         run_start = np.ones(d.shape, dtype=bool)  # a frame always starts a run
         run_start[:, 1:] = d[:, 1:] != d[:, :-1]
         starts = np.flatnonzero(run_start)
@@ -288,8 +303,7 @@ def regroup(grid: TFRGrid, dest_of: Callable[[slice], np.ndarray], method_tag: s
         target = np.repeat(np.arange(d.shape[0]) * n_bins, run_start.sum(axis=1))
         target += d.ravel()[starts]
         with np.errstate(over="ignore"):  # TFRGrid refuses an overflowed sum
-            np.add.at(out[rows].reshape(-1), target,
-                      np.add.reduceat(data[rows].ravel(), starts))
+            np.add.at(out[rows].reshape(-1), target, np.add.reduceat(v.ravel(), starts))
 
     _by_frame_blocks(block, data.shape)
     return grid.with_data(out, method_tag=method_tag)

@@ -41,6 +41,13 @@ def interior_mask(n_frames: int, w) -> np.ndarray:
     return mask
 
 
+def squeezed(grid, floor):
+    """The gamma-filtered squeeze, detection included: its output and the
+    kept cells' frame sums."""
+    kept = np.empty(grid.n_frames, dtype=complex)
+    return tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor, kept), kept
+
+
 def ridge_bins(est) -> tuple[np.ndarray, ...]:
     """Per-frame view of an IFEstimate: the strictly increasing ridge bins of
     each frame."""

@@ -53,10 +53,9 @@ def test_a2_conservation(gen, request):
     sig, _ = request.getfixturevalue(gen)
     w = _window_for(sig)
     grid = tq.stft(sig, w, len(sig))
-    filtered = tq.filter_grid(grid, 0.0)
-    est = tq.local_maxima(filtered)
-    out = tq.modular_reassign(filtered, est)
-    dev = tq.framesum_max_dev(grid, out)
+    floor = tq.gamma_floor(grid, 0.0)
+    out = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
+    dev = tq.framesum_max_dev(grid.frame_sums, out)
     report("A2", dev <= 1e-12, f"{gen}: framesum_max_dev {dev:.2e}")
     assert dev <= 1e-12
 
@@ -64,9 +63,8 @@ def test_a2_conservation(gen, request):
 def test_a3_concentration(fmam, w128):
     sig, _ = fmam
     grid = tq.stft(sig, w128, 128)
-    filtered = tq.filter_grid(grid, 0.1)
-    est = tq.local_maxima(filtered)
-    proposed = tq.modular_reassign(filtered, est)
+    floor = tq.gamma_floor(grid, 0.1)
+    proposed = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
     h_prop, _, image = tq.scan(proposed, None, True)
     h_sst = tq.scan(tq.sst(tq.Analysis(sig, w128, 128)), None, True)[0]
     h_stft = tq.scan(grid, None, True)[0]
@@ -93,7 +91,7 @@ def test_a3_concentration(fmam, w128):
 def test_a4_if_accuracy(fmam, w128):
     sig, model = fmam
     half = tq.half_circle(tq.stft(sig, w128, 128))
-    est = tq.local_maxima(tq.filter_grid(half, 0.2))
+    est = tq.local_maxima(half, tq.gamma_floor(half, 0.2))
     interior = interior_mask(128, w128)
     mae = tq.ridge_mae(est, model, frames=interior)
     report("A4", mae <= 1.0, f"ridge MAE {mae:.3f} bins on interior frames")
@@ -164,9 +162,9 @@ def test_a8_chirp_surrogate_denoising(w1024):
     outputs = {}
     estimates = {}
     for gamma in (0.0, 0.2):
-        filtered = tq.filter_grid(grid, gamma)
-        est = tq.local_maxima(filtered)
-        outputs[gamma] = tq.modular_reassign(filtered, est)
+        floor = tq.gamma_floor(grid, gamma)
+        est = tq.local_maxima(grid, floor)
+        outputs[gamma] = tq.modular_reassign(grid, est, floor)
         estimates[gamma] = est
 
     true_bins = np.rint(model.modes[0].if_hz(grid.time_axis_s) / grid.df_hz)

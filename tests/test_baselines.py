@@ -7,7 +7,7 @@ import pytest
 import tfsqueeze as tq
 from tfsqueeze.errors import InvalidParameterError, NonInvertibleGridError
 
-from conftest import interior_mask, rel_l2
+from conftest import interior_mask, rel_l2, squeezed
 from test_blocks import phase_if_oracle
 
 
@@ -86,7 +86,7 @@ class TestSst:
         sig, _ = fmam
         base = tq.stft(sig, w128, 128)
         out = tq.sst(tq.Analysis(sig, w128, 128))
-        assert tq.framesum_max_dev(base, out) <= 1e-12
+        assert tq.framesum_max_dev(base.frame_sums, out) <= 1e-12
 
     def test_zero_signal(self, w128):
         out = tq.sst(tq.Analysis(tq.Signal(np.zeros(50), 128.0), w128, 128))
@@ -163,7 +163,7 @@ class TestLmsst:
         sig, _ = fmam
         base = tq.stft(sig, w128, 128)
         out = tq.lmsst(tq.Analysis(sig, w128, 128))
-        assert tq.framesum_max_dev(base, out) <= 1e-12
+        assert tq.framesum_max_dev(base.frame_sums, out) <= 1e-12
         assert rel_l2(sig.samples, tq.istft(out).samples) <= 1e-10
 
     def test_delta_zero_is_identity(self, fmam, w128):
@@ -210,24 +210,26 @@ def chirp_2048x1024():
 # peak traced bytes of one call, output included, in grids of the analysis,
 # on two CPUs: each further CPU adds one block's transients (a few MiB). Each
 # bound sits just above the measured factor (sst 1.624, rm 1.642, set 1.567,
-# lmsst 1.145, the squeeze 1.063, ridge detection 0.049 on the filtered grid
-# at gamma 0.1 and 0.082 on the 0 dB chirp at gamma 0), so a grid-sized
-# transient more fails it. RM read 2.157 while its energies sat beside V_tg,
-# and SET 1.630 while the IF map came with a whole-grid significance mask;
-# RM read 2.501 while its flat targets and energies lived on through the
-# cast of its bincount to complex. LMSST read 1.140 with the 2*delta + 1
-# scan; the doubling search holds a block-sized copy more per thread. Before
-# each method handed regroup a per-block rule and the ratio V_x / V was
-# divided block by block, they read sst 2.098, rm 2.657, set 2.098, lmsst
-# 1.609 and squeeze 1.563: the derivative transform alive beside
-# the bins, a whole-grid magnitude, a second bin grid, LMSST's and the
-# squeeze's grid-sized destinations. Before each block found its own
-# ridges and basins, detection read 0.172 and 0.335: two grid-sized masks and
-# a whole-grid valley sort. The scan holds one block's q and q^2 per thread
-# beside its heatmap pixels, 1/32 grid: 0.095 at gamma 0.1 on the real view.
-# Renyi scoring alone read 0.063, and 0.50 over a whole-grid magnitude buffer.
+# lmsst 1.145, the gamma-0.1 floor, detection and squeeze from the STFT
+# 1.108, ridge detection 0.047 at the gamma-0.1 floor and 0.082 on the 0 dB
+# chirp at gamma 0), so a grid-sized transient more fails it. The chain read
+# 2.067 while the gamma filter copied its kept cells into a grid of their
+# own. RM read 2.157 while its energies sat beside V_tg, and SET 1.630 while
+# the IF map came with a whole-grid significance mask; RM read 2.501 while
+# its flat targets and energies lived on through the cast of its bincount to
+# complex. LMSST read 1.140 with the 2*delta + 1 scan; the doubling search
+# holds a block-sized copy more per thread. Before each method handed regroup
+# a per-block rule and the ratio V_x / V was divided block by block, they
+# read sst 2.098, rm 2.657, set 2.098, lmsst 1.609 and squeeze 1.563: the
+# derivative transform alive beside the bins, a whole-grid magnitude, a
+# second bin grid, LMSST's and the squeeze's grid-sized destinations. Before
+# each block found its own ridges and basins, detection read 0.172 and 0.335:
+# two grid-sized masks and a whole-grid valley sort. The scan holds one
+# block's q and q^2 per thread beside its heatmap pixels, 1/32 grid: 0.095 at
+# gamma 0.1 on the real view. Renyi scoring alone read 0.063, and 0.50 over a
+# whole-grid magnitude buffer.
 PEAK_GRIDS = {"sst": 1.64, "reassignment": 1.70, "set_extract": 1.60, "lmsst": 1.16,
-              "modular_reassign": 1.08, "local_maxima": 0.06, "local_maxima-0dB": 0.10,
+              "modular_reassign": 1.20, "local_maxima": 0.06, "local_maxima-0dB": 0.10,
               "scan": 0.10}
 
 
@@ -236,11 +238,11 @@ def test_peak_memory_in_grids(chirp_2048x1024, name, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     a = chirp_2048x1024
     assert a.grid.data.shape == (2048, 1024)
-    if name == "modular_reassign":  # the squeeze of the CLI's gamma-0.1 filtered grid
-        filtered = tq.filter_grid(a.grid, 0.1)
-        args = filtered, tq.local_maxima(filtered)
-    elif name == "local_maxima":  # detection on the gamma-0.1 filtered grid
-        args = (tq.filter_grid(a.grid, 0.1),)
+    run = getattr(tq, name.split("-")[0])
+    if name == "modular_reassign":  # the CLI's gamma-0.1 chain from the STFT
+        run, args = lambda g: squeezed(g, tq.gamma_floor(g, 0.1)), (a.grid,)
+    elif name == "local_maxima":  # detection at the gamma-0.1 floor
+        args = a.grid, tq.gamma_floor(a.grid, 0.1)
     elif name == "scan":  # the STFT grid itself, at gamma 0.1 on the real view
         args = a.grid, 0.1, True
     elif name == "local_maxima-0dB":  # about 35 ridges per frame, with as many valleys
@@ -249,7 +251,7 @@ def test_peak_memory_in_grids(chirp_2048x1024, name, monkeypatch):
         args = (a,)
     tracemalloc.start()
     try:
-        out = getattr(tq, name.split("-")[0])(*args)
+        out = run(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -259,17 +261,16 @@ def test_peak_memory_in_grids(chirp_2048x1024, name, monkeypatch):
 
 @pytest.mark.parametrize("per_frame", [False, True])
 def test_gamma_zero_filters_without_a_grid(chirp_2048x1024, per_frame, monkeypatch):
-    # at gamma 0 filter_grid keeps the STFT's own cells and takes only its
-    # frame peaks and sums again: 0.034 grids, for either reference, on two
-    # CPUs. Filtering, detecting and squeezing then hold the squeeze's
-    # output, the traced 1.268. Copying the kept cells into a zeroed grid read
-    # 1.040 and 2.268.
+    # the gamma filter is one floor per frame, 0.001 grids with its
+    # transient, which detection and the squeeze apply in their own blocks,
+    # so no grid is built for it. At gamma 0 the chain then holds the
+    # squeeze's output beside the estimate of every ripple maximum, 1.268
+    # grids on two CPUs, as when the filter shared the STFT's cells; a copy
+    # of the kept cells into a zeroed grid read 2.268. With one injected
+    # track a zero floor skips the mask: the squeeze reads 1.063, and 1.106
+    # when every block masks its cells.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     a = chirp_2048x1024
-
-    def squeezed():
-        filtered = tq.filter_grid(a.grid, 0.0, per_frame)
-        return tq.modular_reassign(filtered, tq.local_maxima(filtered))
 
     def peak_grids(run):
         tracemalloc.start()
@@ -281,8 +282,12 @@ def test_gamma_zero_filters_without_a_grid(chirp_2048x1024, per_frame, monkeypat
         del out
         return peak / a.grid.data.nbytes
 
-    assert peak_grids(lambda: tq.filter_grid(a.grid, 0.0, per_frame)) <= 0.05
-    assert peak_grids(squeezed) <= 1.35
+    assert peak_grids(lambda: tq.gamma_floor(a.grid, 0.0, per_frame)) <= 0.002
+    assert peak_grids(lambda: squeezed(a.grid, tq.gamma_floor(a.grid, 0.0, per_frame))) <= 1.35
+    est = tq.inject_if(a.grid, [lambda t: np.full(t.shape, 100.0)])
+    floor = tq.gamma_floor(a.grid, 0.0, per_frame)
+    kept = np.empty(a.grid.n_frames, dtype=complex)
+    assert peak_grids(lambda: tq.modular_reassign(a.grid, est, floor, kept)) <= 1.08
 
 
 def test_peak_memory_of_building_a_grid(chirp_2048x1024, monkeypatch):

@@ -20,18 +20,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tfsqueeze import baselines, io_export, metrics, ridges, signals, tfr, windows
+from tfsqueeze import baselines, io_export, metrics, ridges, signals, squeeze, tfr, windows
 from tfsqueeze.cli import main
 from tfsqueeze.errors import InvalidParameterError
 
 ROOT = Path(__file__).resolve().parent.parent
-# the real mask, before a test pretends otherwise
+# the real mask and quota reader, before a test pretends otherwise
 CPUS = os.sched_getaffinity(0)
+QUOTA_CPUS = io_export._quota_cpus
 
 
 @pytest.fixture(autouse=True)
 def three_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(io_export, "_quota_cpus", lambda: None)  # nor a cgroup quota
 
 
 @pytest.fixture(autouse=True)
@@ -250,25 +252,40 @@ class TestBlockEdges:
             assert same_bits(baselines.lmsst(a, delta).data, lmsst_oracle(a, delta))
 
     def test_filter_grid(self, n_frames, n_bins):
+        # detection and the squeeze at the gamma floor against the whole-grid
+        # formulas on the filtered grid; at gamma 0 no cell is dropped, -0.0
+        # ones included, and the kept sums are the grid's own
         grid = analysis(n_frames, n_bins).grid
+        data = grid.data.copy()
+        data[::3, ::2] = complex(-0.0, -0.0)
+        grid = grid.with_data(data)
         for gamma in (0.0, 0.1):
             for per_frame in (False, True):
-                assert same_bits(ridges.filter_grid(grid, gamma, per_frame).data,
-                                 filter_oracle(grid, gamma, per_frame))
+                floor = ridges.gamma_floor(grid, gamma, per_frame)
+                filtered = grid.with_data(filter_oracle(grid, gamma, per_frame))
+                est = ridges.local_maxima(grid, floor)
+                for got, want in zip((est.ridges, est.offsets, est.starts),
+                                     local_maxima_oracle(filtered, 0.0)):
+                    assert same_bits(got, want)
+                kept = np.empty(n_frames, dtype=complex)
+                out = squeeze.modular_reassign(grid, est, floor, kept)
+                assert same_bits(out.data,
+                                 regroup_oracle(filtered.data, est.destinations(slice(None))))
+                assert same_bits(kept, (grid if gamma == 0 else filtered).data.sum(axis=1))
 
     def test_local_maxima(self, n_frames, n_bins):
         for white_noise in (False, True):
             grid = analysis(n_frames, n_bins, white_noise=white_noise).grid
             for view in (grid, tfr.half_circle(grid)):
                 for gamma in (0.0, 0.1):
-                    est = ridges.local_maxima(ridges.filter_grid(view, gamma))
+                    est = ridges.local_maxima(view, ridges.gamma_floor(view, gamma))
                     for got, want in zip((est.ridges, est.offsets, est.starts),
                                          local_maxima_oracle(view, gamma)):
                         assert same_bits(got, want)
 
     def test_metrics(self, n_frames, n_bins):
         base = analysis(n_frames, n_bins).grid
-        grid = ridges.filter_grid(base, 0.1)
+        grid = base.with_data(filter_oracle(base, 0.1, False))
         # block partial sums add in another order than the whole-grid oracle
         want = renyi_oracle(grid)
         assert abs(metrics.scan(grid, None, False)[0] - want) <= 1e-14 * abs(want)
@@ -280,7 +297,7 @@ class TestBlockEdges:
             assert g.nonzero_count == np.count_nonzero(g.data)
         assert same_bits(tfr.istft(grid).samples, grid.rho * grid.data.sum(axis=1))
         sums_in, sums_out = base.data.sum(axis=1), grid.data.sum(axis=1)
-        assert metrics.framesum_max_dev(base, grid) == \
+        assert metrics.framesum_max_dev(base.frame_sums, grid) == \
             float(np.max(np.abs(sums_out - sums_in)) / float(np.max(np.abs(sums_in))))
 
     def test_heatmap(self, n_frames, n_bins, tmp_path):
@@ -395,14 +412,14 @@ def test_gamma_zero_drops_nothing_and_bad_gamma_is_refused():
     data = analysis(300, 128).grid.data.copy()
     data[::7, 5:40] = 0.0
     grid = tfr.TFRGrid(data, 0.0, 1.0, 1.0, "x", 128.0)
-    masked = ridges.local_maxima(ridges.filter_grid(grid, 5e-324))
+    masked = ridges.local_maxima(grid, ridges.gamma_floor(grid, 5e-324))
     plain = ridges.local_maxima(grid)
     for name in ("ridges", "offsets", "starts"):
         assert same_bits(getattr(plain, name), getattr(masked, name))
     assert same_bits(metrics.scan(grid, 5e-324, False)[1].ridges, plain.ridges)
     for gamma in (-0.1, 1.0, float("nan")):
         with pytest.raises(InvalidParameterError, match="gamma"):
-            ridges.filter_grid(grid, gamma)
+            ridges.gamma_floor(grid, gamma)
         with pytest.raises(InvalidParameterError, match="gamma"):
             metrics.scan(grid, gamma, False)
 
@@ -429,10 +446,13 @@ def test_a_grid_of_no_frames_has_no_ridges():
     assert same_bits(grid.frame_peaks, np.zeros(0))
     assert same_bits(grid.frame_sums, np.zeros(0, dtype=complex))
     assert grid.nonzero_count == 0
-    assert ridges.filter_grid(grid, 0.1).data.shape == (0, 5)
-    est = ridges.local_maxima(ridges.filter_grid(grid, 0.1))
+    floor = ridges.gamma_floor(grid, 0.1)
+    assert floor.shape == (0,)
+    est = ridges.local_maxima(grid, floor)
     assert est.ridges.size == est.starts.size == 0
     assert est.offsets.tolist() == [0]
+    kept = np.empty(0, dtype=complex)
+    assert squeeze.modular_reassign(grid, est, floor, kept).data.shape == (0, 5)
 
 
 class TestFaultsInBlocks:
@@ -517,6 +537,37 @@ class TestFaultsInBlocks:
         tfr._by_frame_blocks(lambda rows: None, (100 * tfr._frames_per_block(16), 16))
         assert len(made) == tfr._MAX_THREADS - 1  # the caller's thread is one of them
 
+    @pytest.mark.parametrize("text, threads", [
+        ("max 100000\n", 8), ("150000 100000\n", 2), ("100000 100000\n", 1), (None, 8),
+        ("150000\n", 8), ("1.5 1\n", 8), ("0 100000\n", 8)],
+        ids=["no-quota", "1.5-cpus", "1-cpu", "missing", "no-period", "not-integers", "zero"])
+    def test_a_cgroup_v2_quota_caps_the_threads(self, monkeypatch, tmp_path, text, threads):
+        # a quota buys ceil(quota / period) CPUs; "max", or a file that is
+        # missing or malformed, sets no cap. The file is read once per process.
+        path = tmp_path / "cpu.max"
+        if text is not None:
+            path.write_text(text)
+        monkeypatch.setattr(io_export, "_CPU_MAX", str(path))
+        monkeypatch.setattr(io_export, "_quota_cpus", QUOTA_CPUS)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        made = []
+
+        class Counted(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        QUOTA_CPUS.cache_clear()
+        try:
+            for _ in range(2):
+                tfr._by_frame_blocks(lambda rows: None, (100 * tfr._frames_per_block(16), 16))
+                assert len(made) == threads - 1  # the caller's thread is one of them
+                path.write_text("100000 100000\n")  # not read again
+                made.clear()
+        finally:
+            QUOTA_CPUS.cache_clear()
+
     def test_one_block_runs_inline(self, monkeypatch):
         def no_thread(*args, **kwargs):
             raise AssertionError("a grid of one block started a thread")
@@ -524,7 +575,9 @@ class TestFaultsInBlocks:
         monkeypatch.setattr(threading, "Thread", no_thread)
         a = analysis(tfr._frames_per_block(64), 64)
         baselines.sst(a)
-        ridges.filter_grid(a.grid, 0.1)
+        floor = ridges.gamma_floor(a.grid, 0.1)
+        kept = np.empty(a.grid.n_frames, dtype=complex)
+        squeeze.modular_reassign(a.grid, ridges.local_maxima(a.grid, floor), floor, kept)
         metrics.scan(a.grid, 0.1, True)
 
     @pytest.mark.parametrize("bad", [-1, 128])

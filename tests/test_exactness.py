@@ -1,6 +1,7 @@
 """Exactness as a property: every invertible method keeps each frame's sum,
-so its grid inverts to the same signal as the grid it moved mass from. The
-squeeze keeps it on any frame-local transform, not only on the STFT.
+so its grid inverts to the same signal as the cells it moved mass from
+(for the squeeze, the cells above the gamma floor). The squeeze keeps it on
+any frame-local transform, not only on the STFT.
 
 Inputs span the degenerate ends the CLI admits: 1 to 200 samples, real and
 complex, with or without silent stretches, amplitudes from 1e-150 to 1e150,
@@ -36,40 +37,42 @@ def analyses(draw) -> tq.Analysis:
     return tq.Analysis(tq.Signal(amplitude * samples, FS_HZ), w, nfft)
 
 
-def _proposed(a, gamma, tracks_hz):
-    filtered = tq.filter_grid(a.grid, gamma)
+def _proposed(grid, gamma, tracks_hz=()):
+    """(frame sums of the kept cells, the squeeze's output)."""
+    floor = tq.gamma_floor(grid, gamma)
     if tracks_hz:
-        est = tq.inject_if(filtered, [lambda t, f=f: f for f in tracks_hz])
+        est = tq.inject_if(grid, [lambda t, f=f: f for f in tracks_hz])
     else:
-        est = tq.local_maxima(filtered)
-    return filtered, tq.modular_reassign(filtered, est)
+        est = tq.local_maxima(grid, floor)
+    kept = np.empty(grid.n_frames, dtype=complex)
+    return kept, tq.modular_reassign(grid, est, floor, kept)
 
 
 @st.composite
 def runs(draw, method):
-    """(grid the method moved mass from, method output)."""
+    """(frame sums of the cells the method moved, method output)."""
     a = draw(analyses())
     if method == "stft":
-        return a.grid, a.grid
+        return a.grid.frame_sums, a.grid
     if method == "sst":
-        return a.grid, tq.sst(a)
+        return a.grid.frame_sums, tq.sst(a)
     if method == "lmsst":
-        return a.grid, tq.lmsst(a, draw(st.integers(0, a.grid.n_bins - 1)))
+        return a.grid.frame_sums, tq.lmsst(a, draw(st.integers(0, a.grid.n_bins - 1)))
     gamma = draw(st.sampled_from([0.0, 0.1, 0.5]))
     tracks = []
     if method == "injected":
         top = a.grid.freq_axis_hz[-1]
         tracks = draw(st.lists(st.floats(0.0, top), min_size=1, max_size=3))
-    return _proposed(a, gamma, tracks)
+    return _proposed(a.grid, gamma, tracks)
 
 
 @pytest.mark.parametrize("method", ["stft", "sst", "lmsst", "detected", "injected"])
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_frame_sums_and_inverse_are_kept(method, data):
-    base, out = data.draw(runs(method))
-    assert tq.framesum_max_dev(base, out) <= 1e-12
-    want = tq.istft(base).samples
+    sums, out = data.draw(runs(method))
+    assert tq.framesum_max_dev(sums, out) <= 1e-12
+    want = out.rho * sums
     got = tq.istft(out).samples
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -91,9 +94,8 @@ def chirplet_grids(draw) -> tq.TFRGrid:
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(grid=chirplet_grids(), gamma=st.sampled_from([0.0, 0.1, 0.5]))
 def test_the_squeeze_plugs_into_a_chirplet_grid(grid, gamma):
-    filtered = tq.filter_grid(grid, gamma)
-    out = tq.modular_reassign(filtered, tq.local_maxima(filtered))
-    assert tq.framesum_max_dev(filtered, out) <= 1e-12
-    want = tq.istft(filtered).samples
+    sums, out = _proposed(grid, gamma)
+    assert tq.framesum_max_dev(sums, out) <= 1e-12
+    want = out.rho * sums
     got = tq.istft(out).samples
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

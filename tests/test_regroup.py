@@ -71,31 +71,32 @@ def reduceat_oracle(grid, est):
 def detected_noisy_crossover(w128, w1024):
     sig, _ = tq.gen_crossover()
     grid = tq.stft(tq.add_noise(sig, 0.0, 1), w1024, 1024)
-    filtered = tq.filter_grid(grid, 0.0)
-    return filtered, tq.local_maxima(filtered)
+    floor = tq.gamma_floor(grid, 0.0)
+    return grid, floor, tq.local_maxima(grid, floor)
 
 
 def detected_burst(w128, w1024):
     samples = np.zeros(64, dtype=complex)
     samples[30:34] = 1.0
     grid = tq.stft(tq.Signal(samples, 128.0), w128, 128)
-    filtered = tq.filter_grid(grid, 0.5)  # leaves ridgeless frames
-    return filtered, tq.local_maxima(filtered)
+    floor = tq.gamma_floor(grid, 0.5)  # leaves ridgeless frames
+    return grid, floor, tq.local_maxima(grid, floor)
 
 
 def injected_crossover(w128, w1024):
     sig, model = tq.gen_crossover()
     grid = tq.stft(sig, w1024, 1024)
-    return grid, tq.inject_if(grid, [m.if_hz for m in model.modes])
+    return grid, tq.gamma_floor(grid, 0.1), tq.inject_if(grid, [m.if_hz for m in model.modes])
 
 
 class TestSqueezeBitwise:
     @pytest.mark.parametrize("build", [detected_noisy_crossover, detected_burst,
                                        injected_crossover])
     def test_matches_per_frame_reduceat(self, build, w128, w1024):
-        grid, est = build(w128, w1024)
-        out = tq.modular_reassign(grid, est)
-        assert np.array_equal(out.data, reduceat_oracle(grid, est))
+        grid, floor, est = build(w128, w1024)
+        out = tq.modular_reassign(grid, est, floor)
+        kept = grid.with_data(np.where(np.abs(grid.data) > floor[:, None], grid.data, 0.0))
+        assert np.array_equal(out.data, reduceat_oracle(kept, est))
 
 
 class TestRegroupRejects:

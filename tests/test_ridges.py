@@ -6,7 +6,8 @@ import pytest
 import tfsqueeze as tq
 from tfsqueeze.errors import FormatError, InvalidParameterError
 
-from conftest import interior_mask, ridge_bins
+from conftest import interior_mask, ridge_bins, squeezed
+from test_blocks import same_bits
 
 
 def make_grid(rows, fs=1.0, df=1.0):
@@ -36,66 +37,89 @@ def edges_to_destinations(ridges, edges):
 
 
 class TestFilterGrid:
+    """The gamma filter is one floor per frame, applied by detection and the
+    squeeze."""
+
     def test_gamma_zero_keeps_everything_nonzero(self, tone32, w128):
         sig, _ = tone32
         grid = tq.stft(sig, w128, 128)
         assert np.all(np.abs(grid.data) > 0)  # tone STFT has no exact zeros
-        out = tq.filter_grid(grid, 0.0)
-        assert np.array_equal(out.data, grid.data)
-        assert out.method_tag == "stft+filtered"
+        floor = tq.gamma_floor(grid, 0.0)
+        assert floor.shape == (grid.n_frames,) and not floor.any()
+        out, kept = squeezed(grid, floor)
+        assert np.array_equal(out.data, tq.modular_reassign(grid, tq.local_maxima(grid)).data)
+        assert np.array_equal(kept, grid.frame_sums)
 
     def test_near_one_keeps_only_the_peak(self):
         grid = make_grid([[1.0, 5.0, 2.0], [0.5, 1.0, 5.0]])
-        out = tq.filter_grid(grid, 0.999999)
-        assert np.count_nonzero(out.data) == 2
-        assert out.data[0, 1] == 5.0 and out.data[1, 2] == 5.0
+        floor = tq.gamma_floor(grid, 0.999999)
+        assert np.array_equal(floor, [5.0 * 0.999999] * 2)
+        out, kept = squeezed(grid, floor)  # frame 1 has no ridge and passes through
+        assert out.data.tolist() == [[0, 5, 0], [0, 0, 5]]
+        assert kept.tolist() == [5, 5]
+
+    def test_a_cell_at_the_floor_is_dropped(self):
+        # the floor is 0.5 x 8 = 4 exactly: every 4 is dropped, so the valley
+        # between the ridges at bins 1 and 4 is two zeros and starts at bin 2
+        grid = make_grid([[4.0, 8.0, 4.0, 1.0, 6.0, 4.0]])
+        floor = tq.gamma_floor(grid, 0.5)
+        est = tq.local_maxima(grid, floor)
+        assert est.ridges.tolist() == [1, 4] and est.starts.tolist() == [0, 2]
+        out, kept = squeezed(grid, floor)
+        assert out.data.tolist() == [[0, 8, 0, 0, 6, 0]]
+        assert kept.tolist() == [14]
 
     def test_fmam_nonzeros_strictly_decrease(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
-        out = tq.filter_grid(grid, 0.1)
-        assert np.count_nonzero(out.data) < np.count_nonzero(grid.data)
+        floor = tq.gamma_floor(grid, 0.1)
+        assert np.count_nonzero(np.abs(grid.data) > floor[:, None]) < grid.nonzero_count
+        out, kept = squeezed(grid, floor)
+        unfiltered = tq.modular_reassign(grid, tq.local_maxima(grid))
+        assert out.nonzero_count < unfiltered.nonzero_count
+        assert not np.array_equal(kept, grid.frame_sums)
 
     def test_per_frame_reference_keeps_every_frame_peak(self):
         grid = make_grid([[1.0, 0.1], [100.0, 10.0]])
-        global_out = tq.filter_grid(grid, 0.5)
-        frame_out = tq.filter_grid(grid, 0.5, per_frame=True)
+        global_out, _ = squeezed(grid, tq.gamma_floor(grid, 0.5))
+        frame_out, _ = squeezed(grid, tq.gamma_floor(grid, 0.5, per_frame=True))
+        assert np.array_equal(tq.gamma_floor(grid, 0.5, per_frame=True), [0.5, 50.0])
         assert np.count_nonzero(global_out.data[0]) == 0
         assert np.count_nonzero(frame_out.data[0]) == 1
 
     @pytest.mark.parametrize("per_frame", [False, True])
     def test_zero_threshold_shares_the_cells(self, per_frame):
-        # gamma 0 drops nothing, so the cells are the input's, -0.0 included
+        # a zero floor drops nothing and copies nothing: -0.0 cells flow into
+        # the squeeze as they are, and the kept sums are the grid's own
         grid = make_grid([[-0.0, 2.0, complex(-0.0, -0.0), 1.0, -0.0],
                           [0.5, -0.0, 3.0, complex(0.0, -0.0), 0.25],
                           [-0.0, -0.0, -0.0, -0.0, -0.0]])
-        out = tq.filter_grid(grid, 0.0, per_frame)
-        assert np.shares_memory(out.data, grid.data)
-        assert out.method_tag == "test+filtered"
-        assert np.array_equal(np.signbit(out.data.real), np.signbit(grid.data.real))
-        assert np.array_equal(np.signbit(out.data.imag), np.signbit(grid.data.imag))
+        floor = tq.gamma_floor(grid, 0.0, per_frame)
+        out, kept = squeezed(grid, floor)
+        assert same_bits(kept, grid.frame_sums)
         # what filtering once copied: the kept cells into a zeroed grid, -0.0 as +0.0
         copied = grid.with_data(np.where(np.abs(grid.data) > 0, grid.data, 0.0))
         assert np.signbit(copied.data.real).sum() == 0
-        est, copied_est = tq.local_maxima(out), tq.local_maxima(copied)
+        est, copied_est = tq.local_maxima(grid, floor), tq.local_maxima(copied)
         for name in ("ridges", "offsets", "starts"):
             assert np.array_equal(getattr(est, name), getattr(copied_est, name))
-        squeezed = tq.modular_reassign(out, est).data
-        assert squeezed.tobytes() == tq.modular_reassign(copied, copied_est).data.tobytes()
+        assert same_bits(out.data, tq.modular_reassign(copied, copied_est).data)
         # frame sums differ at most in the sign of a zero
-        assert np.array_equal(out.frame_sums, copied.frame_sums)
+        assert np.array_equal(kept, copied.frame_sums)
 
     def test_all_zero_grid_shares_the_cells(self):
         grid = make_grid(np.zeros((2, 4)))
         for gamma in (0.0, 0.5):
-            out = tq.filter_grid(grid, gamma)
-            assert np.shares_memory(out.data, grid.data) and out.nonzero_count == 0
+            floor = tq.gamma_floor(grid, gamma)
+            assert not floor.any()
+            out, kept = squeezed(grid, floor)
+            assert out.nonzero_count == 0 and same_bits(kept, grid.frame_sums)
 
     @pytest.mark.parametrize("per_frame", [False, True])
     @pytest.mark.parametrize("gamma", [0.0, 0.1])
     def test_magnitude_past_the_float_range_rejected(self, gamma, per_frame):
-        # finite cells whose |V| overflows: 0 * inf and 0.1 * inf thresholds
-        # would zero every cell
+        # finite cells whose |V| overflows: 0 * inf and 0.1 * inf floors
+        # would drop every cell
         grid = tq.TFRGrid([[1.5e308 + 1.5e308j, 1, 2], [1, 3, 0]], 0, 1, 1, "stft", 1)
         assert grid.frame_peaks.tolist() == [np.inf, 3.0]
         with warnings.catch_warnings():
@@ -103,14 +127,16 @@ class TestFilterGrid:
             with pytest.raises(InvalidParameterError,
                                match=r"^cannot filter the stft grid: a magnitude exceeds "
                                      r"the float range$"):
-                tq.filter_grid(grid, gamma, per_frame)
+                tq.gamma_floor(grid, gamma, per_frame)
 
     @pytest.mark.parametrize("gamma", [-0.1, 1.0, 2.0])
     def test_rejects_bad_gamma(self, gamma, tone32, w128):
         sig, _ = tone32
         grid = tq.stft(sig, w128, 128)
-        with pytest.raises(InvalidParameterError):
-            tq.filter_grid(grid, gamma)
+        # the gamma's range is checked before the magnitudes
+        grid = grid.with_data(np.where(np.arange(128) == 3, 1.5e308 + 1.5e308j, grid.data))
+        with pytest.raises(InvalidParameterError, match="^gamma must lie in"):
+            tq.gamma_floor(grid, gamma)
 
 
 class TestLocalMaxima:
@@ -189,7 +215,7 @@ class TestLocalMaxima:
     def test_tone_single_ridge_at_f0(self, tone32, w128):
         sig, _ = tone32
         grid = tq.stft(sig, w128, 128)
-        est = tq.local_maxima(tq.filter_grid(grid, 0.1))
+        est = tq.local_maxima(grid, tq.gamma_floor(grid, 0.1))
         interior = interior_mask(grid.n_frames, w128)
         for n in np.nonzero(interior)[0]:
             assert ridge_bins(est)[n].tolist() == [32]
@@ -197,7 +223,7 @@ class TestLocalMaxima:
     def test_fmam_two_ridges_below_nyquist(self, fmam, w128):
         sig, model = fmam
         half = tq.half_circle(tq.stft(sig, w128, 128))
-        est = tq.local_maxima(tq.filter_grid(half, 0.2))
+        est = tq.local_maxima(half, tq.gamma_floor(half, 0.2))
         interior = interior_mask(half.n_frames, w128)
         assert np.all(est.counts()[interior] == 2)
         assert tq.ridge_mae(est, model, frames=interior) <= 1.0
@@ -205,13 +231,13 @@ class TestLocalMaxima:
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.6])
     def test_gamma_detects_on_the_filtered_grid(self, gamma):
-        # the scan's ridges are those of local_maxima on filter_grid's output,
-        # on the grid or on its half circle
+        # the scan's ridges are those of local_maxima at the gamma floor, on
+        # the grid or on its half circle
         rng = np.random.default_rng(7)
         grid = make_grid(rng.standard_normal((40, 64)) + 1j * rng.standard_normal((40, 64)))
         for real, view in ((False, grid), (True, tq.half_circle(grid))):
             found = tq.scan(grid, gamma, real)[1]
-            oracle = tq.local_maxima(tq.filter_grid(view, gamma))
+            oracle = tq.local_maxima(view, tq.gamma_floor(view, gamma))
             for name in ("ridges", "offsets", "freq_axis_hz"):
                 assert np.array_equal(getattr(found, name), getattr(oracle, name)), name
 

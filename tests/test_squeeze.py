@@ -28,9 +28,8 @@ class TestModularReassign:
         # cell per interior frame survives carrying almost the whole frame
         sig, _ = tone32
         grid = tq.stft(sig, w128, 128)
-        filtered = tq.filter_grid(grid, 0.1)
-        est = tq.local_maxima(filtered)
-        out = tq.modular_reassign(filtered, est)
+        floor = tq.gamma_floor(grid, 0.1)
+        out = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
         target = 128 * w128.center_value * sig.samples
         for n in np.nonzero(interior_mask(grid.n_frames, w128))[0]:
             nz = np.nonzero(np.abs(out.data[n]))[0]
@@ -47,9 +46,8 @@ class TestModularReassign:
     def test_fmam_support_at_most_two_below_nyquist(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
-        filtered = tq.filter_grid(grid, 0.2)
-        est = tq.local_maxima(filtered)
-        out = tq.modular_reassign(filtered, est)
+        floor = tq.gamma_floor(grid, 0.2)
+        out = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
         interior = interior_mask(grid.n_frames, w128)
         support = (np.abs(out.data[:, :64]) > 0).sum(axis=1)
         assert np.all(support[interior] <= 2)
@@ -62,14 +60,14 @@ class TestModularReassign:
         w = tq.WindowSpec(0.04 if fs <= 256 else 0.02, fs)
         grid = tq.stft(sig, w, len(sig))
         out = tq.modular_reassign(grid, tq.local_maxima(grid))
-        assert tq.framesum_max_dev(grid, out) <= 1e-12
+        assert tq.framesum_max_dev(grid.frame_sums, out) <= 1e-12
 
     def test_idempotent(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
-        filtered = tq.filter_grid(grid, 0.1)
-        est = tq.local_maxima(filtered)
-        once = tq.modular_reassign(filtered, est)
+        floor = tq.gamma_floor(grid, 0.1)
+        est = tq.local_maxima(grid, floor)
+        once = tq.modular_reassign(grid, est, floor)
         twice = tq.modular_reassign(once, est)
         assert np.array_equal(once.data, twice.data)
 
@@ -116,13 +114,14 @@ class TestModularReassign:
         samples = np.zeros(64, dtype=complex)
         samples[30:34] = 1.0
         grid = tq.stft(tq.Signal(samples, 128.0), w128, 128)
-        filtered = tq.filter_grid(grid, 0.5)
-        est = tq.local_maxima(filtered)
-        out = tq.modular_reassign(filtered, est)
+        floor = tq.gamma_floor(grid, 0.5)
+        est = tq.local_maxima(grid, floor)
+        out = tq.modular_reassign(grid, est, floor)
+        kept = np.where(np.abs(grid.data) > floor[:, None], grid.data, 0.0)
         quiet = [n for n in range(64) if ridge_bins(est)[n].size == 0]
         assert quiet, "expected some frames below the filter threshold"
         for n in quiet:
-            assert np.array_equal(out.data[n], filtered.data[n])
+            assert np.array_equal(out.data[n], kept[n])
 
 
 class TestReconstruct:
@@ -145,9 +144,8 @@ class TestReconstruct:
     def test_filtered_pipeline_loses_a_little(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
-        filtered = tq.filter_grid(grid, 0.1)
-        est = tq.local_maxima(filtered)
-        out = tq.modular_reassign(filtered, est)
+        floor = tq.gamma_floor(grid, 0.1)
+        out = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
         err = rel_l2(sig.samples, tq.istft(out).samples)
         assert 0.0 < err <= 0.05
 

@@ -42,6 +42,9 @@ COMMANDS = (
     # detection at gamma 0, on the grid itself: about 36 ridges per frame
     f"analyze --method proposed {CHIRP} --snr-db 0 --seed 1 --gamma 0 --out chirp-0db-proposed",
     "compare --input fmam --gamma 0 --per-frame-max --methods stft,proposed --out fmam-pf-0",
+    # detection and the squeeze below per-frame floors
+    "analyze --method proposed --input fmam --snr-db 20 --seed 3 --gamma 0.2 --per-frame-max "
+    "--out fmam-pf-proposed",
     *(f"analyze --method {m} --input fmam --snr-db 10 --seed 1 --out fmam-10db-{m}"
       for m in ("rm", "sst", "set")),
     # the roundtrip-crossover benchmark workload (perfbench/workloads.py)
@@ -52,6 +55,9 @@ COMMANDS = (
         f"reconstruct rt-{seed}/analyze/grid.npz --reference rt-{seed}/gen/signal.csv "
         f"--out rt-{seed}/reconstruct",
     )),
+    # injected tracks squeezing only the cells above a global floor
+    "analyze --input crossover --snr-db 20 --seed 1 --gamma 0.1 --if-from rt-1/gen/true_if.csv "
+    "--reconstruct --out rt-1/gamma",
     # injected tracks on a real signal
     "generate fmam --out fmam/gen",
     "analyze --input fmam/gen/signal.csv --if-from fmam/gen/true_if.csv --gamma 0 "
