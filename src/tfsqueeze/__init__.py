@@ -26,7 +26,6 @@ from .io_export import (
 from .metrics import (
     MethodReport,
     framesum_max_dev,
-    nonzero_fraction,
     recon_rel_l2,
     ridge_mae,
     scan,

@@ -4,10 +4,10 @@ All four post-process the grid of one tfr.Analysis, the hop-1 STFT computed
 once per signal, window and DFT size. SST and LMSST move complex
 coefficients along the frequency axis only: each hands tfr.regroup, the
 in-frame move the squeeze also uses, a rule giving a block of frames'
-destination bins. SET only keeps or drops coefficients in place. The
-reassignment method moves spectrogram energy in both time and frequency and
-therefore cannot be inverted, which its grid records with a NaN
-reconstruction factor.
+destination bins and its cells. SET only keeps or drops coefficients in
+place. The reassignment method moves spectrogram energy in both time and
+frequency and therefore cannot be inverted, which its grid records with a
+NaN reconstruction factor.
 
 SST, SET and RM share one bin map of each cell's IF, from Im, and RM reads
 its group delay from Re, of one ratio V_x / V (Auger & Flandrin 1995): x is
@@ -73,7 +73,8 @@ def sst(a: Analysis) -> TFRGrid:
     nearest its phase-derived IF. Frame sums are conserved, so the result
     reconstructs exactly through istft."""
     # the bins exist, and the derivative transform is freed, before regroup's output
-    return regroup(a.grid, phase_if_map(a).__getitem__, "sst")
+    bins = phase_if_map(a)
+    return regroup(a.grid, lambda rows: (bins[rows], a.grid.data[rows]), "sst")
 
 
 def reassignment(a: Analysis) -> TFRGrid:
@@ -132,7 +133,7 @@ def set_extract(a: Analysis) -> TFRGrid:
         out[rows] = np.where(keep, v, 0.0)
 
     _by_frame_blocks(block, out.shape)
-    return grid.with_data(out, method_tag="set")
+    return replace(grid, data=out, method_tag="set")
 
 
 def lmsst(a: Analysis, delta_bins: int | None = None) -> TFRGrid:
@@ -174,6 +175,6 @@ def lmsst(a: Analysis, delta_bins: int | None = None) -> TFRGrid:
             np.copyto(val[:, :span], val[:, step:step + span], where=better)
             np.copyto(best[:, :span], best[:, step:step + span], where=better)
             width += step
-        return best[:, :n_bins]
+        return best[:, :n_bins], v
 
     return regroup(a.grid, best_bins, "lmsst")

@@ -60,8 +60,9 @@ def _resolve_input(name: str, opts) -> tuple[signals.Signal, signals.ModeModel |
 
 
 def _prepare(args, sig: signals.Signal) -> tfr.Analysis:
-    """Resolve the window and DFT size, then check the window length and the
-    grid's cells before building either."""
+    """Check gamma, resolve the window and DFT size, then check the window
+    length and the grid's cells before building either."""
+    ridges._check_gamma(args.gamma)  # before any grid, also for a run that never reads it
     sigma, nfft = args.sigma, args.nfft
     if sigma is None:
         # 0.04 s suits the 128 Hz experiment, 0.02 s the 1024 Hz ones; wider
@@ -118,18 +119,18 @@ def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, args
     recon = None
     if out.invertible:
         recon = metrics.recon_rel_l2(a.sig, tfr.istft(out))
-    metrics.renyi_peak(out)  # an output the entropy cannot score is refused before conservation
-    dev = metrics.framesum_max_dev(sums, out)
-    # ridges are detected only to be scored against true IFs
+    # scored before conservation is certified, so an output the entropy cannot
+    # score is refused first; ridges are detected only to be scored against true IFs
     entropy, found, image = metrics.scan(out, None if model is None else args.gamma,
                                          a.sig.is_real)
+    dev = metrics.framesum_max_dev(sums, out)
     mae = None
     if model is not None:
         mae = metrics.ridge_mae(found, model, frames=slice(a.w.half, out.n_frames - a.w.half))
     return metrics.MethodReport(
         method_tag=out.method_tag,
         renyi_entropy_bits=entropy,
-        nonzero_fraction=metrics.nonzero_fraction(out),
+        nonzero_fraction=out.nonzero_count / out.data.size,
         recon_rel_l2=recon,
         ridge_mae_bins=mae,
         framesum_max_dev=dev,

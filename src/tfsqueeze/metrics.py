@@ -12,8 +12,7 @@ from .ridges import Ridges, _check_gamma, _strict_maxima
 from .signals import ModeModel, Signal
 from .tfr import TFRGrid, _by_frame_blocks
 
-__all__ = ["MethodReport", "renyi_peak", "scan", "ridge_mae", "recon_rel_l2",
-           "framesum_max_dev", "nonzero_fraction"]
+__all__ = ["MethodReport", "scan", "ridge_mae", "recon_rel_l2", "framesum_max_dev"]
 
 # the Renyi order, the usual time-frequency choice; scan cubes for it
 ALPHA = 3.0
@@ -33,18 +32,6 @@ class MethodReport:
     framesum_max_dev: float
 
 
-def renyi_peak(grid: TFRGrid) -> float:
-    """The max|G| that Renyi entropy scales a grid by. Refuses an all-zero
-    grid, and one with a finite cell whose |G| passes the float range."""
-    peak = grid.frame_peaks.max(initial=0.0)
-    if peak == 0.0:
-        raise InvalidParameterError("cannot measure entropy of an all-zero grid")
-    if peak == np.inf:
-        raise InvalidParameterError(
-            f"cannot measure entropy of the {grid.method_tag} grid: a magnitude exceeds the float range")
-    return float(peak)
-
-
 def scan(grid: TFRGrid, gamma: float | None, real: bool
          ) -> tuple[float, Ridges | None, np.ndarray]:
     """Score a method's output, find its ridges and render it in one
@@ -53,8 +40,8 @@ def scan(grid: TFRGrid, gamma: float | None, real: bool
     - entropy is the Renyi entropy in bits of the distribution of the stored
       magnitudes, P = |G| / sum|G| and H = log2(sum P^ALPHA) / (1 - ALPHA);
       lower means more concentrated. It is taken as
-      log2(sum q^3 / (sum q)^3) / (1 - ALPHA) on q = |G| / max|G| <= 1
-      (renyi_peak), so no sum overflows and a power-of-two scale leaves H
+      log2(sum q^3 / (sum q)^3) / (1 - ALPHA) on q = |G| / max|G| <= 1,
+      so no sum overflows and a power-of-two scale leaves H
       unchanged. Each block gives its (sum q, sum q^3), added in frame
       order: H does not depend on the CPU count;
     - ridges are, per frame, the interior bins of the view whose |G| lies
@@ -67,7 +54,9 @@ def scan(grid: TFRGrid, gamma: float | None, real: bool
       io_export.export_pgm: one column per frame and one row per bin, the
       highest bin on top, each pixel 20 log10 q in dB clipped at
       io_export.HEATMAP_FLOOR_DB and mapped linearly to 0..255.
-    A gamma outside [0, 1) is refused first, then a grid renyi_peak refuses.
+    A gamma outside [0, 1) is refused first, then an all-zero grid and one
+    with a finite cell whose |G| passes the float range: neither has a
+    max|G| to scale by.
 
     The weight is |G|, not |G|^2: SST, LMSST and the squeeze conserve each
     frame's complex sum, not sum|G|^2, and approximate the amplitude-valued
@@ -78,7 +67,12 @@ def scan(grid: TFRGrid, gamma: float | None, real: bool
     """
     if gamma is not None:
         _check_gamma(gamma)
-    data, peak = grid.data, renyi_peak(grid)
+    data, peak = grid.data, grid.frame_peaks.max(initial=0.0)
+    if peak == 0.0:
+        raise InvalidParameterError("cannot measure entropy of an all-zero grid")
+    if peak == np.inf:
+        raise InvalidParameterError(
+            f"cannot measure entropy of the {grid.method_tag} grid: a magnitude exceeds the float range")
     n_frames, n_bins = data.shape
     shown = (n_bins + 1) // 2  # half_circle's bins: the heatmap's, and a real signal's view
     width = shown if real else n_bins
@@ -109,11 +103,6 @@ def scan(grid: TFRGrid, gamma: float | None, real: bool
         found = Ridges(np.concatenate(parts), np.concatenate([[0], np.cumsum(counts)]),
                        grid.time_axis_s, grid.freq_axis_hz[:width])
     return float(np.log2(sum(s3) / sum(s1)**3) / (1.0 - ALPHA)), found, image
-
-
-def nonzero_fraction(grid: TFRGrid) -> float:
-    """Fraction of grid cells holding a nonzero coefficient."""
-    return grid.nonzero_count / grid.data.size
 
 
 def ridge_mae(ifest: Ridges, model: ModeModel,

@@ -10,6 +10,7 @@ not just the STFT; the grid carries its own rho.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -26,16 +27,31 @@ def modular_reassign(grid: TFRGrid, ifest: IFEstimate, floor: np.ndarray | None 
                      kept_sums: np.ndarray | None = None) -> TFRGrid:
     """Sum each basin's kept coefficients into its ridge bin, frame by frame.
 
-    Every cell's destination is its basin's ridge, decoded by the estimate
-    one block of frames at a time, and tfr.regroup makes the move, dropping
-    the cells at or below floor (ridges.gamma_floor's) and writing the kept
-    cells' frame sums, which the output conserves, into kept_sums. A frame
+    The rule handed to tfr.regroup decodes, one block of frames at a time,
+    every cell's destination, its basin's ridge, from the estimate, and then
+    drops the cells at or below floor (ridges.gamma_floor's), writing the
+    kept cells' frame sums, which the output conserves, into kept_sums.
+    Where every floor is zero no cell, not even -0.0, is dropped. A frame
     without a ridge keeps its cells in place. The output keeps the source
     grid's axes and reconstruction factor.
     """
-    if (ifest.n_frames, ifest.n_bins) != grid.data.shape:
-        raise InvalidParameterError(f"estimate's cells do not match grid {grid.data.shape}")
-    return regroup(grid, ifest.destinations, "proposed", floor, kept_sums)
+    data = grid.data
+    if (ifest.n_frames, ifest.n_bins) != data.shape:
+        raise InvalidParameterError(f"estimate's cells do not match grid {data.shape}")
+    masked = floor is not None and floor.any()
+    if kept_sums is not None and not masked:
+        kept_sums[:] = grid.frame_sums
+
+    def rule(rows):
+        dest, v = ifest.destinations(rows), data[rows]  # decoded before masking: measured faster
+        if masked:
+            v = np.where(np.abs(v) > floor[rows, None], v, 0.0)
+            if kept_sums is not None:
+                with np.errstate(over="ignore", invalid="ignore"):  # TFRGrid's frame-sum arithmetic
+                    np.sum(v, axis=1, out=kept_sums[rows])
+        return dest, v
+
+    return regroup(grid, rule, "proposed")
 
 
 def mode_reconstruct(tgrid: TFRGrid, ridge_track: Callable[[np.ndarray], np.ndarray],
@@ -54,4 +70,4 @@ def mode_reconstruct(tgrid: TFRGrid, ridge_track: Callable[[np.ndarray], np.ndar
     track = np.broadcast_to(np.asarray(ridge_track(t), dtype=float), t.shape)
     nearest_bins(track, tgrid, "mode track")  # refuses off-axis and NaN tracks
     in_band = np.abs(tgrid.freq_axis_hz[None, :] - track[:, None]) <= half_width_hz
-    return istft(tgrid.with_data(np.where(in_band, tgrid.data, 0.0)))
+    return istft(replace(tgrid, data=np.where(in_band, tgrid.data, 0.0)))

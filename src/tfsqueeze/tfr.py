@@ -172,10 +172,10 @@ class TFRGrid:
     def invertible(self) -> bool:
         return bool(np.isfinite(self.rho))
 
-    def with_data(self, data: np.ndarray, method_tag: str | None = None) -> "TFRGrid":
-        """Same sampling and rho, new coefficients; optionally a new tag."""
-        return replace(self, data=data,
-                       method_tag=self.method_tag if method_tag is None else method_tag)
+    def with_data(self, data: np.ndarray) -> "TFRGrid":
+        """Same sampling, rho and tag, new coefficients. The package calls
+        dataclasses.replace; this stays for perfbench's tests, which call it."""
+        return replace(self, data=data)
 
 
 def frame_matrix(sig: Signal, weights: np.ndarray, nfft: int) -> np.ndarray:
@@ -258,20 +258,18 @@ def istft(grid: TFRGrid) -> Signal:
     return Signal(samples, grid.source_fs_hz, grid.t0_s)
 
 
-def regroup(grid: TFRGrid, dest_of: Callable[[slice], np.ndarray], method_tag: str,
-            floor: np.ndarray | None = None, kept_sums: np.ndarray | None = None) -> TFRGrid:
-    """Add every coefficient V[n, k] into bin dest[n, k] of its own frame n.
+def regroup(grid: TFRGrid, rule: Callable[[slice], tuple[np.ndarray, np.ndarray]],
+            method_tag: str) -> TFRGrid:
+    """Add every value v[n, k] of a frame into bin dest[n, k] of that frame n.
 
     This is the one move of every invertible post-processor here (SST, LMSST
     and the squeeze): coefficients never leave their frame, so each frame sum
-    is kept and the output inverts through istft with the source grid's rho.
-    Each method is a rule: dest_of(rows), called once per block of frames
-    under the frame-block contract, returns those frames' integer
-    destinations, a (frames, n_bins) array of bins in [0, n_bins).
-
-    floor, one magnitude per frame, drops in each block the cells with |V|
-    at or below it; where every floor is zero no cell, not even -0.0, is.
-    kept_sums, if given, receives each frame's sum of the moved cells.
+    of the moved values is kept and the output inverts through istft with
+    the source grid's rho. Each method is a rule: rule(rows), called once per
+    block of frames under the frame-block contract, returns (dest, v) for
+    those frames, two (frames, n_bins) arrays: integer destinations, bins in
+    [0, n_bins), and the values to move, the grid's own cells or a filtered
+    copy of them.
 
     Each run of consecutive cells sharing a destination is summed with one
     reduceat, so a contiguous basin adds up exactly as a per-frame reduceat
@@ -279,23 +277,14 @@ def regroup(grid: TFRGrid, dest_of: Callable[[slice], np.ndarray], method_tag: s
     """
     data, n_bins = grid.data, grid.n_bins
     out = np.zeros(data.shape, dtype=np.complex128)
-    masked = floor is not None and floor.any()
-    if kept_sums is not None and not masked:
-        kept_sums[:] = grid.frame_sums
 
     def block(rows):
-        d = dest_of(rows)
-        if d.shape != data[rows].shape:
-            raise InvalidParameterError(
-                f"block destinations {d.shape} do not match grid {data.shape}")
+        d, v = rule(rows)
+        if not d.shape == v.shape == data[rows].shape:
+            raise InvalidParameterError(f"block destinations {d.shape} and values "
+                                        f"{v.shape} do not match grid {data.shape}")
         if d.size and (d.min() < 0 or d.max() >= n_bins):  # a grid may have no frames
             raise InvalidParameterError(f"destination bins must lie in [0, {n_bins})")
-        v = data[rows]
-        if masked:
-            v = np.where(np.abs(v) > floor[rows, None], v, 0.0)
-            if kept_sums is not None:
-                with np.errstate(over="ignore", invalid="ignore"):  # TFRGrid's frame-sum arithmetic
-                    np.sum(v, axis=1, out=kept_sums[rows])
         run_start = np.ones(d.shape, dtype=bool)  # a frame always starts a run
         run_start[:, 1:] = d[:, 1:] != d[:, :-1]
         starts = np.flatnonzero(run_start)
@@ -306,7 +295,7 @@ def regroup(grid: TFRGrid, dest_of: Callable[[slice], np.ndarray], method_tag: s
             np.add.at(out[rows].reshape(-1), target, np.add.reduceat(v.ravel(), starts))
 
     _by_frame_blocks(block, data.shape)
-    return grid.with_data(out, method_tag=method_tag)
+    return replace(grid, data=out, method_tag=method_tag)
 
 
 def nearest_bins(values_hz: np.ndarray, grid: TFRGrid, what: str) -> np.ndarray:

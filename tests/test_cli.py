@@ -587,6 +587,20 @@ class TestAdmissionBeforeAllocation:
         assert "budget" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_gamma_is_refused_before_the_stft(self, tmp_path, monkeypatch, capsys, command):
+        # the analyze run reads --gamma only when it scores the SST grid, and the
+        # compare run, whose signal file carries no true IFs, never reads it
+        path = tmp_path / "signal.csv"
+        tq.save_signal_csv(tq.gen_tone(32.0, 128.0, 1.0)[0], path)
+        argv = {"analyze": ["analyze", "--method", "sst", "--input", "tone"],
+                "compare": ["compare", "--input", str(path), "--methods", "stft,sst"]}[command]
+        monkeypatch.setattr(tfr, "stft", _refuse_call)
+        out = tmp_path / "out"
+        assert main(argv + ["--gamma", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: gamma must lie in [0, 1)\n"
+        assert not out.exists()
+
     def test_grid_file_shape_is_admitted_before_allocating(self, tmp_path, monkeypatch,
                                                           capsys):
         # 2^14 x 2^14 cells, twice the budget; idx and val stay valid

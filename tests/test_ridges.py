@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ class TestFilterGrid:
         out, kept = squeezed(grid, floor)
         assert same_bits(kept, grid.frame_sums)
         # what filtering once copied: the kept cells into a zeroed grid, -0.0 as +0.0
-        copied = grid.with_data(np.where(np.abs(grid.data) > 0, grid.data, 0.0))
+        copied = replace(grid, data=np.where(np.abs(grid.data) > 0, grid.data, 0.0))
         assert np.signbit(copied.data.real).sum() == 0
         est, copied_est = tq.local_maxima(grid, floor), tq.local_maxima(copied)
         for name in ("ridges", "offsets", "starts"):
@@ -134,7 +135,7 @@ class TestFilterGrid:
         sig, _ = tone32
         grid = tq.stft(sig, w128, 128)
         # the gamma's range is checked before the magnitudes
-        grid = grid.with_data(np.where(np.arange(128) == 3, 1.5e308 + 1.5e308j, grid.data))
+        grid = replace(grid, data=np.where(np.arange(128) == 3, 1.5e308 + 1.5e308j, grid.data))
         with pytest.raises(InvalidParameterError, match="^gamma must lie in"):
             tq.gamma_floor(grid, gamma)
 
