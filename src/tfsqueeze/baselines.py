@@ -154,8 +154,7 @@ def lmsst(a: Analysis, delta_bins: int | None = None) -> TFRGrid:
     n_bins = a.grid.n_bins
     if delta_bins is None:
         delta_bins = min(halfwidth_bins(a.w, a.nfft), n_bins - 1)
-    if not 0 <= delta_bins < n_bins:
-        raise InvalidParameterError(f"delta_bins must lie in [0, {n_bins})")
+    _check_delta_bins(delta_bins, n_bins)
     full = 2 * delta_bins + 1
     padded_bins = np.arange(-delta_bins, n_bins + delta_bins)
 
@@ -178,3 +177,8 @@ def lmsst(a: Analysis, delta_bins: int | None = None) -> TFRGrid:
         return best[:, :n_bins], v
 
     return regroup(a.grid, best_bins, "lmsst")
+
+
+def _check_delta_bins(delta_bins: int, n_bins: int) -> None:
+    if not 0 <= delta_bins < n_bins:
+        raise InvalidParameterError(f"delta_bins must lie in [0, {n_bins})")

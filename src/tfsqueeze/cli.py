@@ -61,21 +61,23 @@ def _resolve_input(name: str, opts) -> tuple[signals.Signal, signals.ModeModel |
 
 def _prepare(args, sig: signals.Signal) -> tfr.Analysis:
     """Check gamma, resolve the window and DFT size, then check the window
-    length and the grid's cells before building either."""
+    length, delta_bins and the grid's cells before building either."""
     ridges._check_gamma(args.gamma)  # before any grid, also for a run that never reads it
     sigma, nfft = args.sigma, args.nfft
     if sigma is None:
         # 0.04 s suits the 128 Hz experiment, 0.02 s the 1024 Hz ones; wider
         # windows split ridges at IF turning points on the 128 Hz signal
         sigma = 0.04 if sig.sample_rate_hz <= 256.0 else 0.02
-    if nfft is None:  # the next power of two covering the signal, at most 4096
-        nfft = min(4096, 1 << int(np.ceil(np.log2(max(2, len(sig))))))
-    w = windows.WindowSpec(sigma, sig.sample_rate_hz)
+    w = windows.WindowSpec(sigma, sig.sample_rate_hz)  # builds no taps yet
+    if nfft is None:  # the next power of two covering the signal and the window, at most 4096
+        nfft = min(4096, 1 << (max(2, len(sig), w.taps) - 1).bit_length())
     if nfft < w.taps:
         raise InvalidParameterError(
             f"nfft={nfft} is smaller than the window length {w.taps}; "
             "raise --nfft or lower --sigma"
         )
+    if args.delta_bins is not None:  # also for a run without LMSST
+        baselines._check_delta_bins(args.delta_bins, nfft)
     if len(sig) * nfft > tfr.MAX_GRID_CELLS:
         raise InvalidParameterError(
             f"grid of {len(sig)} frames x {nfft} bins exceeds the "
@@ -114,8 +116,7 @@ def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, args
             est = ridges.inject_if(a.grid, tracks)
         else:
             est = ridges.local_maxima(a.grid, floor)
-        sums = np.empty(a.grid.n_frames, dtype=np.complex128)
-        out = squeeze.modular_reassign(a.grid, est, floor, sums)
+        out, sums = squeeze.modular_reassign(a.grid, est, floor)
     recon = None
     if out.invertible:
         recon = metrics.recon_rel_l2(a.sig, tfr.istft(out))
@@ -221,7 +222,7 @@ def _add_input_options(p: argparse.ArgumentParser):
     p.add_argument("--sigma", type=float, default=None,
                    help="window width in seconds (default 0.04 below 256 Hz, else 0.02)")
     p.add_argument("--nfft", type=int, default=None,
-                   help="DFT size (default: next power of two covering the signal)")
+                   help="DFT size (default: power of two covering signal and window, max 4096)")
     p.add_argument("--gamma", type=float, default=0.1,
                    help="magnitude filter threshold, fraction of the grid maximum")
     p.add_argument("--delta-bins", type=int, default=None,

@@ -23,35 +23,36 @@ from .tfr import TFRGrid, istft, nearest_bins, regroup
 __all__ = ["modular_reassign", "mode_reconstruct"]
 
 
-def modular_reassign(grid: TFRGrid, ifest: IFEstimate, floor: np.ndarray | None = None,
-                     kept_sums: np.ndarray | None = None) -> TFRGrid:
+def modular_reassign(grid: TFRGrid, ifest: IFEstimate, floor: np.ndarray | None = None
+                     ) -> tuple[TFRGrid, np.ndarray]:
     """Sum each basin's kept coefficients into its ridge bin, frame by frame.
 
     The rule handed to tfr.regroup decodes, one block of frames at a time,
     every cell's destination, its basin's ridge, from the estimate, and then
-    drops the cells at or below floor (ridges.gamma_floor's), writing the
-    kept cells' frame sums, which the output conserves, into kept_sums.
-    Where every floor is zero no cell, not even -0.0, is dropped. A frame
-    without a ridge keeps its cells in place. The output keeps the source
-    grid's axes and reconstruction factor.
+    drops the cells at or below floor (ridges.gamma_floor's). Where every
+    floor is zero no cell, not even -0.0, is dropped. A frame without a
+    ridge keeps its cells in place. Returns (squeezed, kept): the squeezed
+    grid keeps the source's axes and rho; kept holds, read-only, the frame
+    sums of the kept cells, which squeezed conserves, and is grid.frame_sums
+    itself when nothing is dropped. No argument is written.
     """
     data = grid.data
     if (ifest.n_frames, ifest.n_bins) != data.shape:
         raise InvalidParameterError(f"estimate's cells do not match grid {data.shape}")
     masked = floor is not None and floor.any()
-    if kept_sums is not None and not masked:
-        kept_sums[:] = grid.frame_sums
+    kept = np.empty(grid.n_frames, dtype=np.complex128) if masked else grid.frame_sums
 
     def rule(rows):
         dest, v = ifest.destinations(rows), data[rows]  # decoded before masking: measured faster
         if masked:
             v = np.where(np.abs(v) > floor[rows, None], v, 0.0)
-            if kept_sums is not None:
-                with np.errstate(over="ignore", invalid="ignore"):  # TFRGrid's frame-sum arithmetic
-                    np.sum(v, axis=1, out=kept_sums[rows])
+            with np.errstate(over="ignore", invalid="ignore"):  # TFRGrid's frame-sum arithmetic
+                np.sum(v, axis=1, out=kept[rows])
         return dest, v
 
-    return regroup(grid, rule, "proposed")
+    out = regroup(grid, rule, "proposed")
+    kept.setflags(write=False)
+    return out, kept
 
 
 def mode_reconstruct(tgrid: TFRGrid, ridge_track: Callable[[np.ndarray], np.ndarray],

@@ -209,17 +209,16 @@ def frame_matrix(sig: Signal, weights: np.ndarray, nfft: int) -> np.ndarray:
 def stft(sig: Signal, w: WindowSpec, nfft: int) -> TFRGrid:
     """Hop-1 short-time Fourier transform over the full DFT circle.
 
-    Frequency bins are k * fs / nfft for k in [0, nfft); rho is
-    1 / (nfft * g(0)) so that istft is exact. The window must be sampled at
-    the signal's rate, since the phase-IF estimates read its taps in 1/s.
+    Frequency bins are k * fs / nfft for k in [0, nfft); rho is 1 / nfft, exact for
+    istft since the window's centre tap g(0) is 1. The window must be sampled at the
+    signal's rate, since the phase-IF estimates read its taps in 1/s.
     """
     if w.fs_hz != sig.sample_rate_hz:
         raise InvalidParameterError(
             f"window sampled at {w.fs_hz} Hz, signal at {sig.sample_rate_hz} Hz")
     data = frame_matrix(sig, w.values, nfft)
     fs = sig.sample_rate_hz
-    rho = 1.0 / (nfft * w.center_value)
-    return TFRGrid(data, sig.t0_s, fs / nfft, rho, "stft", fs)
+    return TFRGrid(data, sig.t0_s, fs / nfft, 1.0 / nfft, "stft", fs)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The analysis window enters three transforms: plain (values), derivative
 (d_values, for phase-based IF estimation) and time-weighted (t_values, for
 group-delay estimation). All three are sampled on the same odd-length grid
-centered at t = 0 so the center tap is exactly g(0).
+centered at t = 0 so the center tap is exactly g(0) = 1, as tfr.stft's rho needs.
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ class WindowSpec:
     @cached_property
     def t_values(self) -> np.ndarray:
         return _read_only(self._t * self.values)
-
-    @property
-    def center_value(self) -> float:
-        """g(0), the tap the STFT's reconstruction factor divides by."""
-        return float(self.values[self.half])
 
 
 def halfwidth_bins(w: WindowSpec, nfft: int) -> int:

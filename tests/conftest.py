@@ -44,8 +44,7 @@ def interior_mask(n_frames: int, w) -> np.ndarray:
 def squeezed(grid, floor):
     """The gamma-filtered squeeze, detection included: its output and the
     kept cells' frame sums."""
-    kept = np.empty(grid.n_frames, dtype=complex)
-    return tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor, kept), kept
+    return tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
 
 
 def ridge_bins(est) -> tuple[np.ndarray, ...]:

@@ -36,7 +36,7 @@ def test_a1_exact_inverse(gen, request):
     start = time.perf_counter()
     err_istft = rel_l2(sig.samples, tq.istft(tq.stft(sig, w, nfft)).samples)
     grid = tq.stft(sig, w, nfft)
-    out = tq.modular_reassign(grid, tq.local_maxima(grid))
+    out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
     err_prop = rel_l2(sig.samples, tq.istft(out).samples)
     elapsed = time.perf_counter() - start
 
@@ -54,7 +54,7 @@ def test_a2_conservation(gen, request):
     w = _window_for(sig)
     grid = tq.stft(sig, w, len(sig))
     floor = tq.gamma_floor(grid, 0.0)
-    out = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
+    out, _ = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
     dev = tq.framesum_max_dev(grid.frame_sums, out)
     report("A2", dev <= 1e-12, f"{gen}: framesum_max_dev {dev:.2e}")
     assert dev <= 1e-12
@@ -64,7 +64,7 @@ def test_a3_concentration(fmam, w128):
     sig, _ = fmam
     grid = tq.stft(sig, w128, 128)
     floor = tq.gamma_floor(grid, 0.1)
-    proposed = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
+    proposed, _ = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
     h_prop, _, image = tq.scan(proposed, None, True)
     h_sst = tq.scan(tq.sst(tq.Analysis(sig, w128, 128)), None, True)[0]
     h_stft = tq.scan(grid, None, True)[0]
@@ -102,7 +102,7 @@ def test_a5_crossover_modularity(crossover, w1024):
     sig, model = crossover
     grid = tq.stft(sig, w1024, 1024)
     est = tq.inject_if(grid, [m.if_hz for m in model.modes])
-    out = tq.modular_reassign(grid, est)
+    out, _ = tq.modular_reassign(grid, est)
 
     support = np.array([(np.abs(out.data[n]) > 0).sum() for n in range(1024)])
     matches = bool(np.all(support == est.counts()))
@@ -145,7 +145,7 @@ def test_a6_baseline_sanity(tone32, w128, tmp_path, capsys):
 def test_a7_set_lossiness(fmam, w128):
     sig, _ = fmam
     grid = tq.stft(sig, w128, 128)
-    out = tq.modular_reassign(grid, tq.local_maxima(grid))
+    out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
     err_prop = rel_l2(sig.samples, tq.istft(out).samples)
     err_set = rel_l2(sig.samples, tq.istft(tq.set_extract(tq.Analysis(sig, w128, 128))).samples)
     ok = err_set >= 1e3 * err_prop
@@ -164,7 +164,7 @@ def test_a8_chirp_surrogate_denoising(w1024):
     for gamma in (0.0, 0.2):
         floor = tq.gamma_floor(grid, gamma)
         est = tq.local_maxima(grid, floor)
-        outputs[gamma] = tq.modular_reassign(grid, est, floor)
+        outputs[gamma], _ = tq.modular_reassign(grid, est, floor)
         estimates[gamma] = est
 
     true_bins = np.rint(model.modes[0].if_hz(grid.time_axis_s) / grid.df_hz)

@@ -268,8 +268,7 @@ class TestBlockEdges:
                 for got, want in zip((est.ridges, est.offsets, est.starts),
                                      local_maxima_oracle(filtered, 0.0)):
                     assert same_bits(got, want)
-                kept = np.empty(n_frames, dtype=complex)
-                out = squeeze.modular_reassign(grid, est, floor, kept)
+                out, kept = squeeze.modular_reassign(grid, est, floor)
                 assert same_bits(out.data,
                                  regroup_oracle(filtered.data, est.destinations(slice(None))))
                 assert same_bits(kept, (grid if gamma == 0 else filtered).data.sum(axis=1))
@@ -452,8 +451,8 @@ def test_a_grid_of_no_frames_has_no_ridges():
     est = ridges.local_maxima(grid, floor)
     assert est.ridges.size == est.starts.size == 0
     assert est.offsets.tolist() == [0]
-    kept = np.empty(0, dtype=complex)
-    assert squeeze.modular_reassign(grid, est, floor, kept).data.shape == (0, 5)
+    out, kept = squeeze.modular_reassign(grid, est, floor)
+    assert out.data.shape == (0, 5) and kept.shape == (0,)
 
 
 class TestFaultsInBlocks:
@@ -577,8 +576,7 @@ class TestFaultsInBlocks:
         a = analysis(tfr._frames_per_block(64), 64)
         baselines.sst(a)
         floor = ridges.gamma_floor(a.grid, 0.1)
-        kept = np.empty(a.grid.n_frames, dtype=complex)
-        squeeze.modular_reassign(a.grid, ridges.local_maxima(a.grid, floor), floor, kept)
+        squeeze.modular_reassign(a.grid, ridges.local_maxima(a.grid, floor), floor)
         metrics.scan(a.grid, 0.1, True)
 
     @pytest.mark.parametrize("bad", [-1, 128])

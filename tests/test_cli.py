@@ -111,6 +111,15 @@ class TestAnalyze:
         assert rc == 2
         assert "nfft" in capsys.readouterr().err
 
+    def test_default_nfft_covers_the_window(self, tmp_path, capsys):
+        # 10 samples at 1024 Hz under the default 245-tap window: the default
+        # DFT size is 256, where covering the signal alone gave 16
+        rc = main(["analyze", "--input", "chirp", "--dur", "0.01", "--gamma", "0",
+                   "--reconstruct", "--out", str(tmp_path)])
+        assert rc == 0
+        assert float(capsys.readouterr().out.split("=")[1]) <= 1e-10
+        assert tq.import_grid_csv(tmp_path / "grid.npz").n_bins == 256
+
     def test_oversized_grid_exits_2(self, tmp_path, capsys):
         # 8 Msample tone x 4096-bin default grid would need half a terabyte
         rc = main(["analyze", "--method", "stft", "--input", "tone",
@@ -483,9 +492,11 @@ class TestNoPartialOutput:
         out = tmp_path / "out"
         assert main(["compare", "--input", "fmam", "--out", str(out)]) == 0
         earlier = tree(out)
-        # stft succeeds, then lmsst is refused
-        assert main(["compare", "--input", "fmam", "--methods", "stft,lmsst",
-                     "--delta-bins", "-1", "--out", str(out)]) == 2
+        # stft succeeds, then the proposed method's track file is refused
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text("0,1,\n")
+        assert main(["compare", "--input", "fmam", "--methods", "stft,proposed",
+                     "--if-from", str(tracks), "--out", str(out)]) == 3
         assert tree(out) == earlier
 
     def test_directory_in_the_way_moves_nothing(self, tmp_path, capsys):
@@ -599,6 +610,18 @@ class TestAdmissionBeforeAllocation:
         out = tmp_path / "out"
         assert main(argv + ["--gamma", "5", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: gamma must lie in [0, 1)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--method", "sst", "--delta-bins", "-1"],
+        ["compare", "--methods", "stft,sst", "--delta-bins", "128"],
+    ], ids=["analyze", "compare"])
+    def test_delta_bins_is_refused_before_the_stft(self, tmp_path, monkeypatch, capsys, argv):
+        # neither run has LMSST, the one method that reads --delta-bins
+        monkeypatch.setattr(tfr, "stft", _refuse_call)
+        out = tmp_path / "out"
+        assert main(argv + ["--input", "fmam", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: delta_bins must lie in [0, 128)\n"
         assert not out.exists()
 
     def test_grid_file_shape_is_admitted_before_allocating(self, tmp_path, monkeypatch,

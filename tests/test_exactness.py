@@ -44,8 +44,8 @@ def _proposed(grid, gamma, tracks_hz=()):
         est = tq.inject_if(grid, [lambda t, f=f: f for f in tracks_hz])
     else:
         est = tq.local_maxima(grid, floor)
-    kept = np.empty(grid.n_frames, dtype=complex)
-    return kept, tq.modular_reassign(grid, est, floor, kept)
+    out, kept = tq.modular_reassign(grid, est, floor)
+    return kept, out
 
 
 @st.composite
@@ -88,7 +88,7 @@ def chirplet_grids(draw) -> tq.TFRGrid:
     c = draw(st.floats(-FS_HZ**2, FS_HZ**2))
     taps = w.values * np.exp(-1j * np.pi * c * t**2)
     return tq.TFRGrid(frame_matrix(a.sig, taps, a.nfft), a.sig.t0_s, FS_HZ / a.nfft,
-                      1.0 / (a.nfft * w.center_value), "chirplet", FS_HZ)
+                      1.0 / a.nfft, "chirplet", FS_HZ)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

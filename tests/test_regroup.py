@@ -102,7 +102,7 @@ class TestSqueezeBitwise:
                                        injected_crossover])
     def test_matches_per_frame_reduceat(self, build, w128, w1024):
         grid, floor, est = build(w128, w1024)
-        out = tq.modular_reassign(grid, est, floor)
+        out, _ = tq.modular_reassign(grid, est, floor)
         kept = replace(grid, data=np.where(np.abs(grid.data) > floor[:, None], grid.data, 0.0))
         assert np.array_equal(out.data, reduceat_oracle(kept, est))
 

@@ -14,9 +14,9 @@ class TestModularReassign:
         sig, _ = tone32
         grid = tq.stft(sig, w128, 128)
         est = tq.inject_if(grid, [lambda t: 32.0 * np.ones_like(t)])
-        out = tq.modular_reassign(grid, est)
+        out, _ = tq.modular_reassign(grid, est)
         frame_sums = grid.data.sum(axis=1)
-        target = 128 * w128.center_value * sig.samples
+        target = 128 * sig.samples
         for n in range(grid.n_frames):
             nz = np.nonzero(np.abs(out.data[n]))[0]
             assert nz.tolist() == [32]
@@ -29,8 +29,8 @@ class TestModularReassign:
         sig, _ = tone32
         grid = tq.stft(sig, w128, 128)
         floor = tq.gamma_floor(grid, 0.1)
-        out = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
-        target = 128 * w128.center_value * sig.samples
+        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
+        target = 128 * sig.samples
         for n in np.nonzero(interior_mask(grid.n_frames, w128))[0]:
             nz = np.nonzero(np.abs(out.data[n]))[0]
             assert nz.tolist() == [32]
@@ -39,7 +39,7 @@ class TestModularReassign:
 
     def test_zero_grid_passes_through(self, w128):
         grid = tq.stft(tq.Signal(np.zeros(40), 128.0), w128, 128)
-        out = tq.modular_reassign(grid, tq.local_maxima(grid))
+        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
         assert np.all(out.data == 0)
         assert out.method_tag == "proposed"
 
@@ -47,7 +47,7 @@ class TestModularReassign:
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
         floor = tq.gamma_floor(grid, 0.2)
-        out = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
+        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
         interior = interior_mask(grid.n_frames, w128)
         support = (np.abs(out.data[:, :64]) > 0).sum(axis=1)
         assert np.all(support[interior] <= 2)
@@ -59,7 +59,7 @@ class TestModularReassign:
         fs = sig.sample_rate_hz
         w = tq.WindowSpec(0.04 if fs <= 256 else 0.02, fs)
         grid = tq.stft(sig, w, len(sig))
-        out = tq.modular_reassign(grid, tq.local_maxima(grid))
+        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
         assert tq.framesum_max_dev(grid.frame_sums, out) <= 1e-12
 
     def test_idempotent(self, fmam, w128):
@@ -67,15 +67,15 @@ class TestModularReassign:
         grid = tq.stft(sig, w128, 128)
         floor = tq.gamma_floor(grid, 0.1)
         est = tq.local_maxima(grid, floor)
-        once = tq.modular_reassign(grid, est, floor)
-        twice = tq.modular_reassign(once, est)
+        once, _ = tq.modular_reassign(grid, est, floor)
+        twice, _ = tq.modular_reassign(once, est)
         assert np.array_equal(once.data, twice.data)
 
     def test_support_equals_injected_ridges(self, crossover, w1024):
         sig, model = crossover
         grid = tq.stft(sig, w1024, 1024)
         est = tq.inject_if(grid, [m.if_hz for m in model.modes])
-        out = tq.modular_reassign(grid, est)
+        out, _ = tq.modular_reassign(grid, est)
         per_frame = ridge_bins(est)  # splits every frame's ridges
         for n in range(grid.n_frames):
             nz = np.nonzero(np.abs(out.data[n]))[0]
@@ -86,7 +86,7 @@ class TestModularReassign:
         sig, model = fmam
         grid = tq.stft(sig, w128, 128)
         est = tq.inject_if(grid, [m.if_hz for m in model.modes])
-        out = tq.modular_reassign(grid, est)
+        out, _ = tq.modular_reassign(grid, est)
         ideal = ideal_tfr(model, grid)
         for n in range(grid.n_frames):
             out_bins = np.nonzero(np.abs(out.data[n]))[0]
@@ -116,12 +116,32 @@ class TestModularReassign:
         grid = tq.stft(tq.Signal(samples, 128.0), w128, 128)
         floor = tq.gamma_floor(grid, 0.5)
         est = tq.local_maxima(grid, floor)
-        out = tq.modular_reassign(grid, est, floor)
+        out, _ = tq.modular_reassign(grid, est, floor)
         kept = np.where(np.abs(grid.data) > floor[:, None], grid.data, 0.0)
         quiet = [n for n in range(64) if ridge_bins(est)[n].size == 0]
         assert quiet, "expected some frames below the filter threshold"
         for n in quiet:
             assert np.array_equal(out.data[n], kept[n])
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_returns_what_it_conserves_and_writes_no_argument(self, fmam, w128, gamma):
+        sig, _ = fmam
+        grid = tq.stft(sig, w128, 128)
+        floor = tq.gamma_floor(grid, gamma)
+        est = tq.local_maxima(grid, floor)
+        for arr in (floor, est.ridges, est.offsets, est.starts, est.time_axis_s,
+                    est.freq_axis_hz):
+            arr.setflags(write=False)
+        before = floor.copy()
+        out, kept = tq.modular_reassign(grid, est, floor)
+        assert np.array_equal(floor, before)
+        assert not kept.flags.writeable
+        if gamma == 0.0:
+            assert kept is grid.frame_sums
+        else:
+            cells = np.where(np.abs(grid.data) > floor[:, None], grid.data, 0.0)
+            assert np.array_equal(kept, cells.sum(axis=1))
+        assert tq.framesum_max_dev(kept, out) <= 1e-12
 
 
 class TestReconstruct:
@@ -131,7 +151,7 @@ class TestReconstruct:
         fs = sig.sample_rate_hz
         w = tq.WindowSpec(0.04 if fs <= 256 else 0.02, fs)
         grid = tq.stft(sig, w, len(sig))
-        out = tq.modular_reassign(grid, tq.local_maxima(grid))
+        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
         rec = tq.istft(out)
         assert rel_l2(sig.samples, rec.samples) <= 1e-10
 
@@ -145,7 +165,7 @@ class TestReconstruct:
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
         floor = tq.gamma_floor(grid, 0.1)
-        out = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
+        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
         err = rel_l2(sig.samples, tq.istft(out).samples)
         assert 0.0 < err <= 0.05
 
@@ -158,7 +178,7 @@ class TestModeReconstruct:
         both = tq.Signal(t1.samples + t2.samples, 128.0)
         w = tq.WindowSpec(0.06, 128)
         grid = tq.stft(both, w, 128)
-        out = tq.modular_reassign(grid, tq.local_maxima(grid))
+        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
         rec = tq.mode_reconstruct(out, lambda t: 20.0 * np.ones_like(t), 2.0)
         sl = slice(w.half, 128 - w.half)
         assert rel_l2(t1.samples[sl], rec.samples[sl]) <= 1e-6
@@ -166,14 +186,14 @@ class TestModeReconstruct:
     def test_full_band_equals_reconstruct(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
-        out = tq.modular_reassign(grid, tq.local_maxima(grid))
+        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
         full = tq.mode_reconstruct(out, lambda t: 64.0 * np.ones_like(t), 1e6)
         assert np.array_equal(full.samples, tq.istft(out).samples)
 
     def test_fmam_mode_two_extraction(self, fmam, w128):
         sig, model = fmam
         grid = tq.stft(sig, w128, 128)
-        out = tq.modular_reassign(grid, tq.local_maxima(grid))
+        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
         band = tq.mode_reconstruct(out, model.modes[1].if_hz, 3.0)
         rec = 2.0 * band.samples.real  # real carrier: fold the mirror back in
         truth = np.sin(model.modes[1].phase_rad(sig.times_s))
@@ -189,7 +209,7 @@ class TestModeReconstruct:
     def test_track_outside_axis_rejected(self, tone32, w128):
         sig, _ = tone32
         grid = tq.stft(sig, w128, 128)
-        out = tq.modular_reassign(grid, tq.local_maxima(grid))
+        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
         with pytest.raises(InvalidParameterError, match="mode track range"):
             tq.mode_reconstruct(out, lambda t: 500.0 * np.ones_like(t), 2.0)
         with pytest.raises(InvalidParameterError, match="half_width_hz must be > 0"):

@@ -21,7 +21,6 @@ def scan_halfwidth_oracle(values: np.ndarray, nfft: int) -> int:
 class TestGaussianWindow:
     def test_center_is_exactly_one(self):
         w = tq.WindowSpec(0.05, 128)
-        assert w.center_value == 1.0
         assert w.values[w.half] == 1.0
 
     def test_odd_length_and_symmetry(self):
