@@ -48,7 +48,7 @@ from .signals import (
     gen_tone,
 )
 from .squeeze import mode_reconstruct, modular_reassign
-from .tfr import Analysis, TFRGrid, half_circle, istft, stft
+from .tfr import Analysis, TFRGrid, istft, stft
 from .windows import WindowSpec
 
 __version__ = "0.1.0"

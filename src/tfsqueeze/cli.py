@@ -199,6 +199,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    squeeze._check_band(args.gamma_band)  # before the grid, also for a run that never reads it
     grid = import_grid_csv(args.grid)
     reference = load_signal(args.reference) if args.reference else None
 

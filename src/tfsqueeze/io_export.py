@@ -20,16 +20,14 @@ import math
 import tempfile
 import wave
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import FormatError, InvalidParameterError
+from .metrics import MethodReport
 from .signals import Signal
 from .tfr import MAX_GRID_CELLS, TFRGrid
-
-if TYPE_CHECKING:  # metrics renders its heatmaps with _pixels, so it imports this module
-    from .metrics import MethodReport
 
 __all__ = ["output_dir", "load_signal", "save_signal_csv", "load_trajectories_csv",
            "export_trajectories_csv", "export_grid_csv", "import_grid_csv",
@@ -40,7 +38,6 @@ _CPU_MAX = "/sys/fs/cgroup/cpu.max"  # a cgroup v2 CPU quota: "<quota> <period>"
 _GRID_MEMBERS = {"method": (np.str_, 0), "fs": (np.float64, 0), "t0": (np.float64, 0),
                  "dfreq": (np.float64, 0), "rho": (np.float64, 0),
                  "shape": (np.int64, 1), "idx": (np.int64, 1), "val": (np.complex128, 1)}
-HEATMAP_FLOOR_DB = -60.0
 
 
 @functools.cache
@@ -266,23 +263,6 @@ def import_grid_csv(path) -> TFRGrid:
         return TFRGrid(data.reshape(shape), *scalars)
     except InvalidParameterError as exc:
         raise FormatError(f"{path}: {exc}")
-
-
-def _pixels(q: np.ndarray) -> np.ndarray:
-    """The heatmap's columns for a block of frames, from q = |G| / max|G| on
-    the shown bins: 20 log10 q in dB, clipped at HEATMAP_FLOOR_DB and mapped
-    linearly to 0..255, one column per frame and one row per bin, the
-    highest bin on top. A block helper, so it calls only numpy."""
-    # a cell at or below the floor is black either way; raising it to the
-    # floor keeps zeros, whose -inf numpy's log takes a slow path for, out
-    db = np.log10(np.maximum(q, 10.0 ** (HEATMAP_FLOOR_DB / 20.0)))
-    # in place, in the order 255 * (clip(20 log10 q) - floor) / -floor rounds
-    db *= 20.0
-    np.clip(db, HEATMAP_FLOOR_DB, 0.0, out=db)
-    db -= HEATMAP_FLOOR_DB
-    db *= 255.0
-    db /= -HEATMAP_FLOOR_DB
-    return np.rint(db, out=db).astype(np.uint8).T[::-1]
 
 
 def export_pgm(image: np.ndarray, path) -> None:

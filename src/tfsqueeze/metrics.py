@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .io_export import _pixels
 from .ridges import Ridges, _check_gamma, _strict_maxima
 from .signals import ModeModel, Signal
 from .tfr import TFRGrid, _by_frame_blocks
@@ -16,6 +15,7 @@ __all__ = ["MethodReport", "scan", "ridge_mae", "recon_rel_l2", "framesum_max_de
 
 # the Renyi order, the usual time-frequency choice; scan cubes for it
 ALPHA = 3.0
+HEATMAP_FLOOR_DB = -60.0
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,13 @@ def scan(grid: TFRGrid, gamma: float | None, real: bool
     - ridges are, per frame, the interior bins of the view whose |G| lies
       above both neighbours and above gamma times the view's peak, with
       their per-frame counts and no basins: the ridges of
-      local_maxima(view, gamma_floor(view, gamma)). The view is
-      half_circle(grid) for a real signal (real=True) and grid otherwise.
-      gamma None detects nothing and gives None;
-    - image is the heatmap of the bins below fs/2 (half_circle's), for
-      io_export.export_pgm: one column per frame and one row per bin, the
-      highest bin on top, each pixel 20 log10 q in dB clipped at
-      io_export.HEATMAP_FLOOR_DB and mapped linearly to 0..255.
+      local_maxima(view, gamma_floor(view, gamma)). The view is the
+      (n_bins + 1) // 2 bins below fs/2 for a real signal (real=True) and
+      grid otherwise. gamma None detects nothing and gives None;
+    - image is the heatmap of the bins below fs/2, for io_export.export_pgm:
+      one column per frame and one row per bin, the highest bin on top, each
+      pixel 20 log10 q in dB clipped at HEATMAP_FLOOR_DB and mapped linearly
+      to 0..255.
     A gamma outside [0, 1) is refused first, then an all-zero grid and one
     with a finite cell whose |G| passes the float range: neither has a
     max|G| to scale by.
@@ -74,7 +74,7 @@ def scan(grid: TFRGrid, gamma: float | None, real: bool
         raise InvalidParameterError(
             f"cannot measure entropy of the {grid.method_tag} grid: a magnitude exceeds the float range")
     n_frames, n_bins = data.shape
-    shown = (n_bins + 1) // 2  # half_circle's bins: the heatmap's, and a real signal's view
+    shown = (n_bins + 1) // 2  # the bins below fs/2: the heatmap's, and a real signal's view
     width = shown if real else n_bins
     floor = 0.0
     if gamma:  # gamma times the view's peak
@@ -105,16 +105,32 @@ def scan(grid: TFRGrid, gamma: float | None, real: bool
     return float(np.log2(sum(s3) / sum(s1)**3) / (1.0 - ALPHA)), found, image
 
 
-def ridge_mae(ifest: Ridges, model: ModeModel,
-              frames: np.ndarray | slice | None = None) -> float | None:
+def _pixels(q: np.ndarray) -> np.ndarray:
+    """The heatmap's columns for a block of frames, from q = |G| / max|G| on
+    the shown bins: 20 log10 q in dB, clipped at HEATMAP_FLOOR_DB and mapped
+    linearly to 0..255, one column per frame and one row per bin, the
+    highest bin on top. A block helper, so it calls only numpy."""
+    # a cell at or below the floor is black either way; raising it to the
+    # floor keeps zeros, whose -inf numpy's log takes a slow path for, out
+    db = np.log10(np.maximum(q, 10.0 ** (HEATMAP_FLOOR_DB / 20.0)))
+    # in place, in the order 255 * (clip(20 log10 q) - floor) / -floor rounds
+    db *= 20.0
+    np.clip(db, HEATMAP_FLOOR_DB, 0.0, out=db)
+    db -= HEATMAP_FLOOR_DB
+    db *= 255.0
+    db /= -HEATMAP_FLOOR_DB
+    return np.rint(db, out=db).astype(np.uint8).T[::-1]
+
+
+def ridge_mae(ifest: Ridges, model: ModeModel, frames: np.ndarray | slice) -> float | None:
     """Mean absolute gap, in bins, between ridges (detected by local_maxima
     or scan, or injected) and true IFs.
 
-    Only frames whose ridge count equals the number of modes contribute;
-    each true IF is matched to its nearest detected ridge. ``frames`` may
-    restrict the evaluation (boolean mask, index array or slice), e.g. to
-    interior frames. None when no frame qualifies or the axis has fewer
-    than 2 bins, so no bin width; an empty model is refused.
+    Only the frames selected by ``frames`` (boolean mask, index array or
+    slice; the CLI passes the interior frames) whose ridge count equals the
+    number of modes contribute; each true IF is matched to its nearest
+    detected ridge. None when no frame qualifies or the axis has fewer than
+    2 bins, so no bin width; an empty model is refused.
     """
     if len(model) == 0:
         raise InvalidParameterError("mode model has no components")
@@ -125,7 +141,7 @@ def ridge_mae(ifest: Ridges, model: ModeModel,
     df = float(ifest.freq_axis_hz[1] - ifest.freq_axis_hz[0])
     true_bins = (model.if_matrix_hz(t) - f0) / df  # (n_modes, n_frames), fractional
 
-    selected = np.arange(ifest.n_frames) if frames is None else np.arange(ifest.n_frames)[frames]
+    selected = np.arange(ifest.n_frames)[frames]
     selected = selected[ifest.counts()[selected] == len(model)]
     if selected.size == 0:
         return None

@@ -126,23 +126,22 @@ def _strict_maxima(m: np.ndarray, floor: float) -> np.ndarray:
     return np.flatnonzero(peaks)
 
 
-def local_maxima(grid: TFRGrid, floor: np.ndarray | None = None) -> IFEstimate:
+def local_maxima(grid: TFRGrid, floor: np.ndarray) -> IFEstimate:
     """Detect per-frame ridges as strict interior local maxima of |G|.
 
     Plateaus yield no ridge and the first and last bins are never ridges.
     Basin boundaries sit at the smallest-magnitude bin strictly between
     consecutive ridges (ties resolve to the lower bin). floor, one magnitude
     per frame (gamma_floor's), first reads every |G| at or below its frame's
-    floor as 0. Every block of frames finds its own ridges and basins, so it
-    builds no grid-sized mask.
+    floor as 0; a zero floor changes nothing, as |G| >= 0. Every block of
+    frames finds its own ridges and basins, so it builds no grid-sized mask.
     """
     data = grid.data
     counts = np.empty(data.shape[0], dtype=np.int64)
 
     def block(rows):
         m = np.abs(data[rows])
-        if floor is not None:
-            m[m <= floor[rows, None]] = 0.0
+        m[m <= floor[rows, None]] = 0.0
         inner, left, right = m[:, 1:-1], m[:, :-2], m[:, 2:]
         peaks = _strict_maxima(m, 0.0)
         frame, ridges = np.divmod(peaks, inner.shape[1])  # a width of 0 divides nothing

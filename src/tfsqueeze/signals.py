@@ -67,10 +67,6 @@ class Signal:
         return self.samples.size
 
     @property
-    def duration_s(self) -> float:
-        return len(self) / self.sample_rate_hz
-
-    @property
     def times_s(self) -> np.ndarray:
         return self.t0_s + np.arange(len(self)) / self.sample_rate_hz
 

@@ -23,7 +23,7 @@ from .tfr import TFRGrid, istft, nearest_bins, regroup
 __all__ = ["modular_reassign", "mode_reconstruct"]
 
 
-def modular_reassign(grid: TFRGrid, ifest: IFEstimate, floor: np.ndarray | None = None
+def modular_reassign(grid: TFRGrid, ifest: IFEstimate, floor: np.ndarray
                      ) -> tuple[TFRGrid, np.ndarray]:
     """Sum each basin's kept coefficients into its ridge bin, frame by frame.
 
@@ -39,7 +39,7 @@ def modular_reassign(grid: TFRGrid, ifest: IFEstimate, floor: np.ndarray | None 
     data = grid.data
     if (ifest.n_frames, ifest.n_bins) != data.shape:
         raise InvalidParameterError(f"estimate's cells do not match grid {data.shape}")
-    masked = floor is not None and floor.any()
+    masked = floor.any()
     kept = np.empty(grid.n_frames, dtype=np.complex128) if masked else grid.frame_sums
 
     def rule(rows):
@@ -65,10 +65,14 @@ def mode_reconstruct(tgrid: TFRGrid, ridge_track: Callable[[np.ndarray], np.ndar
     mode of a real signal, take twice the real part of the result to get the
     real waveform.
     """
-    if not half_width_hz > 0:  # NaN fails this too
-        raise InvalidParameterError("half_width_hz must be > 0")
+    _check_band(half_width_hz)
     t = tgrid.time_axis_s
     track = np.broadcast_to(np.asarray(ridge_track(t), dtype=float), t.shape)
     nearest_bins(track, tgrid, "mode track")  # refuses off-axis and NaN tracks
     in_band = np.abs(tgrid.freq_axis_hz[None, :] - track[:, None]) <= half_width_hz
     return istft(replace(tgrid, data=np.where(in_band, tgrid.data, 0.0)))
+
+
+def _check_band(half_width_hz: float) -> None:
+    if not half_width_hz > 0:  # NaN fails this too
+        raise InvalidParameterError("half_width_hz must be > 0")

@@ -21,7 +21,7 @@ from .signals import Signal
 from .windows import WindowSpec
 
 __all__ = ["TFRGrid", "Analysis", "stft", "istft", "regroup", "nearest_bins",
-           "half_circle", "MAX_GRID_CELLS"]
+           "MAX_GRID_CELLS"]
 
 # hop-1 grids are dense (n_samples x nfft complex): cap the cell count so a
 # long recording or a grid file's shape fails fast instead of exhausting memory
@@ -50,7 +50,7 @@ def _by_frame_blocks(fn, shape: tuple[int, int]) -> list:
     until every block has run and so must be far smaller than a block,
     which per-frame values are not on a one-bin grid. fn calls numpy, which
     releases the GIL, and may call the package's private block helpers
-    (ridges._strict_maxima, io_export._pixels), which perfbench does not
+    (ridges._strict_maxima, metrics._pixels), which perfbench does not
     wrap, but never a public function: its callers (a profiler, perfbench's
     span recorder) may track one call stack. Threads start with numpy's
     default errstate, so fn sets its own. The split depends only on the
@@ -312,15 +312,3 @@ def nearest_bins(values_hz: np.ndarray, grid: TFRGrid, what: str) -> np.ndarray:
             f"and within the frequency axis [{f[0]}, {f[-1]}] Hz"
         )
     return np.clip(np.rint((values - f[0]) / df_hz).astype(np.int64), 0, f.size - 1)
-
-
-def half_circle(grid: TFRGrid) -> TFRGrid:
-    """Slice to the bins below fs/2 for display and ridge work on real signals.
-
-    Bin k lies below fs/2 when 2k < n_bins, so (n_bins + 1) // 2 bins are
-    kept: at least one, and the last one too when n_bins is odd. The slice is
-    not invertible by the frame-sum formula, so rho is dropped.
-    """
-    keep = (grid.n_bins + 1) // 2
-    return replace(grid, data=grid.data[:, :keep], rho=float("nan"),
-                   method_tag=grid.method_tag + "+half")

@@ -41,6 +41,25 @@ def interior_mask(n_frames: int, w) -> np.ndarray:
     return mask
 
 
+def no_floor(grid) -> np.ndarray:
+    """A gamma floor that drops no cell: zero in every frame, as
+    gamma_floor(grid, 0.0) gives."""
+    return np.zeros(grid.n_frames)
+
+
+def half_circle(grid):
+    """Slice to the bins below fs/2, as metrics.scan views a real signal and
+    renders every heatmap.
+
+    Bin k lies below fs/2 when 2k < n_bins, so (n_bins + 1) // 2 bins are
+    kept: at least one, and the last one too when n_bins is odd. The slice is
+    not invertible by the frame-sum formula, so rho is dropped.
+    """
+    keep = (grid.n_bins + 1) // 2
+    return dataclasses.replace(grid, data=grid.data[:, :keep], rho=float("nan"),
+                               method_tag=grid.method_tag + "+half")
+
+
 def squeezed(grid, floor):
     """The gamma-filtered squeeze, detection included: its output and the
     kept cells' frame sums."""

@@ -15,7 +15,7 @@ import pytest
 import tfsqueeze as tq
 from tfsqueeze.cli import main
 
-from conftest import interior_mask, rel_l2
+from conftest import half_circle, interior_mask, no_floor, rel_l2, squeezed
 
 
 def _window_for(sig):
@@ -36,7 +36,7 @@ def test_a1_exact_inverse(gen, request):
     start = time.perf_counter()
     err_istft = rel_l2(sig.samples, tq.istft(tq.stft(sig, w, nfft)).samples)
     grid = tq.stft(sig, w, nfft)
-    out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
+    out, _ = squeezed(grid, no_floor(grid))
     err_prop = rel_l2(sig.samples, tq.istft(out).samples)
     elapsed = time.perf_counter() - start
 
@@ -90,7 +90,7 @@ def test_a3_concentration(fmam, w128):
 
 def test_a4_if_accuracy(fmam, w128):
     sig, model = fmam
-    half = tq.half_circle(tq.stft(sig, w128, 128))
+    half = half_circle(tq.stft(sig, w128, 128))
     est = tq.local_maxima(half, tq.gamma_floor(half, 0.2))
     interior = interior_mask(128, w128)
     mae = tq.ridge_mae(est, model, frames=interior)
@@ -102,7 +102,7 @@ def test_a5_crossover_modularity(crossover, w1024):
     sig, model = crossover
     grid = tq.stft(sig, w1024, 1024)
     est = tq.inject_if(grid, [m.if_hz for m in model.modes])
-    out, _ = tq.modular_reassign(grid, est)
+    out, _ = tq.modular_reassign(grid, est, no_floor(grid))
 
     support = np.array([(np.abs(out.data[n]) > 0).sum() for n in range(1024)])
     matches = bool(np.all(support == est.counts()))
@@ -145,7 +145,7 @@ def test_a6_baseline_sanity(tone32, w128, tmp_path, capsys):
 def test_a7_set_lossiness(fmam, w128):
     sig, _ = fmam
     grid = tq.stft(sig, w128, 128)
-    out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
+    out, _ = squeezed(grid, no_floor(grid))
     err_prop = rel_l2(sig.samples, tq.istft(out).samples)
     err_set = rel_l2(sig.samples, tq.istft(tq.set_extract(tq.Analysis(sig, w128, 128))).samples)
     ok = err_set >= 1e3 * err_prop

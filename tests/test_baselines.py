@@ -7,7 +7,7 @@ import pytest
 import tfsqueeze as tq
 from tfsqueeze.errors import InvalidParameterError, NonInvertibleGridError
 
-from conftest import interior_mask, rel_l2, squeezed
+from conftest import half_circle, interior_mask, no_floor, rel_l2, squeezed
 from test_blocks import phase_if_oracle
 
 
@@ -246,7 +246,8 @@ def test_peak_memory_in_grids(chirp_2048x1024, name, monkeypatch):
     elif name == "scan":  # the STFT grid itself, at gamma 0.1 on the real view
         args = a.grid, 0.1, True
     elif name == "local_maxima-0dB":  # about 35 ridges per frame, with as many valleys
-        args = (tq.Analysis(tq.add_noise(a.sig, 0.0, 1), a.w, a.nfft).grid,)
+        noisy = tq.Analysis(tq.add_noise(a.sig, 0.0, 1), a.w, a.nfft).grid
+        args = noisy, no_floor(noisy)
     else:
         args = (a,)
     tracemalloc.start()
@@ -298,7 +299,7 @@ def test_peak_memory_of_building_a_grid(chirp_2048x1024, monkeypatch):
     data = chirp_2048x1024.grid.data
     tracemalloc.start()
     try:
-        tq.half_circle(tq.TFRGrid(data, 0.0, 1.0, 1.0, "x", 1024.0))
+        half_circle(tq.TFRGrid(data, 0.0, 1.0, 1.0, "x", 1024.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

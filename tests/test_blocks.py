@@ -25,6 +25,8 @@ from tfsqueeze import baselines, io_export, metrics, ridges, signals, squeeze, t
 from tfsqueeze.cli import main
 from tfsqueeze.errors import InvalidParameterError
 
+from conftest import half_circle, no_floor
+
 ROOT = Path(__file__).resolve().parent.parent
 # the real mask and quota reader, before a test pretends otherwise
 CPUS = os.sched_getaffinity(0)
@@ -168,10 +170,10 @@ def renyi_oracle(grid):
 def heatmap_oracle(grid):
     peak = np.abs(grid.data).max()
     with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(np.abs(tfr.half_circle(grid).data) / peak)
-    db = np.clip(db, io_export.HEATMAP_FLOOR_DB, 0.0)
-    pixels = np.rint(255.0 * (db - io_export.HEATMAP_FLOOR_DB)
-                     / (-io_export.HEATMAP_FLOOR_DB)).astype(np.uint8)
+        db = 20.0 * np.log10(np.abs(half_circle(grid).data) / peak)
+    db = np.clip(db, metrics.HEATMAP_FLOOR_DB, 0.0)
+    pixels = np.rint(255.0 * (db - metrics.HEATMAP_FLOOR_DB)
+                     / (-metrics.HEATMAP_FLOOR_DB)).astype(np.uint8)
     image = pixels.T[::-1]
     return f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii") + image.tobytes()
 
@@ -276,7 +278,7 @@ class TestBlockEdges:
     def test_local_maxima(self, n_frames, n_bins):
         for white_noise in (False, True):
             grid = analysis(n_frames, n_bins, white_noise=white_noise).grid
-            for view in (grid, tfr.half_circle(grid)):
+            for view in (grid, half_circle(grid)):
                 for gamma in (0.0, 0.1):
                     est = ridges.local_maxima(view, ridges.gamma_floor(view, gamma))
                     for got, want in zip((est.ridges, est.offsets, est.starts),
@@ -291,7 +293,7 @@ class TestBlockEdges:
         assert abs(metrics.scan(grid, None, False)[0] - want) <= 1e-14 * abs(want)
         assert grid.nonzero_count / grid.data.size == \
             float(np.count_nonzero(grid.data) / grid.data.size)
-        for g in (base, grid, tfr.half_circle(grid)):
+        for g in (base, grid, half_circle(grid)):
             assert same_bits(g.frame_peaks, np.max(np.abs(g.data), axis=1, initial=0.0))
             assert same_bits(g.frame_sums, g.data.sum(axis=1))
             assert g.nonzero_count == np.count_nonzero(g.data)
@@ -318,7 +320,7 @@ def test_scan_gives_the_bits_of_the_three_passes(n_frames, n_bins, complex_input
         data = grid.data.copy()
         data[:, (n_bins + 1) // 2:] *= 4.0
         grid = replace(grid, data=data)
-    view = tfr.half_circle(grid) if real else grid
+    view = half_circle(grid) if real else grid
     want = renyi_oracle(grid)
     entropies = set()
     for gamma in (None, 0.0, 0.1):
@@ -345,16 +347,16 @@ def test_scan_gives_the_bits_of_the_three_passes(n_frames, n_bins, complex_input
 def test_pixels_at_the_floor_are_the_formulas():
     # zeros, subnormals and magnitudes around the floor (10^-3 of the peak)
     # and the first grey level, which the helper raises to the floor first
-    edge = 10.0 ** (io_export.HEATMAP_FLOOR_DB / 20.0)
-    level = 10.0 ** ((io_export.HEATMAP_FLOOR_DB * (1 - 1 / 510)) / 20.0)
+    edge = 10.0 ** (metrics.HEATMAP_FLOOR_DB / 20.0)
+    level = 10.0 ** ((metrics.HEATMAP_FLOOR_DB * (1 - 1 / 510)) / 20.0)
     q = np.array([0.0, 5e-324, 1e-310, 1e-30, edge / 2] +
                  [x * (1 + k * 2.0**-52) for x in (edge, level) for k in range(-4, 5)] +
                  [0.5, 1.0])[None, :]
     with np.errstate(divide="ignore"):
-        db = np.clip(20.0 * np.log10(q), io_export.HEATMAP_FLOOR_DB, 0.0)
-    want = np.rint(255.0 * (db - io_export.HEATMAP_FLOOR_DB)
-                   / (-io_export.HEATMAP_FLOOR_DB)).astype(np.uint8)
-    assert same_bits(np.ascontiguousarray(io_export._pixels(q)), want.T[::-1])
+        db = np.clip(20.0 * np.log10(q), metrics.HEATMAP_FLOOR_DB, 0.0)
+    want = np.rint(255.0 * (db - metrics.HEATMAP_FLOOR_DB)
+                   / (-metrics.HEATMAP_FLOOR_DB)).astype(np.uint8)
+    assert same_bits(np.ascontiguousarray(metrics._pixels(q)), want.T[::-1])
 
 
 class TestScanRefusals:
@@ -413,7 +415,7 @@ def test_gamma_zero_drops_nothing_and_bad_gamma_is_refused():
     data[::7, 5:40] = 0.0
     grid = tfr.TFRGrid(data, 0.0, 1.0, 1.0, "x", 128.0)
     masked = ridges.local_maxima(grid, ridges.gamma_floor(grid, 5e-324))
-    plain = ridges.local_maxima(grid)
+    plain = ridges.local_maxima(grid, no_floor(grid))
     for name in ("ridges", "offsets", "starts"):
         assert same_bits(getattr(plain, name), getattr(masked, name))
     assert same_bits(metrics.scan(grid, 5e-324, False)[1].ridges, plain.ridges)

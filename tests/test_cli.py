@@ -429,6 +429,12 @@ class TestNoPartialOutput:
         # a mode has no reference signal; refused before either file is read
         (["reconstruct", "{inputs}/missing.npz", "--mode-track", "{inputs}/missing.csv",
           "--reference", "{inputs}/missing.csv"], 2, "not allowed with"),
+        # the band is refused before the grid file is read, with or without
+        # --mode-track, the one option that reads it
+        (["reconstruct", "{inputs}/grid.npz", "--gamma-band", "-1"], 2,
+         r"\Aerror: half_width_hz must be > 0\n\Z"),
+        (["reconstruct", "{inputs}/missing.npz", "--gamma-band", "nan"], 2,
+         r"\Aerror: half_width_hz must be > 0\n\Z"),
     ], ids=["rm-reconstruct", "nyquist", "unparseable-grid",
             "track-off-axis", "compare-second-method", "nan-if-track", "nan-mode-track",
             "nan-if-time", "inf-if-time",
@@ -440,7 +446,8 @@ class TestNoPartialOutput:
             "generate-no-sample", "analyze-no-sample", "compare-repeated-method",
             "grid-dfreq-zero", "overflow-norm-stft", "overflow-energy-rm",
             "overflow-sum-lmsst", "analyze-if-from-without-proposed",
-            "compare-if-from-without-proposed", "mode-track-with-reference"])
+            "compare-if-from-without-proposed", "mode-track-with-reference",
+            "gamma-band-without-mode-track", "gamma-band-before-missing-grid"])
     def test_failure_leaves_no_output_directory(self, tmp_path, capsys, argv, code, match):
         inputs = tmp_path / "inputs"
         inputs.mkdir()

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 import tfsqueeze as tq
 from tfsqueeze.errors import FormatError
 
-from conftest import rewrite_grid
+from conftest import half_circle, rewrite_grid
 
 # values that every file must carry exactly: signed zeros, subnormals and the
 # ends of the finite range
@@ -261,7 +261,7 @@ class TestHeatmapPgm:
         fs = 128.0
         grid = tq.stft(tq.Signal(np.ones(4), fs), tq.WindowSpec(1e-9, fs), nfft)
         below = np.count_nonzero(grid.freq_axis_hz < fs / 2)
-        assert tq.half_circle(grid).n_bins == below
+        assert half_circle(grid).n_bins == below
         path = tmp_path / "map.pgm"
         write_heatmap(grid, path)
         assert path.read_bytes().split(b"\n", 3)[1] == f"4 {below}".encode()
@@ -302,7 +302,7 @@ class TestHeatmapPgm:
                             lambda self: built.append(self) or post_init(self))
         tq.scan(grid, 0.1, True)
         assert built == []
-        tq.half_circle(grid)
+        half_circle(grid)
         assert len(built) == 1  # the count sees a construction
 
 

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 import tfsqueeze as tq
 from tfsqueeze.errors import InvalidParameterError
 
-from conftest import interior_mask
+from conftest import half_circle, interior_mask, no_floor, squeezed
 
 
 def make_grid(rows, fs=1.0):
@@ -105,9 +105,9 @@ class TestRenyiEntropy:
 class TestRidgeMae:
     def test_oracle_injection_within_rounding(self, fmam, w128):
         sig, model = fmam
-        grid = tq.half_circle(tq.stft(sig, w128, 128))
+        grid = half_circle(tq.stft(sig, w128, 128))
         est = tq.inject_if(grid, [m.if_hz for m in model.modes])
-        assert tq.ridge_mae(est, model) <= 0.5
+        assert tq.ridge_mae(est, model, slice(None)) <= 0.5
 
     def test_tone_local_maxima(self, tone32, w128):
         sig, model = tone32
@@ -118,7 +118,7 @@ class TestRidgeMae:
 
     def test_fmam_default_pipeline(self, fmam, w128):
         sig, model = fmam
-        half = tq.half_circle(tq.stft(sig, w128, 128))
+        half = half_circle(tq.stft(sig, w128, 128))
         est = tq.local_maxima(half, tq.gamma_floor(half, 0.2))
         interior = interior_mask(half.n_frames, w128)
         assert tq.ridge_mae(est, model, frames=interior) <= 1.0
@@ -126,18 +126,18 @@ class TestRidgeMae:
     def test_empty_model_rejected(self, tone32, w128):
         sig, _ = tone32
         grid = tq.stft(sig, w128, 128)
-        est = tq.local_maxima(grid)
+        est = tq.local_maxima(grid, no_floor(grid))
         with pytest.raises(InvalidParameterError, match="mode model has no components"):
-            tq.ridge_mae(est, tq.ModeModel(modes=()))
+            tq.ridge_mae(est, tq.ModeModel(modes=()), slice(None))
 
     def test_no_matching_frames_give_none(self, fmam, w128):
         # unfiltered full-circle grid never shows exactly K=2 ridges
         sig, model = fmam
         grid = tq.stft(sig, w128, 128)
-        est = tq.local_maxima(grid)
+        est = tq.local_maxima(grid, no_floor(grid))
         counts = est.counts()
         assert not np.any(counts == 2)
-        assert tq.ridge_mae(est, model) is None
+        assert tq.ridge_mae(est, model, slice(None)) is None
 
     def test_one_bin_axis_gives_none(self, tone32):
         # only an injected estimate has a ridge on a one-bin axis, which has
@@ -145,7 +145,7 @@ class TestRidgeMae:
         _, model = tone32
         est = tq.inject_if(make_grid([[1.0], [2.0]]), [np.zeros_like])
         assert est.counts().tolist() == [1, 1]
-        assert tq.ridge_mae(est, model) is None
+        assert tq.ridge_mae(est, model, slice(None)) is None
 
 
 class TestReconRelL2:
@@ -188,7 +188,7 @@ class TestFramesumMaxDev:
     def test_squeeze_conserves(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
-        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
+        out, _ = squeezed(grid, no_floor(grid))
         assert tq.framesum_max_dev(grid.frame_sums, out) <= 1e-12
 
     def test_set_discards_mass(self, fmam, w128):

@@ -7,12 +7,17 @@ import pytest
 import tfsqueeze as tq
 from tfsqueeze.errors import FormatError, InvalidParameterError
 
-from conftest import interior_mask, ridge_bins, squeezed
+from conftest import half_circle, interior_mask, no_floor, ridge_bins, squeezed
 from test_blocks import same_bits
 
 
 def make_grid(rows, fs=1.0, df=1.0):
     return tq.TFRGrid(np.asarray(rows, dtype=complex), 0.0, df, 1.0, "test", fs)
+
+
+def detect(grid):
+    """Ridges and basins of grid with no gamma filter."""
+    return tq.local_maxima(grid, no_floor(grid))
 
 
 def ridges_and_edges_oracle(column):
@@ -48,7 +53,9 @@ class TestFilterGrid:
         floor = tq.gamma_floor(grid, 0.0)
         assert floor.shape == (grid.n_frames,) and not floor.any()
         out, kept = squeezed(grid, floor)
-        assert np.array_equal(out.data, tq.modular_reassign(grid, tq.local_maxima(grid))[0].data)
+        est = tq.local_maxima(grid, floor)
+        for bins, column in zip(ridge_bins(est), grid.data):
+            assert bins.tolist() == ridges_and_edges_oracle(column)[0]
         assert np.array_equal(kept, grid.frame_sums)
 
     def test_near_one_keeps_only_the_peak(self):
@@ -76,7 +83,7 @@ class TestFilterGrid:
         floor = tq.gamma_floor(grid, 0.1)
         assert np.count_nonzero(np.abs(grid.data) > floor[:, None]) < grid.nonzero_count
         out, kept = squeezed(grid, floor)
-        unfiltered, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
+        unfiltered, _ = squeezed(grid, no_floor(grid))
         assert out.nonzero_count < unfiltered.nonzero_count
         assert not np.array_equal(kept, grid.frame_sums)
 
@@ -101,10 +108,10 @@ class TestFilterGrid:
         # what filtering once copied: the kept cells into a zeroed grid, -0.0 as +0.0
         copied = replace(grid, data=np.where(np.abs(grid.data) > 0, grid.data, 0.0))
         assert np.signbit(copied.data.real).sum() == 0
-        est, copied_est = tq.local_maxima(grid, floor), tq.local_maxima(copied)
+        est, copied_est = tq.local_maxima(grid, floor), detect(copied)
         for name in ("ridges", "offsets", "starts"):
             assert np.array_equal(getattr(est, name), getattr(copied_est, name))
-        assert same_bits(out.data, tq.modular_reassign(copied, copied_est)[0].data)
+        assert same_bits(out.data, tq.modular_reassign(copied, copied_est, no_floor(copied))[0].data)
         # frame sums differ at most in the sign of a zero
         assert np.array_equal(kept, copied.frame_sums)
 
@@ -142,23 +149,23 @@ class TestFilterGrid:
 
 class TestLocalMaxima:
     def test_single_peak_column(self):
-        est = tq.local_maxima(make_grid([[0, 1, 3, 2, 1]]))
+        est = detect(make_grid([[0, 1, 3, 2, 1]]))
         assert ridge_bins(est)[0].tolist() == [2]
         assert est.destinations(slice(None))[0].tolist() == [2, 2, 2, 2, 2]
 
     def test_constant_column_has_no_ridge(self):
-        est = tq.local_maxima(make_grid([[2, 2, 2, 2]]))
+        est = detect(make_grid([[2, 2, 2, 2]]))
         assert ridge_bins(est)[0].size == 0
         assert est.destinations(slice(None))[0].tolist() == [0, 1, 2, 3]
 
     def test_two_ridges_with_tied_minimum(self):
         # minima candidates bins 2 and 3 tie at 1; the lower bin wins
-        est = tq.local_maxima(make_grid([[0, 2, 1, 1, 4, 0]]))
+        est = detect(make_grid([[0, 2, 1, 1, 4, 0]]))
         assert ridge_bins(est)[0].tolist() == [1, 4]
         assert est.destinations(slice(None))[0].tolist() == [1, 1, 4, 4, 4, 4]
 
     def test_edges_never_ridge(self):
-        est = tq.local_maxima(make_grid([[5, 1, 0, 1, 5]]))
+        est = detect(make_grid([[5, 1, 0, 1, 5]]))
         assert ridge_bins(est)[0].size == 0
 
     def test_matches_exhaustive_oracle_on_random_columns(self):
@@ -169,7 +176,7 @@ class TestLocalMaxima:
             rng.random((50, 17)) * (rng.random((50, 17)) > 0.4),  # zeros
         ]
         for block in formats:
-            est = tq.local_maxima(make_grid(block))
+            est = detect(make_grid(block))
             dest = est.destinations(slice(None))
             for n in range(block.shape[0]):
                 ridges, edges = ridges_and_edges_oracle(block[n])
@@ -179,7 +186,7 @@ class TestLocalMaxima:
     def test_freq_table_pads_with_nan_after_each_frames_ridges(self):
         rng = np.random.default_rng(7)
         block = rng.random((40, 13)) * (rng.random((40, 13)) > 0.3)
-        est = tq.local_maxima(make_grid(block, df=0.5))
+        est = detect(make_grid(block, df=0.5))
         table = est.freq_table_hz()
         assert table.shape == (40, est.counts().max())
         for n, bins in enumerate(ridge_bins(est)):
@@ -188,7 +195,7 @@ class TestLocalMaxima:
 
     def test_destinations_of_a_slice_are_its_rows(self, fmam, w128):
         sig, _ = fmam
-        est = tq.local_maxima(tq.stft(sig, w128, 128))
+        est = detect(tq.stft(sig, w128, 128))
         whole = est.destinations(slice(None))
         n = est.n_frames
         for rows in (slice(0, 5), slice(3, 17), slice(n - 2, n), slice(7, 7)):
@@ -199,7 +206,7 @@ class TestLocalMaxima:
     def test_partition_invariants(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
-        est = tq.local_maxima(grid)
+        est = detect(grid)
         dest = est.destinations(slice(None))
         assert dest.shape == (est.n_frames, grid.n_bins)
         for n in range(est.n_frames):
@@ -223,7 +230,7 @@ class TestLocalMaxima:
 
     def test_fmam_two_ridges_below_nyquist(self, fmam, w128):
         sig, model = fmam
-        half = tq.half_circle(tq.stft(sig, w128, 128))
+        half = half_circle(tq.stft(sig, w128, 128))
         est = tq.local_maxima(half, tq.gamma_floor(half, 0.2))
         interior = interior_mask(half.n_frames, w128)
         assert np.all(est.counts()[interior] == 2)
@@ -236,7 +243,7 @@ class TestLocalMaxima:
         # the grid or on its half circle
         rng = np.random.default_rng(7)
         grid = make_grid(rng.standard_normal((40, 64)) + 1j * rng.standard_normal((40, 64)))
-        for real, view in ((False, grid), (True, tq.half_circle(grid))):
+        for real, view in ((False, grid), (True, half_circle(grid))):
             found = tq.scan(grid, gamma, real)[1]
             oracle = tq.local_maxima(view, tq.gamma_floor(view, gamma))
             for name in ("ridges", "offsets", "freq_axis_hz"):
@@ -261,7 +268,7 @@ class TestInjectIf:
 
     def test_out_of_range_on_half_circle(self, crossover, w1024):
         sig, _ = crossover
-        half = tq.half_circle(tq.stft(sig, w1024, 1024))
+        half = half_circle(tq.stft(sig, w1024, 1024))
         with pytest.raises(InvalidParameterError, match="trajectory range"):
             tq.inject_if(half, [lambda t: 600.0 * np.ones_like(t)])
 

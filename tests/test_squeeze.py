@@ -4,7 +4,7 @@ import pytest
 import tfsqueeze as tq
 from tfsqueeze.errors import InvalidParameterError, NonInvertibleGridError
 
-from conftest import ideal_tfr, interior_mask, rel_l2, ridge_bins
+from conftest import ideal_tfr, interior_mask, no_floor, rel_l2, ridge_bins, squeezed
 
 
 class TestModularReassign:
@@ -14,7 +14,7 @@ class TestModularReassign:
         sig, _ = tone32
         grid = tq.stft(sig, w128, 128)
         est = tq.inject_if(grid, [lambda t: 32.0 * np.ones_like(t)])
-        out, _ = tq.modular_reassign(grid, est)
+        out, _ = tq.modular_reassign(grid, est, no_floor(grid))
         frame_sums = grid.data.sum(axis=1)
         target = 128 * sig.samples
         for n in range(grid.n_frames):
@@ -39,7 +39,7 @@ class TestModularReassign:
 
     def test_zero_grid_passes_through(self, w128):
         grid = tq.stft(tq.Signal(np.zeros(40), 128.0), w128, 128)
-        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
+        out, _ = squeezed(grid, no_floor(grid))
         assert np.all(out.data == 0)
         assert out.method_tag == "proposed"
 
@@ -59,7 +59,7 @@ class TestModularReassign:
         fs = sig.sample_rate_hz
         w = tq.WindowSpec(0.04 if fs <= 256 else 0.02, fs)
         grid = tq.stft(sig, w, len(sig))
-        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
+        out, _ = squeezed(grid, no_floor(grid))
         assert tq.framesum_max_dev(grid.frame_sums, out) <= 1e-12
 
     def test_idempotent(self, fmam, w128):
@@ -68,14 +68,14 @@ class TestModularReassign:
         floor = tq.gamma_floor(grid, 0.1)
         est = tq.local_maxima(grid, floor)
         once, _ = tq.modular_reassign(grid, est, floor)
-        twice, _ = tq.modular_reassign(once, est)
+        twice, _ = tq.modular_reassign(once, est, no_floor(once))
         assert np.array_equal(once.data, twice.data)
 
     def test_support_equals_injected_ridges(self, crossover, w1024):
         sig, model = crossover
         grid = tq.stft(sig, w1024, 1024)
         est = tq.inject_if(grid, [m.if_hz for m in model.modes])
-        out, _ = tq.modular_reassign(grid, est)
+        out, _ = tq.modular_reassign(grid, est, no_floor(grid))
         per_frame = ridge_bins(est)  # splits every frame's ridges
         for n in range(grid.n_frames):
             nz = np.nonzero(np.abs(out.data[n]))[0]
@@ -86,7 +86,7 @@ class TestModularReassign:
         sig, model = fmam
         grid = tq.stft(sig, w128, 128)
         est = tq.inject_if(grid, [m.if_hz for m in model.modes])
-        out, _ = tq.modular_reassign(grid, est)
+        out, _ = tq.modular_reassign(grid, est, no_floor(grid))
         ideal = ideal_tfr(model, grid)
         for n in range(grid.n_frames):
             out_bins = np.nonzero(np.abs(out.data[n]))[0]
@@ -97,17 +97,19 @@ class TestModularReassign:
         sig, _ = fmam
         other, _ = crossover
         grid = tq.stft(sig, w128, 128)
-        est = tq.local_maxima(tq.stft(other, w1024, 1024))
+        other_grid = tq.stft(other, w1024, 1024)
+        est = tq.local_maxima(other_grid, no_floor(other_grid))
         with pytest.raises(InvalidParameterError, match="do not match grid"):
-            tq.modular_reassign(grid, est)
+            tq.modular_reassign(grid, est, no_floor(grid))
 
     def test_estimate_with_more_frames_rejected(self, fmam, w128):
         # same bins, so every block of the grid would find its destinations
         sig, _ = fmam
         grid = tq.stft(tq.Signal(sig.samples[:100], sig.sample_rate_hz), w128, 128)
-        est = tq.local_maxima(tq.stft(sig, w128, 128))
+        other_grid = tq.stft(sig, w128, 128)
+        est = tq.local_maxima(other_grid, no_floor(other_grid))
         with pytest.raises(InvalidParameterError, match="do not match grid"):
-            tq.modular_reassign(grid, est)
+            tq.modular_reassign(grid, est, no_floor(grid))
 
     def test_frames_without_ridges_pass_through(self, w128):
         # one loud burst: quiet frames keep their (tiny) coefficients
@@ -151,7 +153,7 @@ class TestReconstruct:
         fs = sig.sample_rate_hz
         w = tq.WindowSpec(0.04 if fs <= 256 else 0.02, fs)
         grid = tq.stft(sig, w, len(sig))
-        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
+        out, _ = squeezed(grid, no_floor(grid))
         rec = tq.istft(out)
         assert rel_l2(sig.samples, rec.samples) <= 1e-10
 
@@ -178,7 +180,7 @@ class TestModeReconstruct:
         both = tq.Signal(t1.samples + t2.samples, 128.0)
         w = tq.WindowSpec(0.06, 128)
         grid = tq.stft(both, w, 128)
-        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
+        out, _ = squeezed(grid, no_floor(grid))
         rec = tq.mode_reconstruct(out, lambda t: 20.0 * np.ones_like(t), 2.0)
         sl = slice(w.half, 128 - w.half)
         assert rel_l2(t1.samples[sl], rec.samples[sl]) <= 1e-6
@@ -186,14 +188,14 @@ class TestModeReconstruct:
     def test_full_band_equals_reconstruct(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
-        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
+        out, _ = squeezed(grid, no_floor(grid))
         full = tq.mode_reconstruct(out, lambda t: 64.0 * np.ones_like(t), 1e6)
         assert np.array_equal(full.samples, tq.istft(out).samples)
 
     def test_fmam_mode_two_extraction(self, fmam, w128):
         sig, model = fmam
         grid = tq.stft(sig, w128, 128)
-        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
+        out, _ = squeezed(grid, no_floor(grid))
         band = tq.mode_reconstruct(out, model.modes[1].if_hz, 3.0)
         rec = 2.0 * band.samples.real  # real carrier: fold the mirror back in
         truth = np.sin(model.modes[1].phase_rad(sig.times_s))
@@ -209,7 +211,7 @@ class TestModeReconstruct:
     def test_track_outside_axis_rejected(self, tone32, w128):
         sig, _ = tone32
         grid = tq.stft(sig, w128, 128)
-        out, _ = tq.modular_reassign(grid, tq.local_maxima(grid))
+        out, _ = squeezed(grid, no_floor(grid))
         with pytest.raises(InvalidParameterError, match="mode track range"):
             tq.mode_reconstruct(out, lambda t: 500.0 * np.ones_like(t), 2.0)
         with pytest.raises(InvalidParameterError, match="half_width_hz must be > 0"):

@@ -1,5 +1,5 @@
 """tools/src_size.py counts what each change's size claim rests on: lines,
-settable values and parameters with a default."""
+settable values, parameters with a default and exported names."""
 
 import subprocess
 import sys
@@ -64,4 +64,24 @@ def test_totals_of_a_tiny_package(tmp_path):
         "settable values: 14",
         # f 3, inner 1, k 1
         "parameters with a default: 5",
+        "exported names: 0",
     ]
+
+
+def test_exported_names_are_the_package_inits_imports(tmp_path):
+    pkg = tmp_path / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "__init__.py").write_text(textwrap.dedent('''\
+        """Docstring: import nothing from here."""
+        from __future__ import annotations
+
+        import os
+        from .mod import f, C as K
+    '''))
+    (pkg / "mod.py").write_text("import sys\nfrom os import path\n")
+    # a subpackage's imports are not the package's exports
+    (pkg / "sub" / "__init__.py").write_text("from ..mod import f\n")
+    done = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path)],
+                          capture_output=True, text=True, check=True)
+    # os, f and K; the __future__ feature is no export
+    assert done.stdout.splitlines()[-1] == "exported names: 3"

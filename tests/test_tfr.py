@@ -5,7 +5,7 @@ import tfsqueeze as tq
 from tfsqueeze.errors import InvalidParameterError, NonInvertibleGridError
 from tfsqueeze.tfr import nearest_bins
 
-from conftest import ideal_tfr, interior_mask, rel_l2
+from conftest import half_circle, ideal_tfr, interior_mask, rel_l2
 
 
 def stft_frame_oracle(sig, w, nfft, frame):
@@ -162,7 +162,7 @@ class TestGridValidation:
     def test_half_circle_slices_low_bins(self, fmam, w128):
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
-        half = tq.half_circle(grid)
+        half = half_circle(grid)
         assert half.n_bins == 64
         assert half.freq_axis_hz[-1] == 63.0
         assert not half.invertible

@@ -1,9 +1,11 @@
 """Print the size of the package under src/: lines per module and in total,
-and two counts of what a caller can set.
+two counts of what a caller can set, and the count of exported names.
 
 Settable values are the parameters of every def other than self and cls,
 plus the fields of @dataclass classes; lambdas are not counted. Parameters
-with a default are counted apart. SRC_DIR defaults to this repository's src/:
+with a default are counted apart. Exported names are the names that the
+__init__.py of each package directly under SRC_DIR imports, __future__
+features aside. SRC_DIR defaults to this repository's src/:
 
     python tools/src_size.py [SRC_DIR]
 """
@@ -37,6 +39,13 @@ def settable_counts(tree: ast.AST) -> tuple[int, int]:
     return settable, with_default
 
 
+def exported_count(tree: ast.AST) -> int:
+    """Names a package's __init__ imports, __future__ features aside."""
+    return sum(len(node.names) for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               or isinstance(node, ast.ImportFrom) and node.module != "__future__")
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src"
     total_lines = total_settable = total_default = 0
@@ -51,6 +60,9 @@ def main(argv: list[str]) -> int:
     print(f"total: {total_lines} lines")
     print(f"settable values: {total_settable}")
     print(f"parameters with a default: {total_default}")
+    exported = sum(exported_count(ast.parse(init.read_text(encoding="utf-8")))
+                   for init in sorted(src.glob("*/__init__.py")))
+    print(f"exported names: {exported}")
     return 0
 
 
