@@ -9,10 +9,10 @@ place. The reassignment method moves spectrogram energy in both time and
 frequency and therefore cannot be inverted, which its grid records with a
 NaN reconstruction factor.
 
-SST, SET and RM share one bin map of each cell's IF, from Im, and RM reads
-its group delay from Re, of one ratio V_x / V (Auger & Flandrin 1995): x is
-the derivative window for the IF and the time-weighted one for the delay.
-For the Gaussian window the second transform is -sigma^2 times the first.
+SST, SET and RM each build the same bin map of each cell's IF, from Im of
+V_dg / V, by their own phase_if_map call: a compare builds three. RM reads
+its group delay from Re of V_tg / V (Auger & Flandrin 1995), tg the
+time-weighted window; for the Gaussian window V_tg is -sigma^2 times V_dg.
 """
 
 from __future__ import annotations

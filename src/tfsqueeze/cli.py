@@ -122,8 +122,8 @@ def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, args
         recon = metrics.recon_rel_l2(a.sig, tfr.istft(out))
     # scored before conservation is certified, so an output the entropy cannot
     # score is refused first; ridges are detected only to be scored against true IFs
-    entropy, found, image = metrics.scan(out, None if model is None else args.gamma,
-                                         a.sig.is_real)
+    entropy, found, image, nonzero = metrics.scan(out, None if model is None else args.gamma,
+                                                  a.sig.is_real)
     dev = metrics.framesum_max_dev(sums, out)
     mae = None
     if model is not None:
@@ -131,7 +131,7 @@ def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, args
     return metrics.MethodReport(
         method_tag=out.method_tag,
         renyi_entropy_bits=entropy,
-        nonzero_fraction=out.nonzero_count / out.data.size,
+        nonzero_fraction=nonzero,
         recon_rel_l2=recon,
         ridge_mae_bins=mae,
         framesum_max_dev=dev,
@@ -303,7 +303,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except TFSqueezeError as exc:
+    except (TFSqueezeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,10 +33,10 @@ class MethodReport:
 
 
 def scan(grid: TFRGrid, gamma: float | None, real: bool
-         ) -> tuple[float, Ridges | None, np.ndarray]:
+         ) -> tuple[float, Ridges | None, np.ndarray, float]:
     """Score a method's output, find its ridges and render it in one
     frame-block pass, which takes each block's |G| once. Returns (entropy,
-    ridges, image):
+    ridges, image, nonzero_fraction):
     - entropy is the Renyi entropy in bits of the distribution of the stored
       magnitudes, P = |G| / sum|G| and H = log2(sum P^ALPHA) / (1 - ALPHA);
       lower means more concentrated. It is taken as
@@ -53,7 +53,8 @@ def scan(grid: TFRGrid, gamma: float | None, real: bool
     - image is the heatmap of the bins below fs/2, for io_export.export_pgm:
       one column per frame and one row per bin, the highest bin on top, each
       pixel 20 log10 q in dB clipped at HEATMAP_FLOOR_DB and mapped linearly
-      to 0..255.
+      to 0..255;
+    - nonzero_fraction is the share of cells with |G| > 0, counted before q.
     A gamma outside [0, 1) is refused first, then an all-zero grid and one
     with a finite cell whose |G| passes the float range: neither has a
     max|G| to scale by.
@@ -85,24 +86,24 @@ def scan(grid: TFRGrid, gamma: float | None, real: bool
 
     def block(rows):
         m = np.abs(data[rows])
-        bins = None
+        bins, nonzero = None, int(np.count_nonzero(m))  # on |G|: a subnormal cell may be 0 in q
         if gamma is not None:
             view = m[:, :width]
             frame, bins = np.divmod(_strict_maxima(view, floor), max(0, width - 2))
             bins += 1
             counts[rows] = np.bincount(frame, minlength=view.shape[0])
-        q = np.divide(m, peak, out=m)  # detection has read |G|
+        q = np.divide(m, peak, out=m)  # detection and the count have read |G|
         image[:, rows] = _pixels(q[:, :shown])
         cubes = q * q
         cubes *= q
-        return q.sum(), cubes.sum(), bins
+        return q.sum(), cubes.sum(), bins, nonzero
 
-    s1, s3, parts = zip(*_by_frame_blocks(block, data.shape))
+    s1, s3, parts, nonzero = zip(*_by_frame_blocks(block, data.shape))
     found = None
     if gamma is not None:
         found = Ridges(np.concatenate(parts), np.concatenate([[0], np.cumsum(counts)]),
                        grid.time_axis_s, grid.freq_axis_hz[:width])
-    return float(np.log2(sum(s3) / sum(s1)**3) / (1.0 - ALPHA)), found, image
+    return float(np.log2(sum(s3) / sum(s1)**3) / (1.0 - ALPHA)), found, image, sum(nonzero) / data.size
 
 
 def _pixels(q: np.ndarray) -> np.ndarray:

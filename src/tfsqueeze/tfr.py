@@ -112,7 +112,7 @@ class TFRGrid:
     per sample) and frequency k * df_hz; time_axis_s and freq_axis_hz derive
     from this sampling. rho maps a frame's frequency sum back to the signal
     sample; NaN marks a non-invertible grid (reassignment-method output).
-    One pass at construction keeps, read-only, frame_peaks (max |V|), frame_sums, nonzero_count.
+    One pass at construction keeps, read-only, frame_peaks (max |V|) and frame_sums.
     """
 
     data: np.ndarray
@@ -128,7 +128,7 @@ class TFRGrid:
             raise InvalidParameterError("grid data must be 2-D")
         peaks, sums = np.empty(data.shape[0]), np.empty(data.shape[0], dtype=np.complex128)
 
-        def block(rows):  # -> the block's nonzero count
+        def block(rows):
             v = data[rows]
             with np.errstate(over="ignore", invalid="ignore"):  # a finite |V| or sum may overflow
                 np.max(np.abs(v), axis=1, initial=0.0, out=peaks[rows])  # initial: 0-bin grids
@@ -136,9 +136,8 @@ class TFRGrid:
             # a peak is finite unless a cell is not or its |V| overflowed; only then read the cells
             if not (np.isfinite(peaks[rows]).all() or np.isfinite(v).all()):
                 raise InvalidParameterError(f"{self.method_tag} grid entries must be finite")
-            return np.count_nonzero(v, axis=1).sum()
 
-        counts = _by_frame_blocks(block, data.shape)
+        _by_frame_blocks(block, data.shape)
         # written so that NaN fails every comparison
         if not -np.inf < self.t0_s < np.inf:
             raise InvalidParameterError(f"t0_s={self.t0_s} must be finite")
@@ -148,7 +147,6 @@ class TFRGrid:
         for name, array in (("data", data), ("frame_peaks", peaks), ("frame_sums", sums)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "nonzero_count", int(sum(counts)))
         for name in ("t0_s", "df_hz", "rho", "source_fs_hz"):
             object.__setattr__(self, name, float(getattr(self, name)))
 

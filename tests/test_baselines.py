@@ -291,9 +291,9 @@ def test_gamma_zero_filters_without_a_grid(chirp_2048x1024, per_frame, monkeypat
 
 
 def test_peak_memory_of_building_a_grid(chirp_2048x1024, monkeypatch):
-    # one pass takes a grid's frame peaks, frame sums and nonzero count, and
-    # holds one block's |V| and nonzero mask per thread: 0.042 grids, for the
-    # grid and its half circle, on two CPUs. A whole-grid finiteness mask,
+    # one pass takes a grid's frame peaks and frame sums, and holds one
+    # block's |V| per thread: 0.042 grids, for the grid and its half
+    # circle, on two CPUs. A whole-grid finiteness mask,
     # one bool per cell, read 0.0625.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     data = chirp_2048x1024.grid.data

@@ -291,12 +291,10 @@ class TestBlockEdges:
         # block partial sums add in another order than the whole-grid oracle
         want = renyi_oracle(grid)
         assert abs(metrics.scan(grid, None, False)[0] - want) <= 1e-14 * abs(want)
-        assert grid.nonzero_count / grid.data.size == \
-            float(np.count_nonzero(grid.data) / grid.data.size)
         for g in (base, grid, half_circle(grid)):
             assert same_bits(g.frame_peaks, np.max(np.abs(g.data), axis=1, initial=0.0))
             assert same_bits(g.frame_sums, g.data.sum(axis=1))
-            assert g.nonzero_count == np.count_nonzero(g.data)
+            assert metrics.scan(g, None, False)[3] == np.count_nonzero(g.data) / g.data.size
         assert same_bits(tfr.istft(grid).samples, grid.rho * grid.data.sum(axis=1))
         sums_in, sums_out = base.data.sum(axis=1), grid.data.sum(axis=1)
         assert metrics.framesum_max_dev(base.frame_sums, grid) == \
@@ -324,7 +322,7 @@ def test_scan_gives_the_bits_of_the_three_passes(n_frames, n_bins, complex_input
     want = renyi_oracle(grid)
     entropies = set()
     for gamma in (None, 0.0, 0.1):
-        entropy, found, image = metrics.scan(grid, gamma, real)
+        entropy, found, image, _ = metrics.scan(grid, gamma, real)
         # block partial sums add in another order than the whole-grid oracle
         assert abs(entropy - want) <= 1e-14 * abs(want)
         entropies.add(entropy)
@@ -440,14 +438,12 @@ def test_an_overflowed_magnitude_is_not_a_non_finite_cell():
     data[-1] = complex(1.5e308, 1.5e308)  # finite, but |V| and the frame sum overflow
     grid = tfr.TFRGrid(data, 0.0, 1.0, 1.0, "x", 2.0)
     assert np.isinf(grid.frame_peaks[-1]) and not np.isfinite(grid.frame_sums[-1])
-    assert grid.nonzero_count == 2
 
 
 def test_a_grid_of_no_frames_has_no_ridges():
     grid = tfr.TFRGrid(np.zeros((0, 5), dtype=complex), 0.0, 1.0, 1.0, "x", 1.0)
     assert same_bits(grid.frame_peaks, np.zeros(0))
     assert same_bits(grid.frame_sums, np.zeros(0, dtype=complex))
-    assert grid.nonzero_count == 0
     floor = ridges.gamma_floor(grid, 0.1)
     assert floor.shape == (0,)
     est = ridges.local_maxima(grid, floor)

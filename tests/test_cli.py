@@ -3,8 +3,11 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -571,6 +574,40 @@ class TestNoPartialOutput:
             reports = json.loads((out / "report.json").read_text())
             assert sorted(r["method_tag"] for r in reports) == sorted(command[-1].split(","))
             assert all(np.isfinite(r["renyi_entropy_bits"]) for r in reports)
+        assert_no_stage(tmp_path)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmPeak from /proc")
+    def test_running_out_of_memory_exits_2(self, tmp_path):
+        # the cell budget admits an 8192x1024 compare, but an address space of
+        # the import's peak plus 192 MiB holds the 128 MiB STFT and not the
+        # next grid: one error line, exit 2, and no output
+        import resource  # Unix only
+
+        def child(limit=None):
+            def setup():
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+                if limit is not None:
+                    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            return setup
+
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        probe = subprocess.run(
+            [sys.executable, "-c", "import tfsqueeze.cli\n"
+             "print(next(line.split()[1] for line in open('/proc/self/status')"
+             " if line.startswith('VmPeak:')))"],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=child(),
+            check=True)
+        limit = int(probe.stdout) * 1024 + (192 << 20)
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "tfsqueeze.cli", "compare", "--input", "chirp", "--dur", "8",
+             "--nfft", "1024", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300, preexec_fn=child(limit))
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert re.fullmatch(r"error: [^\n]*\n", done.stderr)
+        assert not out.exists()
         assert_no_stage(tmp_path)
 
 

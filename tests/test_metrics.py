@@ -21,6 +21,10 @@ def entropy(grid):
     return tq.scan(grid, None, False)[0]
 
 
+def nonzero_fraction(grid, real=False):
+    return tq.scan(grid, None, real)[3]
+
+
 class TestRenyiEntropy:
     def test_point_mass_is_zero_bits(self):
         grid = make_grid([[0.0, 7.0, 0.0, 0.0]])
@@ -218,9 +222,19 @@ class TestFramesumMaxDev:
 
 
 class TestNonzeroFraction:
-    def test_counts_cells(self):
+    def test_counts_cells(self, fmam, crossover, w128, w1024):
         grid = make_grid([[1.0, 0.0], [0.0, 0.0]])
-        assert grid.nonzero_count / grid.data.size == 0.25
+        assert nonzero_fraction(grid) == 0.25
+        # 5e-324 / 1e300 underflows to 0: a count on the scaled |G| misses it
+        grid = make_grid([[5e-324, complex(-0.0, 0.0)], [1e300, 0.0]])
+        assert nonzero_fraction(grid) == 0.5
+        for (sig, _), w, nfft in ((fmam, w128, 128), (crossover, w1024, 256)):
+            a = tq.Analysis(sig, w, nfft)
+            outputs = [a.grid, squeezed(a.grid, tq.gamma_floor(a.grid, 0.1))[0], tq.sst(a),
+                       tq.reassignment(a), tq.set_extract(a), tq.lmsst(a)]
+            for out in outputs:
+                assert nonzero_fraction(out, sig.is_real) == \
+                    np.count_nonzero(out.data) / out.data.size
 
 
 class TestEntropyOrderingInvariant:

@@ -81,10 +81,10 @@ class TestFilterGrid:
         sig, _ = fmam
         grid = tq.stft(sig, w128, 128)
         floor = tq.gamma_floor(grid, 0.1)
-        assert np.count_nonzero(np.abs(grid.data) > floor[:, None]) < grid.nonzero_count
+        assert np.count_nonzero(np.abs(grid.data) > floor[:, None]) < np.count_nonzero(grid.data)
         out, kept = squeezed(grid, floor)
         unfiltered, _ = squeezed(grid, no_floor(grid))
-        assert out.nonzero_count < unfiltered.nonzero_count
+        assert np.count_nonzero(out.data) < np.count_nonzero(unfiltered.data)
         assert not np.array_equal(kept, grid.frame_sums)
 
     def test_per_frame_reference_keeps_every_frame_peak(self):
@@ -121,7 +121,7 @@ class TestFilterGrid:
             floor = tq.gamma_floor(grid, gamma)
             assert not floor.any()
             out, kept = squeezed(grid, floor)
-            assert out.nonzero_count == 0 and same_bits(kept, grid.frame_sums)
+            assert np.count_nonzero(out.data) == 0 and same_bits(kept, grid.frame_sums)
 
     @pytest.mark.parametrize("per_frame", [False, True])
     @pytest.mark.parametrize("gamma", [0.0, 0.1])

@@ -1,5 +1,6 @@
 """tools/src_size.py counts what each change's size claim rests on: lines,
-settable values, parameters with a default and exported names."""
+settable values, parameters with a default, exported names and CLI option
+definitions."""
 
 import subprocess
 import sys
@@ -65,6 +66,7 @@ def test_totals_of_a_tiny_package(tmp_path):
         # f 3, inner 1, k 1
         "parameters with a default: 5",
         "exported names: 0",
+        "CLI option definitions: 0",
     ]
 
 
@@ -84,4 +86,30 @@ def test_exported_names_are_the_package_inits_imports(tmp_path):
     done = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path)],
                           capture_output=True, text=True, check=True)
     # os, f and K; the __future__ feature is no export
-    assert done.stdout.splitlines()[-1] == "exported names: 3"
+    assert "exported names: 3" in done.stdout.splitlines()
+
+
+def test_cli_option_definitions_are_add_argument_call_sites(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(textwrap.dedent('''\
+        import argparse
+
+
+        def build_parser():
+            parser = argparse.ArgumentParser()
+            parser.add_argument("--a")
+            group = parser.add_mutually_exclusive_group()
+            group.add_argument("--b", type=int)
+            sub = parser.add_subparsers().add_parser("run")
+            for p in (parser, sub):  # one call site, however many parsers
+                p.add_argument("--out")
+            parser.add_argument_group("g")  # not an option
+            return parser
+    '''))
+    (pkg / "other.py").write_text("def f(x):\n    return x.add_argument('--d')\n")
+    done = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path)],
+                          capture_output=True, text=True, check=True)
+    # --a, --b and --out in cli.py, --d in other.py
+    assert done.stdout.splitlines()[-1] == "CLI option definitions: 4"

@@ -1,11 +1,14 @@
 """Print the size of the package under src/: lines per module and in total,
-two counts of what a caller can set, and the count of exported names.
+two counts of what a caller can set, the count of exported names and the
+count of CLI option definitions.
 
 Settable values are the parameters of every def other than self and cls,
 plus the fields of @dataclass classes; lambdas are not counted. Parameters
 with a default are counted apart. Exported names are the names that the
 __init__.py of each package directly under SRC_DIR imports, __future__
-features aside. SRC_DIR defaults to this repository's src/:
+features aside. CLI option definitions are the call sites of an
+add_argument method anywhere in the package. SRC_DIR defaults to this
+repository's src/:
 
     python tools/src_size.py [SRC_DIR]
 """
@@ -46,13 +49,21 @@ def exported_count(tree: ast.AST) -> int:
                or isinstance(node, ast.ImportFrom) and node.module != "__future__")
 
 
+def option_count(tree: ast.AST) -> int:
+    """Call sites of x.add_argument(...), argparse's option definitions."""
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "add_argument" for node in ast.walk(tree))
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src"
-    total_lines = total_settable = total_default = 0
+    total_lines = total_settable = total_default = total_options = 0
     for path in sorted(src.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         lines = len(text.splitlines())
-        settable, with_default = settable_counts(ast.parse(text))
+        tree = ast.parse(text)
+        settable, with_default = settable_counts(tree)
+        total_options += option_count(tree)
         total_lines += lines
         total_settable += settable
         total_default += with_default
@@ -63,6 +74,7 @@ def main(argv: list[str]) -> int:
     exported = sum(exported_count(ast.parse(init.read_text(encoding="utf-8")))
                    for init in sorted(src.glob("*/__init__.py")))
     print(f"exported names: {exported}")
+    print(f"CLI option definitions: {total_options}")
     return 0
 
 
