@@ -59,9 +59,14 @@ def _resolve_input(name: str, opts) -> tuple[signals.Signal, signals.ModeModel |
     return sig, model
 
 
-def _prepare(args, sig: signals.Signal) -> tfr.Analysis:
-    """Check gamma, resolve the window and DFT size, then check the window
-    length, delta_bins and the grid's cells before building either."""
+def _prepare(args, methods: list[str]
+             ) -> tuple[tfr.Analysis, signals.ModeModel | None, list | None]:
+    """Admit an analyze or compare run in README's order, reading --if-from's
+    tracks (and a real signal's mirrors) last, and only then build the STFT.
+    Returns (analysis, model, tracks); tracks is None when none are injected."""
+    if args.if_from and "proposed" not in methods:  # no other method reads the file
+        raise InvalidParameterError("--if-from needs the proposed method")
+    sig, model = _resolve_input(args.input, args)
     ridges._check_gamma(args.gamma)  # before any grid, also for a run that never reads it
     sigma, nfft = args.sigma, args.nfft
     if sigma is None:
@@ -72,27 +77,30 @@ def _prepare(args, sig: signals.Signal) -> tfr.Analysis:
     if nfft is None:  # the next power of two covering the signal and the window, at most 4096
         nfft = min(4096, 1 << (max(2, len(sig), w.taps) - 1).bit_length())
     if nfft < w.taps:
-        raise InvalidParameterError(
-            f"nfft={nfft} is smaller than the window length {w.taps}; "
-            "raise --nfft or lower --sigma"
-        )
+        raise InvalidParameterError(f"nfft={nfft} is smaller than the window length {w.taps}; "
+                                    "raise --nfft or lower --sigma")
     if args.delta_bins is not None:  # also for a run without LMSST
         baselines._check_delta_bins(args.delta_bins, nfft)
     if len(sig) * nfft > tfr.MAX_GRID_CELLS:
-        raise InvalidParameterError(
-            f"grid of {len(sig)} frames x {nfft} bins exceeds the "
-            f"{tfr.MAX_GRID_CELLS} cell budget; analyze a shorter slice or lower --nfft"
-        )
-    return tfr.Analysis(sig, w, nfft)
+        raise InvalidParameterError(f"grid of {len(sig)} frames x {nfft} bins exceeds the "
+                                    f"{tfr.MAX_GRID_CELLS} cell budget; analyze a shorter "
+                                    "slice or lower --nfft")
+    tracks = load_trajectories_csv(args.if_from) if args.if_from else None
+    if tracks and sig.is_real:  # the conjugate half squeezes onto each track's mirror: -f
+        # wrapped onto [-df/2, fs - df/2), so a track near 0 Hz stays on the axis
+        df, fs = sig.sample_rate_hz / nfft, sig.sample_rate_hz  # df: bitwise the grid's df_hz
+        tracks += [lambda t, f=f: np.remainder(df / 2 - f(t), fs) - df / 2 for f in tracks]
+    return tfr.Analysis(sig, w, nfft), model, tracks
 
 
-def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, args
+def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, tracks: list | None, args
          ) -> tuple[metrics.MethodReport, tfr.TFRGrid, ridges.IFEstimate | None, np.ndarray]:
-    """Runs one method on the analysis and scores it.
+    """Runs one admitted method on the analysis and scores it; reads no file.
 
-    Returns (report, output grid, proposed's estimate, heatmap pixels).
-    Conservation is measured against the frame sums of the cells the method
-    moved, which for 'proposed' are the cells the gamma filter kept.
+    'proposed' squeezes onto the given tracks, which replace detection, or
+    else onto detected ridges. Returns (report, output grid, proposed's estimate, heatmap
+    pixels). Conservation is measured against the frame sums of the cells the
+    method moved, which for 'proposed' are the cells the gamma filter kept.
     """
     sums, est = a.grid.frame_sums, None
     if method == "stft":
@@ -107,15 +115,7 @@ def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, args
         out = baselines.lmsst(a, args.delta_bins)
     else:
         floor = ridges.gamma_floor(a.grid, args.gamma, args.per_frame_max)
-        if args.if_from:  # injected tracks replace detection, so none runs
-            tracks = load_trajectories_csv(args.if_from)
-            if a.sig.is_real:  # the conjugate half squeezes onto each track's mirror: -f
-                # wrapped onto [-df/2, fs - df/2), so a track near 0 Hz stays on the axis
-                df, fs = a.grid.df_hz, a.sig.sample_rate_hz
-                tracks += [lambda t, f=f: np.remainder(df / 2 - f(t), fs) - df / 2 for f in tracks]
-            est = ridges.inject_if(a.grid, tracks)
-        else:
-            est = ridges.local_maxima(a.grid, floor)
+        est = ridges.inject_if(a.grid, tracks) if tracks else ridges.local_maxima(a.grid, floor)
         out, sums = squeeze.modular_reassign(a.grid, est, floor)
     recon = None
     if out.invertible:
@@ -148,11 +148,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.if_from and args.method != "proposed":  # no other method reads the file
-        raise InvalidParameterError("--if-from needs the proposed method")
-    sig, model = _resolve_input(args.input, args)
-    a = _prepare(args, sig)
-    report, out, est, image = _run(args.method, a, model, args)
+    a, model, tracks = _prepare(args, [args.method])
+    report, out, est, image = _run(args.method, a, model, tracks, args)
     del a  # the exports need only out and the pixels
 
     with output_dir(args.out) as stage:
@@ -180,16 +177,13 @@ def cmd_compare(args) -> int:
         raise InvalidParameterError(f"repeated methods {repeated}; name each method once")
     if len(methods) < 2:
         raise InvalidParameterError("compare needs at least two methods")
-    if args.if_from and "proposed" not in methods:
-        raise InvalidParameterError("--if-from needs the proposed method")
-    sig, model = _resolve_input(args.input, args)
-    a = _prepare(args, sig)
+    a, model, tracks = _prepare(args, methods)
 
     # each heatmap is written once its report exists, so one method's grids live at a time
     reports = []
     with output_dir(args.out) as stage:
         for method in methods:
-            report, out, _, image = _run(method, a, model, args)
+            report, out, _, image = _run(method, a, model, tracks, args)
             reports.append(report)
             export_pgm(image, stage / f"heatmap_{method}.pgm")
             del out, image  # free this method's grid and pixels before the next one runs
@@ -199,13 +193,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    squeeze._check_band(args.gamma_band)  # before the grid, also for a run that never reads it
-    grid = import_grid_csv(args.grid)
+    squeeze._check_band(args.gamma_band)  # before any file, also for a run that never reads it
     reference = load_signal(args.reference) if args.reference else None
+    tracks = load_trajectories_csv(args.mode_track) if args.mode_track else None
+    grid = import_grid_csv(args.grid)  # the large input, read last
 
     with output_dir(args.out) as stage:
-        if args.mode_track:
-            for i, track in enumerate(load_trajectories_csv(args.mode_track), start=1):
+        if tracks is not None:
+            for i, track in enumerate(tracks, start=1):
                 save_signal_csv(squeeze.mode_reconstruct(grid, track, args.gamma_band),
                                 stage / f"mode_{i}.csv")
             return 0

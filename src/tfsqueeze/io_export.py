@@ -186,9 +186,9 @@ def load_trajectories_csv(path) -> list[Callable[[np.ndarray], np.ndarray]]:
     """Read IF trajectories from CSV columns time_s, f1_hz[, f2_hz, ...].
 
     '#' lines are comments, and rows before the first row that starts with
-    a number are column names; a time that is not finite is refused. Returns
-    one callable per frequency column; lookups interpolate linearly between
-    rows and clamp outside the covered time span.
+    a number are column names; an empty cell and a time that is not finite
+    are refused. Returns one callable per frequency column; lookups
+    interpolate linearly between rows and clamp outside the covered time span.
     """
     rows: list[list[float]] = []
     for lineno, cells in _read_rows(path):
@@ -199,6 +199,10 @@ def load_trajectories_csv(path) -> list[Callable[[np.ndarray], np.ndarray]]:
                 continue
         if len(cells) < 2:
             raise FormatError(f"{path}: line {lineno}: need time and >= 1 frequency")
+        if "" in cells:
+            raise FormatError(f"{path}: line {lineno}: empty cell in column "
+                              f"{cells.index('') + 1}; every track needs a value at every time "
+                              "(ridges.csv pads frames that have fewer ridges)")
         try:
             values = [float(c) for c in cells]
         except ValueError:

@@ -213,6 +213,25 @@ class TestCompare:
             assert main(["analyze", "--method", method, *args, "--out", str(out)]) == 0
             assert json.loads((out / "report.json").read_text()) == [rows[method]]
 
+    def test_injected_rows_match_compare(self, tmp_path):
+        # both commands hand proposed the same admitted tracks: with mirrors on
+        # the real fmam signal, without them on the complex crossover
+        gen = tmp_path / "gen"
+        assert main(["generate", "fmam", "--out", str(gen / "fmam")]) == 0
+        assert main(["generate", "crossover", "--out", str(gen / "crossover")]) == 0
+        for name, source in (("fmam", str(gen / "fmam" / "signal.csv")),
+                             ("crossover", "crossover")):
+            args = ["--input", source, "--gamma", "0",
+                    "--if-from", str(gen / name / "true_if.csv")]
+            compared, analyzed = tmp_path / name / "compare", tmp_path / name / "analyze"
+            assert main(["compare", *args, "--methods", "stft,proposed",
+                         "--out", str(compared)]) == 0
+            assert main(["analyze", "--method", "proposed", *args, "--out", str(analyzed)]) == 0
+            rows = [r for r in json.loads((compared / "report.json").read_text())
+                    if r["method_tag"].startswith("proposed")]
+            assert json.loads((analyzed / "report.json").read_text()) == rows
+            assert len(rows) == 1 and rows[0]["recon_rel_l2"] <= 1e-10
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["compare", "--input", "fmam", "--snr-db", "20", "--seed", "3"]
@@ -350,6 +369,20 @@ class TestDegenerateInputs:
         assert main(["analyze", "--method", "proposed", "--input", "tone",
                      "--if-from", str(table), "--out", str(tmp_path / "again")]) == 3
         assert "line 2: need time and >= 1 frequency" in capsys.readouterr().err
+
+    def test_padded_ridge_table_is_refused_by_name(self, tmp_path, capsys):
+        # the detected ridge count changes between frames, so most rows are padded
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", "fmam", "--out", str(out)]) == 0
+        table = out / "ridges.csv"
+        lines = table.read_text().splitlines()
+        assert sum("" in line.split(",") for line in lines) == 121 and len(lines) == 129
+        assert main(["analyze", "--input", "fmam", "--if-from", str(table),
+                     "--out", str(tmp_path / "again")]) == 3
+        err = capsys.readouterr().err
+        assert "line 2: empty cell in column" in err
+        assert "every track needs a value at every time" in err
+        assert not (tmp_path / "again").exists()
 
     def test_all_zero_input_writes_nothing(self, tmp_path, capsys):
         signal = tmp_path / "zero.csv"
@@ -502,7 +535,7 @@ class TestNoPartialOutput:
         out = tmp_path / "out"
         assert main(["compare", "--input", "fmam", "--out", str(out)]) == 0
         earlier = tree(out)
-        # stft succeeds, then the proposed method's track file is refused
+        # the track file is refused at admission, before any method runs
         tracks = tmp_path / "tracks.csv"
         tracks.write_text("0,1,\n")
         assert main(["compare", "--input", "fmam", "--methods", "stft,proposed",
@@ -616,7 +649,7 @@ def _refuse_call(*args, **kwargs):
 
 
 class TestAdmissionBeforeAllocation:
-    """Runs the budget refuses exit 2 before their window or signal is built."""
+    """Refused runs exit before their window, signal, STFT or grid is built."""
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--input", "fmam", "--sigma", "1000"],  # 1.5M taps for 128 bins
@@ -656,6 +689,19 @@ class TestAdmissionBeforeAllocation:
         assert capsys.readouterr().err == "error: gamma must lie in [0, 1)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("tracks", ["missing", "malformed"])
+    def test_track_file_is_read_before_the_stft(self, tmp_path, monkeypatch, capsys, command,
+                                                tracks):
+        # injected tracks are an input of the run, read once it is admitted
+        (tmp_path / "malformed.csv").write_text("time_s,f1_hz\n0,abc\n")
+        monkeypatch.setattr(tfr, "stft", _refuse_call)
+        out = tmp_path / "out"
+        assert main([command, "--input", "fmam", "--if-from", str(tmp_path / f"{tracks}.csv"),
+                     "--out", str(out)]) == 3
+        assert f"{tracks}.csv" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--method", "sst", "--delta-bins", "-1"],
         ["compare", "--methods", "stft,sst", "--delta-bins", "128"],
@@ -666,6 +712,19 @@ class TestAdmissionBeforeAllocation:
         out = tmp_path / "out"
         assert main(argv + ["--input", "fmam", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: delta_bins must lie in [0, 128)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--reference", "--mode-track"])
+    def test_small_inputs_are_read_before_the_grid_file(self, tmp_path, monkeypatch, capsys,
+                                                        option):
+        path = tmp_path / "grid.npz"
+        sig, _ = tq.gen_fmam()
+        tq.export_grid_csv(tq.stft(sig, tq.WindowSpec(0.04, 128.0), 128), path)
+        monkeypatch.setattr(cli, "import_grid_csv", _refuse_call)
+        out = tmp_path / "out"
+        assert main(["reconstruct", str(path), option, str(tmp_path / "missing.csv"),
+                     "--out", str(out)]) == 3
+        assert "missing.csv" in capsys.readouterr().err
         assert not out.exists()
 
     def test_grid_file_shape_is_admitted_before_allocating(self, tmp_path, monkeypatch,

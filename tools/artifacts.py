@@ -66,6 +66,13 @@ COMMANDS = (
     # above gamma times the half circle's peak, and on a 2-bin axis
     "compare --input fmam --snr-db 10 --seed 1 --out fmam-10db",
     "compare --input tone --nfft 2 --sigma 0.001 --out tone-2-bins",
+    # injected tracks through compare, on a real signal (with mirrors) and a
+    # complex one, and one mode per injected track out of a written grid
+    "compare --input fmam/gen/signal.csv --if-from fmam/gen/true_if.csv --gamma 0 "
+    "--methods stft,proposed --out fmam/compare-injected",
+    "compare --input crossover --snr-db 20 --seed 1 --gamma 0 --if-from rt-1/gen/true_if.csv "
+    "--methods stft,proposed --out rt-1/compare",
+    "reconstruct rt-1/analyze/grid.npz --mode-track rt-1/gen/true_if.csv --out rt-1/modes",
 )
 
 
