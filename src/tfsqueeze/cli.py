@@ -54,20 +54,18 @@ def _resolve_input(name: str, opts) -> tuple[signals.Signal, signals.ModeModel |
         sig, model = signals.gen_tone(opts.f0, fs, opts.dur)
     else:
         sig, model = load_signal(name), None
-    if opts.snr_db is not None:
-        sig = signals.add_noise(sig, opts.snr_db, opts.seed)
-    return sig, model
+    return signals.add_noise(sig, opts.snr_db, opts.seed), model
 
 
 def _prepare(args, methods: list[str]
              ) -> tuple[tfr.Analysis, signals.ModeModel | None, list | None]:
     """Admit an analyze or compare run in README's order, reading --if-from's
-    tracks (and a real signal's mirrors) last, and only then build the STFT.
-    Returns (analysis, model, tracks); tracks is None when none are injected."""
+    tracks last, then build the STFT and mirror a real signal's tracks on its
+    axis. Returns (analysis, model, tracks); tracks is None if none are given."""
     if args.if_from and "proposed" not in methods:  # no other method reads the file
         raise InvalidParameterError("--if-from needs the proposed method")
     sig, model = _resolve_input(args.input, args)
-    ridges._check_gamma(args.gamma)  # before any grid, also for a run that never reads it
+    ridges._check_gamma(args.gamma)  # before any grid; the scoring pass reads it after the STFT
     sigma, nfft = args.sigma, args.nfft
     if sigma is None:
         # 0.04 s suits the 128 Hz experiment, 0.02 s the 1024 Hz ones; wider
@@ -86,11 +84,12 @@ def _prepare(args, methods: list[str]
                                     f"{tfr.MAX_GRID_CELLS} cell budget; analyze a shorter "
                                     "slice or lower --nfft")
     tracks = load_trajectories_csv(args.if_from) if args.if_from else None
+    a = tfr.Analysis(sig, w, nfft)
     if tracks and sig.is_real:  # the conjugate half squeezes onto each track's mirror: -f
         # wrapped onto [-df/2, fs - df/2), so a track near 0 Hz stays on the axis
-        df, fs = sig.sample_rate_hz / nfft, sig.sample_rate_hz  # df: bitwise the grid's df_hz
+        df, fs = a.grid.df_hz, a.grid.source_fs_hz
         tracks += [lambda t, f=f: np.remainder(df / 2 - f(t), fs) - df / 2 for f in tracks]
-    return tfr.Analysis(sig, w, nfft), model, tracks
+    return a, model, tracks
 
 
 def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, tracks: list | None, args
@@ -121,9 +120,8 @@ def _run(method: str, a: tfr.Analysis, model: signals.ModeModel | None, tracks: 
     if out.invertible:
         recon = metrics.recon_rel_l2(a.sig, tfr.istft(out))
     # scored before conservation is certified, so an output the entropy cannot
-    # score is refused first; ridges are detected only to be scored against true IFs
-    entropy, found, image, nonzero = metrics.scan(out, None if model is None else args.gamma,
-                                                  a.sig.is_real)
+    # score is refused first; the ridges found are scored only against true IFs
+    entropy, found, image, nonzero = metrics.scan(out, args.gamma, a.sig.is_real)
     dev = metrics.framesum_max_dev(sums, out)
     mae = None
     if model is not None:

@@ -186,7 +186,7 @@ def load_trajectories_csv(path) -> list[Callable[[np.ndarray], np.ndarray]]:
     """Read IF trajectories from CSV columns time_s, f1_hz[, f2_hz, ...].
 
     '#' lines are comments, and rows before the first row that starts with
-    a number are column names; an empty cell and a time that is not finite
+    a number are column names; an empty cell and a cell that is not finite
     are refused. Returns one callable per frequency column; lookups
     interpolate linearly between rows and clamp outside the covered time span.
     """
@@ -207,8 +207,10 @@ def load_trajectories_csv(path) -> list[Callable[[np.ndarray], np.ndarray]]:
             values = [float(c) for c in cells]
         except ValueError:
             raise FormatError(f"{path}: line {lineno}: non-numeric cell in {','.join(cells)!r}")
-        if not math.isfinite(values[0]):
-            raise FormatError(f"{path}: line {lineno}: time {values[0]} is not finite")
+        for j, v in enumerate(values):  # float() reads nan and inf
+            if not math.isfinite(v):
+                cell = "time" if j == 0 else f"column {j + 1}: frequency"
+                raise FormatError(f"{path}: line {lineno}: {cell} {v} is not finite")
         if rows and len(values) != len(rows[0]):
             raise FormatError(f"{path}: line {lineno}: expected {len(rows[0])} columns")
         rows.append(values)

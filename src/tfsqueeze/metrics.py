@@ -32,8 +32,7 @@ class MethodReport:
     framesum_max_dev: float
 
 
-def scan(grid: TFRGrid, gamma: float | None, real: bool
-         ) -> tuple[float, Ridges | None, np.ndarray, float]:
+def scan(grid: TFRGrid, gamma: float, real: bool) -> tuple[float, Ridges, np.ndarray, float]:
     """Score a method's output, find its ridges and render it in one
     frame-block pass, which takes each block's |G| once. Returns (entropy,
     ridges, image, nonzero_fraction):
@@ -49,7 +48,7 @@ def scan(grid: TFRGrid, gamma: float | None, real: bool
       their per-frame counts and no basins: the ridges of
       local_maxima(view, gamma_floor(view, gamma)). The view is the
       (n_bins + 1) // 2 bins below fs/2 for a real signal (real=True) and
-      grid otherwise. gamma None detects nothing and gives None;
+      grid otherwise;
     - image is the heatmap of the bins below fs/2, for io_export.export_pgm:
       one column per frame and one row per bin, the highest bin on top, each
       pixel 20 log10 q in dB clipped at HEATMAP_FLOOR_DB and mapped linearly
@@ -66,8 +65,7 @@ def scan(grid: TFRGrid, gamma: float | None, real: bool
     it could. RM's grid stores reassigned energy, so it is scored on the
     reassigned spectrogram itself.
     """
-    if gamma is not None:
-        _check_gamma(gamma)
+    _check_gamma(gamma)
     data, peak = grid.data, grid.frame_peaks.max(initial=0.0)
     if peak == 0.0:
         raise InvalidParameterError("cannot measure entropy of an all-zero grid")
@@ -86,12 +84,11 @@ def scan(grid: TFRGrid, gamma: float | None, real: bool
 
     def block(rows):
         m = np.abs(data[rows])
-        bins, nonzero = None, int(np.count_nonzero(m))  # on |G|: a subnormal cell may be 0 in q
-        if gamma is not None:
-            view = m[:, :width]
-            frame, bins = np.divmod(_strict_maxima(view, floor), max(0, width - 2))
-            bins += 1
-            counts[rows] = np.bincount(frame, minlength=view.shape[0])
+        nonzero = int(np.count_nonzero(m))  # on |G|: a subnormal cell may be 0 in q
+        view = m[:, :width]
+        frame, bins = np.divmod(_strict_maxima(view, floor), max(0, width - 2))
+        bins += 1
+        counts[rows] = np.bincount(frame, minlength=view.shape[0])
         q = np.divide(m, peak, out=m)  # detection and the count have read |G|
         image[:, rows] = _pixels(q[:, :shown])
         cubes = q * q
@@ -99,10 +96,8 @@ def scan(grid: TFRGrid, gamma: float | None, real: bool
         return q.sum(), cubes.sum(), bins, nonzero
 
     s1, s3, parts, nonzero = zip(*_by_frame_blocks(block, data.shape))
-    found = None
-    if gamma is not None:
-        found = Ridges(np.concatenate(parts), np.concatenate([[0], np.cumsum(counts)]),
-                       grid.time_axis_s, grid.freq_axis_hz[:width])
+    found = Ridges(np.concatenate(parts), np.concatenate([[0], np.cumsum(counts)]),
+                   grid.time_axis_s, grid.freq_axis_hz[:width])
     return float(np.log2(sum(s3) / sum(s1)**3) / (1.0 - ALPHA)), found, image, sum(nonzero) / data.size
 
 

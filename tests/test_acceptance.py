@@ -65,9 +65,9 @@ def test_a3_concentration(fmam, w128):
     grid = tq.stft(sig, w128, 128)
     floor = tq.gamma_floor(grid, 0.1)
     proposed, _ = tq.modular_reassign(grid, tq.local_maxima(grid, floor), floor)
-    h_prop, _, image, _ = tq.scan(proposed, None, True)
-    h_sst = tq.scan(tq.sst(tq.Analysis(sig, w128, 128)), None, True)[0]
-    h_stft = tq.scan(grid, None, True)[0]
+    h_prop, _, image, _ = tq.scan(proposed, 0.0, True)
+    h_sst = tq.scan(tq.sst(tq.Analysis(sig, w128, 128)), 0.0, True)[0]
+    h_stft = tq.scan(grid, 0.0, True)[0]
 
     support = (image > 0).sum(axis=0)  # nonzero bins per frame column
     interior = interior_mask(128, w128)

@@ -290,11 +290,11 @@ class TestBlockEdges:
         grid = replace(base, data=filter_oracle(base, 0.1, False))
         # block partial sums add in another order than the whole-grid oracle
         want = renyi_oracle(grid)
-        assert abs(metrics.scan(grid, None, False)[0] - want) <= 1e-14 * abs(want)
+        assert abs(metrics.scan(grid, 0.0, False)[0] - want) <= 1e-14 * abs(want)
         for g in (base, grid, half_circle(grid)):
             assert same_bits(g.frame_peaks, np.max(np.abs(g.data), axis=1, initial=0.0))
             assert same_bits(g.frame_sums, g.data.sum(axis=1))
-            assert metrics.scan(g, None, False)[3] == np.count_nonzero(g.data) / g.data.size
+            assert metrics.scan(g, 0.0, False)[3] == np.count_nonzero(g.data) / g.data.size
         assert same_bits(tfr.istft(grid).samples, grid.rho * grid.data.sum(axis=1))
         sums_in, sums_out = base.data.sum(axis=1), grid.data.sum(axis=1)
         assert metrics.framesum_max_dev(base.frame_sums, grid) == \
@@ -302,7 +302,7 @@ class TestBlockEdges:
 
     def test_heatmap(self, n_frames, n_bins, tmp_path):
         grid = analysis(n_frames, n_bins).grid
-        io_export.export_pgm(metrics.scan(grid, None, True)[2], tmp_path / "h.pgm")
+        io_export.export_pgm(metrics.scan(grid, 0.0, True)[2], tmp_path / "h.pgm")
         assert (tmp_path / "h.pgm").read_bytes() == heatmap_oracle(grid)
 
 
@@ -321,16 +321,13 @@ def test_scan_gives_the_bits_of_the_three_passes(n_frames, n_bins, complex_input
     view = half_circle(grid) if real else grid
     want = renyi_oracle(grid)
     entropies = set()
-    for gamma in (None, 0.0, 0.1):
+    for gamma in (0.0, 0.1):
         entropy, found, image, _ = metrics.scan(grid, gamma, real)
         # block partial sums add in another order than the whole-grid oracle
         assert abs(entropy - want) <= 1e-14 * abs(want)
         entropies.add(entropy)
         io_export.export_pgm(image, tmp_path / "got.pgm")
         assert (tmp_path / "got.pgm").read_bytes() == heatmap_oracle(grid)
-        if gamma is None:  # nothing to score ridges against
-            assert found is None
-            continue
         ridge_bins, offsets, _ = local_maxima_oracle(view, gamma)
         assert same_bits(found.ridges, ridge_bins)
         assert same_bits(found.offsets, offsets)
@@ -361,14 +358,14 @@ class TestScanRefusals:
     """The scan refuses what renyi_peak refuses, with its messages, before
     any block runs; a bad gamma comes first."""
 
-    @pytest.mark.parametrize("gamma, real", [(None, True), (0.0, False), (0.1, True)])
+    @pytest.mark.parametrize("gamma, real", [(0.0, True), (0.0, False), (0.1, True)])
     def test_all_zero_output(self, gamma, real):
         grid = tfr.TFRGrid(np.zeros((5, 8), dtype=complex), 0.0, 1.0, 1.0, "x", 8.0)
         with pytest.raises(InvalidParameterError,
                            match="^cannot measure entropy of an all-zero grid$"):
             metrics.scan(grid, gamma, real)
 
-    @pytest.mark.parametrize("gamma, real", [(None, True), (0.0, False), (0.1, True)])
+    @pytest.mark.parametrize("gamma, real", [(0.0, True), (0.0, False), (0.1, True)])
     def test_infinite_magnitude(self, gamma, real):
         data = np.ones((5, 8), dtype=complex)
         data[3, 2] = complex(1.5e308, 1.5e308)  # finite, but |V| overflows

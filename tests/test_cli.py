@@ -403,15 +403,15 @@ class TestNoPartialOutput:
         # the first track is inside the axis, the second is not
         (["reconstruct", "{inputs}/grid.npz", "--mode-track", "{inputs}/tracks.csv"], 2,
          "mode track range"),
-        # the first method succeeds before the second is refused
+        # refused at admission, before the STFT and before any method runs
         (["compare", "--input", "fmam", "--methods", "stft,lmsst", "--delta-bins", "-1"], 2,
          "delta_bins"),
-        # the trajectory reader accepts nan cells, as float() does
-        (["analyze", "--input", "fmam", "--if-from", "{inputs}/nan.csv"], 2,
-         "trajectory range"),
-        (["reconstruct", "{inputs}/grid.npz", "--mode-track", "{inputs}/nan.csv"], 2,
-         "mode track range"),
-        # but not a non-finite time, which would lose or flatten the track
+        # a non-finite cell is a file fault, refused when the file is read
+        (["analyze", "--input", "fmam", "--if-from", "{inputs}/nan.csv"], 3,
+         "nan.csv: line 2: column 2: frequency nan is not finite"),
+        (["reconstruct", "{inputs}/grid.npz", "--mode-track", "{inputs}/nan.csv"], 3,
+         "nan.csv: line 2: column 2: frequency nan is not finite"),
+        # a non-finite time too, which would lose or flatten the track
         (["analyze", "--input", "fmam", "--if-from", "{inputs}/nan_time.csv"], 3,
          "nan_time.csv: line 3: time nan is not finite"),
         (["analyze", "--input", "fmam", "--if-from", "{inputs}/inf_time.csv"], 3,
@@ -644,6 +644,21 @@ class TestNoPartialOutput:
         assert_no_stage(tmp_path)
 
 
+def test_no_noise_is_drawn_without_a_finite_snr(tmp_path, capsys):
+    # add_noise alone decides: no --snr-db and --snr-db inf draw nothing, so
+    # the seed is not read; a finite SNR still refuses a negative seed
+    base = ["analyze", "--input", "chirp", "--dur", "0.25"]
+    runs = {"plain": [], "snr-inf": ["--snr-db", "inf"], "seed-negative": ["--seed=-1"]}
+    for name, extra in runs.items():
+        assert main(base + extra + ["--out", str(tmp_path / name)]) == 0
+    assert tree(tmp_path / "snr-inf") == tree(tmp_path / "plain")
+    assert tree(tmp_path / "seed-negative") == tree(tmp_path / "plain")
+    out = tmp_path / "noisy"
+    assert main(base + ["--snr-db", "10", "--seed=-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not out.exists()
+
+
 def _refuse_call(*args, **kwargs):
     raise AssertionError("called before the run was admitted")
 
@@ -677,8 +692,8 @@ class TestAdmissionBeforeAllocation:
 
     @pytest.mark.parametrize("command", ["analyze", "compare"])
     def test_gamma_is_refused_before_the_stft(self, tmp_path, monkeypatch, capsys, command):
-        # the analyze run reads --gamma only when it scores the SST grid, and the
-        # compare run, whose signal file carries no true IFs, never reads it
+        # neither run has the proposed method, so each reads --gamma only when
+        # it scores its outputs, after the STFT
         path = tmp_path / "signal.csv"
         tq.save_signal_csv(tq.gen_tone(32.0, 128.0, 1.0)[0], path)
         argv = {"analyze": ["analyze", "--method", "sst", "--input", "tone"],
@@ -700,6 +715,26 @@ class TestAdmissionBeforeAllocation:
         assert main([command, "--input", "fmam", "--if-from", str(tmp_path / f"{tracks}.csv"),
                      "--out", str(out)]) == 3
         assert f"{tracks}.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--input", "fmam", "--if-from"],
+        ["compare", "--input", "fmam", "--if-from"],
+        ["reconstruct", "{tmp}/grid.npz", "--mode-track"],
+    ], ids=["analyze", "compare", "reconstruct"])
+    def test_non_finite_track_is_refused_when_read(self, tmp_path, monkeypatch, capsys, argv,
+                                                   value):
+        # refused by the reader, before the STFT or the grid file it would index
+        path = tmp_path / "tracks.csv"
+        path.write_text(f"time_s,f1_hz,f2_hz\n0,20,30\n1,20,{value}\n")
+        monkeypatch.setattr(tfr, "stft", _refuse_call)
+        monkeypatch.setattr(cli, "import_grid_csv", _refuse_call)
+        out = tmp_path / "out"
+        argv = [arg.format(tmp=tmp_path) for arg in argv] + [str(path), "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3: column 3: frequency {value} is not finite\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -237,7 +237,7 @@ def test_non_utf8_text_rejected(tmp_path, read):
 
 
 def write_heatmap(grid, path):
-    tq.export_pgm(tq.scan(grid, None, True)[2], path)
+    tq.export_pgm(tq.scan(grid, 0.0, True)[2], path)
 
 
 class TestHeatmapPgm:

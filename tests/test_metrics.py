@@ -18,11 +18,11 @@ def make_grid(rows, fs=1.0):
 
 
 def entropy(grid):
-    return tq.scan(grid, None, False)[0]
+    return tq.scan(grid, 0.0, False)[0]
 
 
 def nonzero_fraction(grid, real=False):
-    return tq.scan(grid, None, real)[3]
+    return tq.scan(grid, 0.0, real)[3]
 
 
 class TestRenyiEntropy:
