@@ -9,10 +9,11 @@ place. The reassignment method moves spectrogram energy in both time and
 frequency and therefore cannot be inverted, which its grid records with a
 NaN reconstruction factor.
 
-SST, SET and RM each build the same bin map of each cell's IF, from Im of
-V_dg / V, by their own phase_if_map call: a compare builds three. RM reads
-its group delay from Re of V_tg / V (Auger & Flandrin 1995), tg the
-time-weighted window; for the Gaussian window V_tg is -sigma^2 times V_dg.
+SST, SET and RM read one bin map of each cell's IF, from Im of V_dg / V,
+through phase_if_map: the Analysis builds it on the first call and every
+later reader shares it. RM reads its group delay from Re of V_tg / V
+(Auger & Flandrin 1995), tg the time-weighted window, framed in its own
+blocks; for the Gaussian window V_tg is -sigma^2 times V_dg.
 """
 
 from __future__ import annotations
@@ -22,57 +23,25 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import InvalidParameterError
-# stft is unused here but stays bound: perfbench asserts baselines.stft is tfr.stft
-from .tfr import Analysis, TFRGrid, _by_frame_blocks, frame_matrix, regroup, stft  # noqa: F401
+# SIGNIFICANCE_FLOOR is re-exported; stft is unused here but stays bound:
+# perfbench asserts baselines.stft is tfr.stft
+from .tfr import (SIGNIFICANCE_FLOOR, Analysis, TFRGrid, _by_frame_blocks,  # noqa: F401
+                  _frames_per_block, frame_matrix, regroup, stft)
 from .windows import halfwidth_bins
 
 __all__ = ["phase_if_map", "sst", "reassignment", "set_extract", "lmsst", "SIGNIFICANCE_FLOOR"]
 
-# Coefficients below this fraction of the grid's peak magnitude have no
-# usable phase; they are left in place (conservative methods) or dropped (SET).
-SIGNIFICANCE_FLOOR = 1e-8
-
-
-def _floor(grid: TFRGrid) -> float:
-    """The significance floor: a cell with |V| at or below it has no usable phase."""
-    return SIGNIFICANCE_FLOOR * grid.frame_peaks.max()
-
 
 def phase_if_map(a: Analysis) -> np.ndarray:
-    """Phase-derived IF of every cell of the analysis grid, as a DFT bin.
-
-    Returns an int64 array of the grid's shape: bin[n, k] is the bin the
-    coefficient at bin k belongs to, f_hat = f_k - Im(V_dg / V) / (2*pi)
-    from the derivative-window transform, rounded to the nearest bin and
-    wrapped on the DFT circle. Where |V| is at or below the significance
-    floor, the bin is the cell's own; readers that treat such cells apart
-    test |V| against the floor themselves.
-    """
-    grid = a.grid
-    ratio = frame_matrix(a.sig, a.w.d_values, a.nfft)  # V_dg, divided by V block by block
-    floor, f_hz = _floor(grid), grid.freq_axis_hz
-    bins = np.empty(grid.data.shape, dtype=np.int64)
-
-    def block(rows):
-        r, v = ratio[rows], grid.data[rows]
-        # V = 0 is insignificant; a near-limit V overflows numpy's scaled division
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.divide(r, v, out=r)
-        f = np.imag(r) / (2.0 * np.pi)
-        np.subtract(f_hz, f, out=f)
-        np.copyto(f, f_hz, where=np.abs(v) <= floor)
-        f /= grid.df_hz
-        np.remainder(np.rint(f, out=f).astype(np.int64), grid.n_bins, out=bins[rows])
-
-    _by_frame_blocks(block, bins.shape)
-    return bins
+    """Phase-derived IF of every cell of the analysis grid, as a DFT bin:
+    the read-only int32 map Analysis.if_bins, built on the first call."""
+    return a.if_bins
 
 
 def sst(a: Analysis) -> TFRGrid:
     """Synchrosqueezing: add each significant coefficient into the bin
     nearest its phase-derived IF. Frame sums are conserved, so the result
     reconstructs exactly through istft."""
-    # the bins exist, and the derivative transform is freed, before regroup's output
     bins = phase_if_map(a)
     return regroup(a.grid, lambda rows: (bins[rows], a.grid.data[rows]), "sst")
 
@@ -83,14 +52,16 @@ def reassignment(a: Analysis) -> TFRGrid:
     Energy moves to (t + Re(V_tg/V), IF estimate); time targets clamp to the
     grid, frequency targets wrap on the DFT circle. Total energy is
     conserved, invertibility is not: rho is NaN and istft refuses the grid.
+    Energies are added block by block in frame order, so each target cell
+    sums them in the order of one whole-grid bincount.
     """
     grid = a.grid
-    floor, t = _floor(grid), grid.time_axis_s[:, None]
-    flat = phase_if_map(a)  # bins, turned into flat cell targets in place
-    ratio = frame_matrix(a.sig, a.w.t_values, a.nfft)  # V_tg, divided by V block by block
+    floor, t, bins = a.floor, grid.time_axis_s[:, None], phase_if_map(a)
+    framed = frame_matrix(a.sig, a.w.t_values, a.nfft)  # V_tg, divided by V block by block
+    flat = np.empty(grid.data.shape, dtype=np.int32)  # Analysis keeps every cell index in int32
 
     def targets(rows):
-        r, v = ratio[rows], grid.data[rows]
+        r, v = framed(rows), grid.data[rows]
         # V = 0 is insignificant; a near-limit V overflows numpy's scaled division
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.divide(r, v, out=r)
@@ -100,21 +71,17 @@ def reassignment(a: Analysis) -> TFRGrid:
             np.rint((t_hat - grid.t0_s) * grid.source_fs_hz).astype(np.int64),
             0, grid.n_frames - 1,
         )
-        flat[rows] += frame_target * grid.n_bins
+        np.add(frame_target * grid.n_bins, bins[rows], out=flat[rows])
 
     _by_frame_blocks(targets, grid.data.shape)
-    del ratio  # before the energies, so they never sit beside V_tg
-    power = np.empty(grid.data.shape)
-
-    def energies(rows):
+    out = np.zeros(grid.data.shape, dtype=np.complex128)
+    energy = out.reshape(-1).real  # a view: the sums land in out
+    step = _frames_per_block(grid.n_bins)
+    for lo in range(0, grid.n_frames, step):  # one thread: blocks add into shared cells
+        rows = slice(lo, lo + step)
         with np.errstate(over="ignore"):  # TFRGrid refuses the overflowed energy
-            np.square(np.abs(grid.data[rows]), out=power[rows])
-
-    _by_frame_blocks(energies, power.shape)
-    out = np.bincount(flat.ravel(), weights=power.ravel(),
-                      minlength=grid.n_frames * grid.n_bins)
-    del flat, power  # so the complex cast holds only the summed energies beside it
-    out = out.reshape(grid.data.shape).astype(np.complex128)
+            power = np.square(np.abs(grid.data[rows]))
+        np.add.at(energy, flat[rows].ravel(), power.ravel())
     return replace(grid, data=out, method_tag="rm", rho=float("nan"))
 
 
@@ -123,7 +90,7 @@ def set_extract(a: Analysis) -> TFRGrid:
     back onto its own bin; everything else, including the insignificant
     floor, is discarded. Sharp but deliberately lossy."""
     grid = a.grid
-    floor, target = _floor(grid), phase_if_map(a)
+    floor, target = a.floor, phase_if_map(a)
     own = np.arange(grid.n_bins)
     out = np.empty(grid.data.shape, dtype=np.complex128)
 

@@ -60,8 +60,9 @@ def _resolve_input(name: str, opts) -> tuple[signals.Signal, signals.ModeModel |
 def _prepare(args, methods: list[str]
              ) -> tuple[tfr.Analysis, signals.ModeModel | None, list | None]:
     """Admit an analyze or compare run in README's order, reading --if-from's
-    tracks last, then build the STFT and mirror a real signal's tracks on its
-    axis. Returns (analysis, model, tracks); tracks is None if none are given."""
+    tracks and checking them on the frequency axis last, then build the STFT
+    and mirror a real signal's tracks on its axis. Returns (analysis, model,
+    tracks); tracks is None if none are given."""
     if args.if_from and "proposed" not in methods:  # no other method reads the file
         raise InvalidParameterError("--if-from needs the proposed method")
     sig, model = _resolve_input(args.input, args)
@@ -84,6 +85,8 @@ def _prepare(args, methods: list[str]
                                     f"{tfr.MAX_GRID_CELLS} cell budget; analyze a shorter "
                                     "slice or lower --nfft")
     tracks = load_trajectories_csv(args.if_from) if args.if_from else None
+    for track in tracks or ():  # on the STFT's axes, known before it is built
+        tfr._check_on_axis(track(sig.times_s), sig.sample_rate_hz / nfft, nfft, "trajectory")
     a = tfr.Analysis(sig, w, nfft)
     if tracks and sig.is_real:  # the conjugate half squeezes onto each track's mirror: -f
         # wrapped onto [-df/2, fs - df/2), so a track near 0 Hz stays on the axis

@@ -13,6 +13,7 @@ import os
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,9 @@ __all__ = ["TFRGrid", "Analysis", "stft", "istft", "regroup", "nearest_bins",
 # hop-1 grids are dense (n_samples x nfft complex): cap the cell count so a
 # long recording or a grid file's shape fails fast instead of exhausting memory
 MAX_GRID_CELLS = 1 << 27
+# coefficients at or below this fraction of the grid's peak magnitude have no
+# usable phase; the IF map leaves them on their own bin
+SIGNIFICANCE_FLOOR = 1e-8
 # cells per block of frames (1 MiB of complex128), so that a block's
 # transients stay in one core's cache
 _BLOCK_CELLS = 1 << 16
@@ -176,32 +180,31 @@ class TFRGrid:
         return replace(self, data=data)
 
 
-def frame_matrix(sig: Signal, weights: np.ndarray, nfft: int) -> np.ndarray:
-    """Windowed transform of every hop-1 frame for arbitrary window taps.
+def frame_matrix(sig: Signal, weights: np.ndarray, nfft: int) -> Callable[[slice], np.ndarray]:
+    """Windowed transform of hop-1 frames for arbitrary window taps.
 
-    Returns the (n_frames, nfft) complex matrix
-    sum_p s[n+p] * weights[p + half] * exp(-j*2*pi*k*p/nfft). Used with the
-    window's value, derivative and time-weighted taps alike.
+    Checks nfft against the taps and returns framed(rows), which gives the
+    (frames, nfft) complex matrix sum_p s[n+p] * weights[p + half] *
+    exp(-j*2*pi*k*p/nfft) of the frames n in rows as a fresh array. Used with
+    the window's value, derivative and time-weighted taps alike; each reader
+    frames its own blocks, so no whole transform but the STFT is ever held.
     """
     length = weights.size
     half = (length - 1) // 2
     if nfft < length:
         raise InvalidParameterError(f"nfft={nfft} smaller than window length {length}")
-    padded = np.pad(sig.samples, half)
-    frames = np.lib.stride_tricks.sliding_window_view(padded, length)
-    out = np.empty((len(sig), nfft), dtype=np.complex128)
+    frames = np.lib.stride_tricks.sliding_window_view(np.pad(sig.samples, half), length)
 
-    def block(rows):
+    def framed(rows: slice) -> np.ndarray:
         windowed = frames[rows] * weights
         # place offset p=0 at DFT index 0 so the kernel applies to p, not array index
         buf = np.zeros((windowed.shape[0], nfft), dtype=np.complex128)
         buf[:, : half + 1] = windowed[:, half:]
         buf[:, nfft - half:] = windowed[:, :half]
         with np.errstate(over="ignore", invalid="ignore"):  # TFRGrid refuses a non-finite sum
-            out[rows] = np.fft.fft(buf, axis=1)
+            return np.fft.fft(buf, axis=1)
 
-    _by_frame_blocks(block, out.shape)
-    return out
+    return framed
 
 
 def stft(sig: Signal, w: WindowSpec, nfft: int) -> TFRGrid:
@@ -214,7 +217,13 @@ def stft(sig: Signal, w: WindowSpec, nfft: int) -> TFRGrid:
     if w.fs_hz != sig.sample_rate_hz:
         raise InvalidParameterError(
             f"window sampled at {w.fs_hz} Hz, signal at {sig.sample_rate_hz} Hz")
-    data = frame_matrix(sig, w.values, nfft)
+    framed = frame_matrix(sig, w.values, nfft)
+    data = np.empty((len(sig), nfft), dtype=np.complex128)
+
+    def block(rows):
+        data[rows] = framed(rows)
+
+    _by_frame_blocks(block, data.shape)
     fs = sig.sample_rate_hz
     return TFRGrid(data, sig.t0_s, fs / nfft, 1.0 / nfft, "stft", fs)
 
@@ -224,9 +233,12 @@ class Analysis:
     """A signal's hop-1 STFT together with the window and DFT size it came from.
 
     Every method post-processes this one grid, so it is computed once, at
-    construction, and always belongs to sig, w and nfft. The derivative-window
-    and time-weighted transforms are not kept: each method that needs one
-    computes it, so at most one of them is alive at a time.
+    construction, and always belongs to sig, w and nfft. The phase IF map
+    (if_bins), which SST, SET and RM all read, is computed on first use and
+    kept with the grid. The derivative-window and time-weighted transforms
+    are never held whole: their readers frame them block by block. A grid
+    of 2^31 cells or more is refused before any framing, so that every flat
+    cell index fits int32.
     """
 
     sig: Signal
@@ -235,7 +247,47 @@ class Analysis:
     grid: TFRGrid = field(init=False)
 
     def __post_init__(self):
+        if len(self.sig) * self.nfft >= 1 << 31:
+            raise InvalidParameterError(f"grid of {len(self.sig)} frames x {self.nfft} bins "
+                                        "reaches 2^31 cells; its cell indices must fit int32")
         object.__setattr__(self, "grid", stft(self.sig, self.w, self.nfft))
+
+    @property
+    def floor(self) -> float:
+        """The significance floor: a cell with |V| at or below it has no usable phase."""
+        return SIGNIFICANCE_FLOOR * self.grid.frame_peaks.max()
+
+    @cached_property
+    def if_bins(self) -> np.ndarray:
+        """Phase-derived IF of every cell of the grid, as a DFT bin.
+
+        A read-only int32 array of the grid's shape: bin[n, k] is the bin the
+        coefficient at bin k belongs to, f_hat = f_k - Im(V_dg / V) / (2*pi)
+        from the derivative-window transform, framed and divided by V block
+        by block, rounded to the nearest bin and wrapped on the DFT circle.
+        Where |V| is at or below the significance floor, the bin is the
+        cell's own; readers that treat such cells apart test |V| against the
+        floor themselves.
+        """
+        grid = self.grid
+        framed = frame_matrix(self.sig, self.w.d_values, self.nfft)
+        floor, f_hz = self.floor, grid.freq_axis_hz
+        bins = np.empty(grid.data.shape, dtype=np.int32)
+
+        def block(rows):
+            r, v = framed(rows), grid.data[rows]
+            # V = 0 is insignificant; a near-limit V overflows numpy's scaled division
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                np.divide(r, v, out=r)
+            f = np.imag(r) / (2.0 * np.pi)
+            np.subtract(f_hz, f, out=f)
+            np.copyto(f, f_hz, where=np.abs(v) <= floor)
+            f /= grid.df_hz
+            np.remainder(np.rint(f, out=f).astype(np.int64), grid.n_bins, out=bins[rows])
+
+        _by_frame_blocks(block, bins.shape)
+        bins.setflags(write=False)
+        return bins
 
 
 def istft(grid: TFRGrid) -> Signal:
@@ -299,14 +351,20 @@ def nearest_bins(values_hz: np.ndarray, grid: TFRGrid, what: str) -> np.ndarray:
     """Index of the bin nearest each frequency on the grid's frequency axis.
 
     Raises InvalidParameterError, calling the values what, unless every one is
-    finite and within half a bin of the axis; the check is a conjunction of >=
-    and <=, which NaN fails, so no NaN reaches the integer cast.
+    finite and within half a bin of the axis (_check_on_axis).
     """
+    values = _check_on_axis(values_hz, grid.df_hz, grid.n_bins, what)
+    return np.clip(np.rint(values / grid.df_hz).astype(np.int64), 0, grid.n_bins - 1)
+
+
+def _check_on_axis(values_hz: np.ndarray, df_hz: float, n_bins: int, what: str) -> np.ndarray:
+    """values_hz as floats, once every one is finite and within half a bin of
+    the axis of n_bins bins df_hz apart from 0 Hz; NaN fails the >= and <=."""
     values = np.asarray(values_hz, dtype=float)
-    f, df_hz = grid.freq_axis_hz, grid.df_hz
-    if not np.all((values >= f[0] - df_hz / 2) & (values <= f[-1] + df_hz / 2)):
+    top = (n_bins - 1) * df_hz
+    if not np.all((values >= -df_hz / 2) & (values <= top + df_hz / 2)):
         raise InvalidParameterError(
             f"{what} range [{values.min()}, {values.max()}] Hz must be finite "
-            f"and within the frequency axis [{f[0]}, {f[-1]}] Hz"
+            f"and within the frequency axis [0.0, {top}] Hz"
         )
-    return np.clip(np.rint((values - f[0]) / df_hz).astype(np.int64), 0, f.size - 1)
+    return values

@@ -39,8 +39,16 @@ class TestPhaseIfOperator:
         sig = tq.Signal(np.zeros(40), 128.0)
         a = tq.Analysis(sig, w128, 256)
         bins = tq.phase_if_map(a)
-        assert bins.dtype == np.int64
+        assert bins.dtype == np.int32
         assert np.array_equal(bins, np.broadcast_to(np.arange(256), (40, 256)))
+
+    def test_map_is_built_once_as_read_only_int32(self, tone32, w128):
+        a = tq.Analysis(tone32[0], w128, 256)
+        bins = tq.phase_if_map(a)
+        assert bins.dtype == np.int32
+        assert tq.phase_if_map(a) is bins  # every reader shares the one map
+        with pytest.raises(ValueError, match="read-only"):
+            bins[0, 0] = 0
 
     def test_matches_time_finite_difference_route(self, w128):
         # independent route: f = Im((dV/dt)/V) / 2pi with dV/dt from a
@@ -209,10 +217,14 @@ def chirp_2048x1024():
 
 # peak traced bytes of one call, output included, in grids of the analysis,
 # on two CPUs: each further CPU adds one block's transients (a few MiB). Each
-# bound sits just above the measured factor (sst 1.624, rm 1.642, set 1.567,
-# lmsst 1.145, the gamma-0.1 floor, detection and squeeze from the STFT
-# 1.108, ridge detection 0.047 at the gamma-0.1 floor and 0.082 on the 0 dB
-# chirp at gamma 0), so a grid-sized transient more fails it. The chain read
+# bound sits just above the measured factor (sst 1.374, rm 1.551, set 1.317,
+# each with the int32 IF map it builds on a fresh analysis, 0.25; lmsst
+# 1.145, the gamma-0.1 floor, detection and squeeze from the STFT 1.108,
+# ridge detection 0.047 at the gamma-0.1 floor and 0.082 on the 0 dB chirp at
+# gamma 0), so a grid-sized transient more fails it. With an int64 map (0.5)
+# and each derivative or time-weighted transform framed whole before its
+# reader's pass, they read sst 1.624, rm 1.642 and set 1.567; RM also summed
+# its energies through a float bincount and its complex cast. The chain read
 # 2.067 while the gamma filter copied its kept cells into a grid of their
 # own. RM read 2.157 while its energies sat beside V_tg, and SET 1.630 while
 # the IF map came with a whole-grid significance mask; RM read 2.501 while
@@ -228,7 +240,7 @@ def chirp_2048x1024():
 # block's q and q^2 per thread beside its heatmap pixels, 1/32 grid: 0.095 at
 # gamma 0.1 on the real view. Renyi scoring alone read 0.063, and 0.50 over a
 # whole-grid magnitude buffer.
-PEAK_GRIDS = {"sst": 1.64, "reassignment": 1.70, "set_extract": 1.60, "lmsst": 1.16,
+PEAK_GRIDS = {"sst": 1.39, "reassignment": 1.57, "set_extract": 1.34, "lmsst": 1.16,
               "modular_reassign": 1.20, "local_maxima": 0.06, "local_maxima-0dB": 0.10,
               "scan": 0.10}
 
@@ -236,7 +248,8 @@ PEAK_GRIDS = {"sst": 1.64, "reassignment": 1.70, "set_extract": 1.60, "lmsst": 1
 @pytest.mark.parametrize("name", sorted(PEAK_GRIDS))
 def test_peak_memory_in_grids(chirp_2048x1024, name, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    a = chirp_2048x1024
+    # a fresh analysis, so that no IF map cached by an earlier run escapes the trace
+    a = tq.Analysis(chirp_2048x1024.sig, chirp_2048x1024.w, chirp_2048x1024.nfft)
     assert a.grid.data.shape == (2048, 1024)
     run = getattr(tq, name.split("-")[0])
     if name == "modular_reassign":  # the CLI's gamma-0.1 chain from the STFT

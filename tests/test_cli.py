@@ -213,6 +213,19 @@ class TestCompare:
             assert main(["analyze", "--method", method, *args, "--out", str(out)]) == 0
             assert json.loads((out / "report.json").read_text()) == [rows[method]]
 
+    def test_shared_if_map_does_not_depend_on_method_order(self, tmp_path):
+        # SST, SET and RM read one IF map, built by whichever runs first
+        args = ["--input", "fmam", "--snr-db", "10", "--seed", "1", "--gamma", "0"]
+        outputs = []
+        for methods in ("rm,set,sst", "sst,set,rm"):
+            out = tmp_path / methods.replace(",", "-")
+            assert main(["compare", "--methods", methods, *args, "--out", str(out)]) == 0
+            rows = json.loads((out / "report.json").read_text())
+            outputs.append(({r["method_tag"]: r for r in rows},
+                            {m: (out / f"heatmap_{m}.pgm").read_bytes()
+                             for m in ("sst", "rm", "set")}))
+        assert outputs[0] == outputs[1]
+
     def test_injected_rows_match_compare(self, tmp_path):
         # both commands hand proposed the same admitted tracks: with mirrors on
         # the real fmam signal, without them on the complex crossover
@@ -264,9 +277,23 @@ class TestOneStftPerCommand:
     def test_compare_computes_the_stft_once(self, tmp_path, monkeypatch):
         counts = _count_calls(monkeypatch, FRAMING)
         assert main(["compare", "--input", "fmam", "--out", str(tmp_path)]) == 0
-        # one STFT, then one derivative-window framing for each of SST, RM and
-        # SET, and RM's time-weighted framing
-        assert counts == {"stft": 1, "frame_matrix": 5}
+        # one STFT, then one derivative-window framing for the IF map SST, RM
+        # and SET share, and RM's time-weighted framing
+        assert counts == {"stft": 1, "frame_matrix": 3}
+
+    def test_compare_frames_each_window_once(self, tmp_path, monkeypatch):
+        w = windows.WindowSpec(0.04, 128.0)  # fmam's default window
+        names = {w.values.tobytes(): "values", w.d_values.tobytes(): "d_values",
+                 w.t_values.tobytes(): "t_values"}
+        framed = Counter()
+        for module in (tfr, baselines):
+            def counted(sig, weights, nfft, _original=module.frame_matrix):
+                framed[names[weights.tobytes()]] += 1
+                return _original(sig, weights, nfft)
+            monkeypatch.setattr(module, "frame_matrix", counted)
+        assert main(["compare", "--input", "fmam", "--out", str(tmp_path)]) == 0
+        # SST, RM and SET share one IF map, so the derivative window is framed once
+        assert framed == {"values": 1, "d_values": 1, "t_values": 1}
 
     def test_analyze_computes_the_stft_once(self, tmp_path, monkeypatch):
         stft_calls = []
@@ -735,6 +762,23 @@ class TestAdmissionBeforeAllocation:
         assert main(argv) == 3
         assert capsys.readouterr().err == (
             f"error: {path}: line 3: column 3: frequency {value} is not finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_off_axis_track_is_refused_before_the_stft(self, tmp_path, monkeypatch, capsys,
+                                                       command):
+        # the frequency axis follows from fs and nfft, known before any framing;
+        # compare used to run five methods before proposed refused the track
+        path = tmp_path / "off.csv"
+        path.write_text("time_s,f1_hz\n0,5000\n8,5000\n")
+        for module in (tfr, baselines):
+            monkeypatch.setattr(module, "frame_matrix", _refuse_call)
+        out = tmp_path / "out"
+        assert main([command, "--input", "chirp", "--dur", "8", "--nfft", "1024",
+                     "--if-from", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: trajectory range [5000.0, 5000.0] Hz must be finite and within "
+            "the frequency axis [0.0, 1023.0] Hz\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

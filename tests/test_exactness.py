@@ -87,8 +87,8 @@ def chirplet_grids(draw) -> tq.TFRGrid:
     t = np.arange(-w.half, w.half + 1) / w.fs_hz
     c = draw(st.floats(-FS_HZ**2, FS_HZ**2))
     taps = w.values * np.exp(-1j * np.pi * c * t**2)
-    return tq.TFRGrid(frame_matrix(a.sig, taps, a.nfft), a.sig.t0_s, FS_HZ / a.nfft,
-                      1.0 / a.nfft, "chirplet", FS_HZ)
+    data = frame_matrix(a.sig, taps, a.nfft)(slice(None))
+    return tq.TFRGrid(data, a.sig.t0_s, FS_HZ / a.nfft, 1.0 / a.nfft, "chirplet", FS_HZ)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

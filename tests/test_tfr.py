@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tfsqueeze as tq
+from tfsqueeze import tfr
 from tfsqueeze.errors import InvalidParameterError, NonInvertibleGridError
 from tfsqueeze.tfr import nearest_bins
 
@@ -180,6 +181,16 @@ class TestAnalysis:
         sig, _ = fmam
         with pytest.raises(InvalidParameterError):
             tq.Analysis(sig, w128, w128.taps - 1)
+
+    def test_grid_of_2_31_cells_refused_before_any_framing(self, w128, monkeypatch):
+        # the IF map and RM's targets hold flat cell indices in int32
+        def refuse(*args):
+            raise AssertionError("framed")
+
+        monkeypatch.setattr(tfr, "frame_matrix", refuse)
+        sig = tq.Signal(np.zeros(1 << 21), 128.0)
+        with pytest.raises(InvalidParameterError, match="2097152 frames x 1024 bins"):
+            tq.Analysis(sig, w128, 1024)
 
     @pytest.mark.parametrize("build", [tq.stft, tq.Analysis], ids=["stft", "Analysis"])
     def test_window_at_another_rate_refused(self, crossover, build):

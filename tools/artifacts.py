@@ -34,6 +34,8 @@ COMMANDS = (
     "--methods stft,sst,set,rm,lmsst,proposed --out chirp-1",
     *(f"compare {CHIRP} --snr-db 30 --seed {seed} --gamma 0.1 --methods stft,sst,set,rm "
       f"--out chirp-{seed}" for seed in (2, 3)),
+    # the default method order, in which RM reads the shared IF map before SET
+    f"compare {CHIRP} --snr-db 30 --seed 1 --gamma 0.1 --out chirp-default-order",
     "compare --input fmam --snr-db 20 --seed 3 --per-frame-max --methods stft,sst,set,rm "
     "--out fmam-20db",
     "compare --input crossover --snr-db 0 --seed 2 --gamma 0 --methods stft,sst,set,rm "
