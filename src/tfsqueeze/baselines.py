@@ -33,8 +33,7 @@ __all__ = ["phase_if_map", "sst", "reassignment", "set_extract", "lmsst", "SIGNI
 
 
 def phase_if_map(a: Analysis) -> np.ndarray:
-    """Phase-derived IF of every cell of the analysis grid, as a DFT bin:
-    the read-only int32 map Analysis.if_bins, built on the first call."""
+    """Phase-derived IF bin of every grid cell: Analysis.if_bins, built on first call."""
     return a.if_bins
 
 
@@ -52,13 +51,13 @@ def reassignment(a: Analysis) -> TFRGrid:
     Energy moves to (t + Re(V_tg/V), IF estimate); time targets clamp to the
     grid, frequency targets wrap on the DFT circle. Total energy is
     conserved, invertibility is not: rho is NaN and istft refuses the grid.
-    Energies are added block by block in frame order, so each target cell
-    sums them in the order of one whole-grid bincount.
+    Flat targets wait in the output's imaginary half, zeroed as each block
+    adds |V|^2 in frame order, the order of one whole-grid bincount.
     """
     grid = a.grid
     floor, t, bins = a.floor, grid.time_axis_s[:, None], phase_if_map(a)
     framed = frame_matrix(a.sig, a.w.t_values, a.nfft)  # V_tg, divided by V block by block
-    flat = np.empty(grid.data.shape, dtype=np.int32)  # Analysis keeps every cell index in int32
+    out = np.zeros(grid.data.shape, dtype=np.complex128)  # imag: flat targets, exact below 2^31
 
     def targets(rows):
         r, v = framed(rows), grid.data[rows]
@@ -71,17 +70,18 @@ def reassignment(a: Analysis) -> TFRGrid:
             np.rint((t_hat - grid.t0_s) * grid.source_fs_hz).astype(np.int64),
             0, grid.n_frames - 1,
         )
-        np.add(frame_target * grid.n_bins, bins[rows], out=flat[rows])
+        np.add(frame_target * grid.n_bins, bins[rows], out=out.imag[rows])
 
     _by_frame_blocks(targets, grid.data.shape)
-    out = np.zeros(grid.data.shape, dtype=np.complex128)
     energy = out.reshape(-1).real  # a view: the sums land in out
     step = _frames_per_block(grid.n_bins)
     for lo in range(0, grid.n_frames, step):  # one thread: blocks add into shared cells
         rows = slice(lo, lo + step)
+        flat = out.imag[rows].astype(np.int64).ravel()
+        out.imag[rows] = 0.0
         with np.errstate(over="ignore"):  # TFRGrid refuses the overflowed energy
             power = np.square(np.abs(grid.data[rows]))
-        np.add.at(energy, flat[rows].ravel(), power.ravel())
+        np.add.at(energy, flat, power.ravel())
     return replace(grid, data=out, method_tag="rm", rho=float("nan"))
 
 

@@ -237,8 +237,8 @@ class Analysis:
     (if_bins), which SST, SET and RM all read, is computed on first use and
     kept with the grid. The derivative-window and time-weighted transforms
     are never held whole: their readers frame them block by block. A grid
-    of 2^31 cells or more is refused before any framing, so that every flat
-    cell index fits int32.
+    of 2^31 cells or more is refused before any framing, so that the map is
+    at most int32 and RM's flat cell targets, held as float64, are exact.
     """
 
     sig: Signal
@@ -261,18 +261,18 @@ class Analysis:
     def if_bins(self) -> np.ndarray:
         """Phase-derived IF of every cell of the grid, as a DFT bin.
 
-        A read-only int32 array of the grid's shape: bin[n, k] is the bin the
-        coefficient at bin k belongs to, f_hat = f_k - Im(V_dg / V) / (2*pi)
-        from the derivative-window transform, framed and divided by V block
-        by block, rounded to the nearest bin and wrapped on the DFT circle.
-        Where |V| is at or below the significance floor, the bin is the
-        cell's own; readers that treat such cells apart test |V| against the
-        floor themselves.
+        A read-only array of the grid's shape, in the narrowest signed type
+        holding -n_bins, so no reader's arithmetic wraps: bin[n, k] is the bin
+        the coefficient at bin k belongs to, f_hat = f_k - Im(V_dg / V) / (2*pi)
+        from the derivative-window transform framed block by block, rounded to
+        the nearest bin and wrapped on the DFT circle. Where |V| is at or below
+        the significance floor, the bin is the cell's own; readers that treat
+        such cells apart test |V| against the floor themselves.
         """
         grid = self.grid
         framed = frame_matrix(self.sig, self.w.d_values, self.nfft)
         floor, f_hz = self.floor, grid.freq_axis_hz
-        bins = np.empty(grid.data.shape, dtype=np.int32)
+        bins = np.empty(grid.data.shape, dtype=np.min_scalar_type(-grid.n_bins))
 
         def block(rows):
             r, v = framed(rows), grid.data[rows]

@@ -39,13 +39,24 @@ class TestPhaseIfOperator:
         sig = tq.Signal(np.zeros(40), 128.0)
         a = tq.Analysis(sig, w128, 256)
         bins = tq.phase_if_map(a)
-        assert bins.dtype == np.int32
+        assert bins.dtype == np.int16
         assert np.array_equal(bins, np.broadcast_to(np.arange(256), (40, 256)))
 
-    def test_map_is_built_once_as_read_only_int32(self, tone32, w128):
+    @pytest.mark.parametrize("n_bins, dtype", [
+        (127, np.int8), (128, np.int8), (129, np.int16),
+        (32767, np.int16), (32768, np.int16), (32769, np.int32)])
+    def test_map_takes_the_narrowest_signed_type(self, n_bins, dtype, w128):
+        # every cell of a zero signal keeps its own bin, the top one too,
+        # so a type too narrow for n_bins - 1 would wrap it
+        a = tq.Analysis(tq.Signal(np.zeros(1), 128.0), w128, n_bins)
+        bins = tq.phase_if_map(a)
+        assert bins.dtype == dtype
+        assert np.array_equal(bins, np.arange(n_bins)[None, :])
+
+    def test_map_is_built_once_as_read_only_int16(self, tone32, w128):
         a = tq.Analysis(tone32[0], w128, 256)
         bins = tq.phase_if_map(a)
-        assert bins.dtype == np.int32
+        assert bins.dtype == np.int16
         assert tq.phase_if_map(a) is bins  # every reader shares the one map
         with pytest.raises(ValueError, match="read-only"):
             bins[0, 0] = 0
@@ -217,11 +228,13 @@ def chirp_2048x1024():
 
 # peak traced bytes of one call, output included, in grids of the analysis,
 # on two CPUs: each further CPU adds one block's transients (a few MiB). Each
-# bound sits just above the measured factor (sst 1.374, rm 1.551, set 1.317,
-# each with the int32 IF map it builds on a fresh analysis, 0.25; lmsst
+# bound sits just above the measured factor (sst 1.248, rm 1.291, set 1.192,
+# each with the int16 IF map it builds on a fresh analysis, 0.125; lmsst
 # 1.145, the gamma-0.1 floor, detection and squeeze from the STFT 1.108,
 # ridge detection 0.047 at the gamma-0.1 floor and 0.082 on the 0 dB chirp at
-# gamma 0), so a grid-sized transient more fails it. With an int64 map (0.5)
+# gamma 0), so a grid-sized transient more fails it. With an int32 map they
+# read sst 1.374 and set 1.317, and rm 1.551 while it also kept its flat
+# targets in an int32 array of their own. With an int64 map (0.5)
 # and each derivative or time-weighted transform framed whole before its
 # reader's pass, they read sst 1.624, rm 1.642 and set 1.567; RM also summed
 # its energies through a float bincount and its complex cast. The chain read
@@ -240,7 +253,7 @@ def chirp_2048x1024():
 # block's q and q^2 per thread beside its heatmap pixels, 1/32 grid: 0.095 at
 # gamma 0.1 on the real view. Renyi scoring alone read 0.063, and 0.50 over a
 # whole-grid magnitude buffer.
-PEAK_GRIDS = {"sst": 1.39, "reassignment": 1.57, "set_extract": 1.34, "lmsst": 1.16,
+PEAK_GRIDS = {"sst": 1.26, "reassignment": 1.30, "set_extract": 1.20, "lmsst": 1.16,
               "modular_reassign": 1.20, "local_maxima": 0.06, "local_maxima-0dB": 0.10,
               "scan": 0.10}
 
@@ -271,6 +284,13 @@ def test_peak_memory_in_grids(chirp_2048x1024, name, monkeypatch):
         tracemalloc.stop()
     del out
     assert peak / a.grid.data.nbytes <= PEAK_GRIDS[name]
+
+
+def test_reassignment_leaves_no_target_in_its_imaginary_half(chirp_2048x1024):
+    # RM's flat targets wait in its output's imaginary half; every one must
+    # be reset to +0.0, not left behind or turned into -0.0
+    imag = tq.reassignment(chirp_2048x1024).data.imag
+    assert not imag.view(np.uint64).any()
 
 
 @pytest.mark.parametrize("per_frame", [False, True])

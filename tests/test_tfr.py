@@ -183,7 +183,8 @@ class TestAnalysis:
             tq.Analysis(sig, w128, w128.taps - 1)
 
     def test_grid_of_2_31_cells_refused_before_any_framing(self, w128, monkeypatch):
-        # the IF map and RM's targets hold flat cell indices in int32
+        # below 2^31 cells the IF map is at most int32 and RM's flat cell
+        # targets, held as float64 in its output, are exact
         def refuse(*args):
             raise AssertionError("framed")
 

@@ -68,6 +68,8 @@ COMMANDS = (
     # above gamma times the half circle's peak, and on a 2-bin axis
     "compare --input fmam --snr-db 10 --seed 1 --out fmam-10db",
     "compare --input tone --nfft 2 --sigma 0.001 --out tone-2-bins",
+    # a 32769-bin axis, the narrowest on which the IF map takes int32
+    "compare --input tone --nfft 32769 --methods stft,sst,set,rm --out tone-32769",
     # injected tracks through compare, on a real signal (with mirrors) and a
     # complex one, and one mode per injected track out of a written grid
     "compare --input fmam/gen/signal.csv --if-from fmam/gen/true_if.csv --gamma 0 "
