@@ -26,7 +26,7 @@ from .errors import InvalidParameterError
 # SIGNIFICANCE_FLOOR is re-exported; stft is unused here but stays bound:
 # perfbench asserts baselines.stft is tfr.stft
 from .tfr import (SIGNIFICANCE_FLOOR, Analysis, TFRGrid, _by_frame_blocks,  # noqa: F401
-                  _frames_per_block, frame_matrix, regroup, stft)
+                  _frames_per_block, _output, frame_matrix, regroup, stft)
 from .windows import halfwidth_bins
 
 __all__ = ["phase_if_map", "sst", "reassignment", "set_extract", "lmsst", "SIGNIFICANCE_FLOOR"]
@@ -52,7 +52,9 @@ def reassignment(a: Analysis) -> TFRGrid:
     grid, frequency targets wrap on the DFT circle. Total energy is
     conserved, invertibility is not: rho is NaN and istft refuses the grid.
     Flat targets wait in the output's imaginary half, zeroed as each block
-    adds |V|^2 in frame order, the order of one whole-grid bincount.
+    adds |V|^2 in frame order, the order of one whole-grid bincount. Energy
+    moves across frames, so the output is always fresh, never the grid's
+    own cells, even where they are writable.
     """
     grid = a.grid
     floor, t, bins = a.floor, grid.time_axis_s[:, None], phase_if_map(a)
@@ -88,11 +90,12 @@ def reassignment(a: Analysis) -> TFRGrid:
 def set_extract(a: Analysis) -> TFRGrid:
     """Synchroextracting: keep a coefficient only when its IF estimate rounds
     back onto its own bin; everything else, including the insignificant
-    floor, is discarded. Sharp but deliberately lossy."""
+    floor, is discarded. Sharp but deliberately lossy. Each block writes
+    over the rows it read where the grid's data is writable (tfr._output)."""
     grid = a.grid
     floor, target = a.floor, phase_if_map(a)
     own = np.arange(grid.n_bins)
-    out = np.empty(grid.data.shape, dtype=np.complex128)
+    out = _output(grid.data)
 
     def block(rows):
         v = grid.data[rows]

@@ -150,12 +150,14 @@ def cmd_generate(args) -> int:
 
 def cmd_analyze(args) -> int:
     a, model, tracks = _prepare(args, [args.method])
+    # nothing reads the STFT after its one method, so an in-frame method
+    # (tfr._output) writes its output over it: one grid, not two
+    a.grid.data.setflags(write=True)
     report, out, est, image = _run(args.method, a, model, tracks, args)
     del a  # the exports need only out and the pixels
 
     with output_dir(args.out) as stage:
         export_pgm(image, stage / "heatmap.pgm")
-        del image  # before the grid file's write, which sets the command's peak
         export_grid_csv(out, stage / "grid.npz")
         export_report_json([report], stage / "report.json")
         if est is not None:

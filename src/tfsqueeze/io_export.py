@@ -19,15 +19,17 @@ import json
 import math
 import tempfile
 import wave
+import zipfile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .errors import FormatError, InvalidParameterError
 from .metrics import MethodReport
 from .signals import Signal
-from .tfr import MAX_GRID_CELLS, TFRGrid
+from .tfr import MAX_GRID_CELLS, TFRGrid, _by_frame_blocks
 
 __all__ = ["output_dir", "load_signal", "save_signal_csv", "load_trajectories_csv",
            "export_trajectories_csv", "export_grid_csv", "import_grid_csv",
@@ -227,14 +229,49 @@ def export_grid_csv(grid: TFRGrid, path) -> None:
     (n_frames, n_bins); 'idx', the increasing int64 flat indices of the cells
     whose bits are not all zero (so -0.0 survives); 'val', those cells as
     complex128. Zip entries carry a fixed date, so the bytes repeat. The name
-    says CSV as the benchmark's spans bind it for the grid file's write."""
-    flat = grid.data.ravel()
-    words = flat.view(np.uint64)  # a cell's real and imaginary bit patterns
-    idx = np.flatnonzero(words[0::2] | words[1::2])
-    with open(path, "wb") as fh:  # through a handle, numpy appends no '.npz'
-        np.savez(fh, method=grid.method_tag, fs=grid.source_fs_hz, t0=grid.t0_s,
-                 dfreq=grid.df_hz, rho=grid.rho,
-                 shape=np.array(grid.data.shape, dtype=np.int64), idx=idx, val=flat[idx])
+    says CSV as the benchmark's spans bind it for the grid file's write.
+
+    The bytes are np.savez's, written block by block of frames: one block
+    pass counts each block's nonzero cells, so that 'idx' and 'val' each
+    take one npy header, and each member then takes one write per block. A
+    full block's indices are a range and its cells are written as they are;
+    no whole-grid mask, index or copy is ever built.
+    """
+    data, n_bins = grid.data, grid.n_bins
+
+    def nonzero(rows):
+        # whether each part's bits are set, as adjacent bools; a cell's two,
+        # read as one uint16, are nonzero when either is
+        halves = np.ascontiguousarray(data[rows]).view(np.uint64) != 0
+        return halves.view(np.uint16).ravel() != 0
+
+    def idx(rows, n):
+        lo = rows.start * n_bins
+        if n == data[rows].size:
+            return np.arange(lo, lo + n, dtype=np.int64)
+        return np.flatnonzero(nonzero(rows)) + lo
+
+    def val(rows, n):
+        cells = np.ascontiguousarray(data[rows])
+        return cells if n == cells.size else cells.ravel()[nonzero(rows)]
+
+    blocks = _by_frame_blocks(lambda rows: (rows, int(np.count_nonzero(nonzero(rows)))),
+                              data.shape)
+    count = sum(n for _, n in blocks)
+    # through a handle, numpy appends no '.npz'; np.savez's zip and member settings
+    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED,
+                                                 allowZip64=True) as npz:
+        for name, value in (("method", grid.method_tag), ("fs", grid.source_fs_hz),
+                            ("t0", grid.t0_s), ("dfreq", grid.df_hz), ("rho", grid.rho),
+                            ("shape", np.array(data.shape, dtype=np.int64))):
+            with npz.open(f"{name}.npy", "w", force_zip64=True) as member:
+                npy.write_array(member, np.asanyarray(value))
+        for name, dtype, part in (("idx", np.int64, idx), ("val", np.complex128, val)):
+            with npz.open(f"{name}.npy", "w", force_zip64=True) as member:
+                npy.write_array_header_1_0(member, {"descr": npy.dtype_to_descr(np.dtype(dtype)),
+                                                    "fortran_order": False, "shape": (count,)})
+                for rows, n in blocks:
+                    member.write(part(rows, n))
 
 
 def import_grid_csv(path) -> TFRGrid:

@@ -34,7 +34,8 @@ def modular_reassign(grid: TFRGrid, ifest: IFEstimate, floor: np.ndarray
     ridge keeps its cells in place. Returns (squeezed, kept): the squeezed
     grid keeps the source's axes and rho; kept holds, read-only, the frame
     sums of the kept cells, which squeezed conserves, and is grid.frame_sums
-    itself when nothing is dropped. No argument is written.
+    itself when nothing is dropped. No argument is written, but for grid's
+    cells where they are writable: tfr.regroup then writes squeezed over them.
     """
     data = grid.data
     if (ifest.n_frames, ifest.n_bins) != data.shape:

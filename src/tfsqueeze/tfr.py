@@ -322,10 +322,13 @@ def regroup(grid: TFRGrid, rule: Callable[[slice], tuple[np.ndarray, np.ndarray]
 
     Each run of consecutive cells sharing a destination is summed with one
     reduceat, so a contiguous basin adds up exactly as a per-frame reduceat
-    would; the run sums are then added into the zeroed output.
+    would; the run sums are then added into the block's zeroed output rows.
+    Those rows are the source's own where its data is writable (_output):
+    the rule and the run sums have read the block's frames by then, and no
+    block reads another's.
     """
     data, n_bins = grid.data, grid.n_bins
-    out = np.zeros(data.shape, dtype=np.complex128)
+    out = _output(data)
 
     def block(rows):
         d, v = rule(rows)
@@ -341,10 +344,25 @@ def regroup(grid: TFRGrid, rule: Callable[[slice], tuple[np.ndarray, np.ndarray]
         target = np.repeat(np.arange(d.shape[0]) * n_bins, run_start.sum(axis=1))
         target += d.ravel()[starts]
         with np.errstate(over="ignore"):  # TFRGrid refuses an overflowed sum
-            np.add.at(out[rows].reshape(-1), target, np.add.reduceat(v.ravel(), starts))
+            sums = np.add.reduceat(v.ravel(), starts)
+            if out is data:  # v may view the rows it summed: zero them only now
+                out[rows] = 0.0
+            np.add.at(out[rows].reshape(-1), target, sums)
 
     _by_frame_blocks(block, data.shape)
     return replace(grid, data=out, method_tag=method_tag)
+
+
+def _output(data: np.ndarray) -> np.ndarray:
+    """Where an in-frame method writes its output: over data itself when it
+    is writable, else into a fresh zeroed array of its shape.
+
+    A TFRGrid's data is always read-only, so a grid's cells are written over
+    only where its owner has made them writable again: the CLI's analyze,
+    which lends its STFT to the one method it runs, since nothing reads the
+    STFT after it. Every other caller gets a fresh output and keeps its grid.
+    """
+    return data if data.flags.writeable else np.zeros(data.shape, dtype=np.complex128)
 
 
 def nearest_bins(values_hz: np.ndarray, grid: TFRGrid, what: str) -> np.ndarray:

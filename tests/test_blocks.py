@@ -257,6 +257,50 @@ class TestBlockEdges:
         for delta in sorted({d for d in (0, 1, 2, 3, 4, 7, 8, n_bins - 1) if d < n_bins}):
             assert same_bits(baselines.lmsst(a, delta).data, lmsst_oracle(a, delta))
 
+    def test_lent_grid_is_written_over(self, n_frames, n_bins):
+        # analyze lends its STFT to its one method: an in-frame method writes
+        # its output over the rows it read, to the bits of a fresh output,
+        # and a grid that is not lent keeps its bits
+        a = analysis(n_frames, n_bins)
+        data = a.grid.data.copy()
+        data[::3, ::2] = complex(-0.0, -0.0)
+        grid = replace(a.grid, data=data)
+        delta = min(3, n_bins - 1)
+        ns = types.SimpleNamespace  # each method reads only these of its analysis
+        runs = {  # the output, and the squeeze's kept sums
+            "sst": lambda g: (baselines.sst(ns(grid=g, if_bins=a.if_bins)), None),
+            "set": lambda g: (baselines.set_extract(
+                ns(grid=g, if_bins=a.if_bins, floor=a.floor)), None),
+            "lmsst": lambda g: (baselines.lmsst(ns(grid=g), delta), None),
+        }
+        for gamma in (0.0, 0.1):
+            for per_frame in (False, True):
+                floor = ridges.gamma_floor(grid, gamma, per_frame)
+                est = ridges.local_maxima(grid, floor)
+                runs[f"squeeze-{gamma}-{per_frame}"] = \
+                    lambda g, est=est, floor=floor: squeeze.modular_reassign(g, est, floor)
+        for name, run in runs.items():
+            fresh, fresh_kept = run(grid)
+            assert same_bits(grid.data, data), name
+            lent = replace(grid, data=data.copy())
+            lent.data.setflags(write=True)
+            out, kept = run(lent)
+            assert np.shares_memory(out.data, lent.data), name
+            assert not out.data.flags.writeable, name
+            assert same_bits(out.data, fresh.data), name
+            assert kept is fresh_kept is None or same_bits(kept, fresh_kept), name
+
+    def test_reassignment_never_writes_a_lent_grid(self, n_frames, n_bins):
+        # RM moves energy across frames, so its output is always fresh
+        want = baselines.reassignment(analysis(n_frames, n_bins)).data
+        a = analysis(n_frames, n_bins)
+        before = a.grid.data.copy()
+        a.grid.data.setflags(write=True)
+        out = baselines.reassignment(a)
+        assert same_bits(a.grid.data, before)
+        assert same_bits(out.data, want)
+        assert not np.shares_memory(out.data, a.grid.data)
+
     def test_filter_grid(self, n_frames, n_bins):
         # detection and the squeeze at the gamma floor against the whole-grid
         # formulas on the filtered grid; at gamma 0 no cell is dropped, -0.0

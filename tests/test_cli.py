@@ -641,34 +641,76 @@ class TestNoPartialOutput:
         # the cell budget admits an 8192x1024 compare, but an address space of
         # the import's peak plus 192 MiB holds the 128 MiB STFT and not the
         # next grid: one error line, exit 2, and no output
-        import resource  # Unix only
-
-        def child(limit=None):
-            def setup():
-                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-                if limit is not None:
-                    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-            return setup
-
-        root = Path(__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        probe = subprocess.run(
-            [sys.executable, "-c", "import tfsqueeze.cli\n"
-             "print(next(line.split()[1] for line in open('/proc/self/status')"
-             " if line.startswith('VmPeak:')))"],
-            env=env, capture_output=True, text=True, timeout=120, preexec_fn=child(),
-            check=True)
-        limit = int(probe.stdout) * 1024 + (192 << 20)
         out = tmp_path / "out"
-        done = subprocess.run(
-            [sys.executable, "-m", "tfsqueeze.cli", "compare", "--input", "chirp", "--dur", "8",
-             "--nfft", "1024", "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300, preexec_fn=child(limit))
+        done = run_capped(["compare", "--input", "chirp", "--dur", "8", "--nfft", "1024",
+                           "--out", str(out)])
         assert done.returncode == 2, done.stderr
         assert done.stdout == ""
         assert re.fullmatch(r"error: [^\n]*\n", done.stderr)
         assert not out.exists()
         assert_no_stage(tmp_path)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmPeak from /proc")
+    @pytest.mark.parametrize("method", ["proposed --gamma 0.1", "sst"])
+    def test_analyze_fits_under_the_cap(self, tmp_path, method):
+        # analyze lends its STFT to an in-frame method, whose output is
+        # written over it, and the grid file is written block by block: the
+        # same cap holds the whole run, where a second grid or a copy of
+        # the cells for the file would not fit
+        out = tmp_path / "out"
+        done = run_capped(["analyze", "--method", *method.split(), "--input", "chirp",
+                           "--dur", "8", "--nfft", "1024", "--out", str(out)])
+        assert done.returncode == 0, done.stderr
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted(["grid.npz", "heatmap.pgm", "report.json"]
+                   + (["ridges.csv"] if method.startswith("proposed") else []))
+        assert_no_stage(tmp_path)
+
+
+def run_capped(argv):
+    """Run the CLI on argv in a child on one CPU, so no block thread starts,
+    under an address space of the import's peak plus 192 MiB: an 8192x1024
+    grid (128 MiB) and half a grid more. Linux only: reads VmPeak."""
+    import resource  # Unix only
+
+    def child(limit=None):
+        def setup():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            if limit is not None:
+                resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        return setup
+
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import tfsqueeze.cli\n"
+         "print(next(line.split()[1] for line in open('/proc/self/status')"
+         " if line.startswith('VmPeak:')))"],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=child(),
+        check=True)
+    limit = int(probe.stdout) * 1024 + (192 << 20)
+    return subprocess.run([sys.executable, "-m", "tfsqueeze.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300, preexec_fn=child(limit))
+
+
+def test_only_analyze_lends_its_stft(tmp_path, monkeypatch):
+    # analyze runs one method and nothing reads its STFT after it, so it lends
+    # the STFT, which the in-frame methods write their outputs over; compare
+    # runs every method on the same STFT and keeps its bits
+    seen, run = [], cli._run
+
+    def spy(method, a, *rest):
+        lent, before = a.grid.data.flags.writeable, a.grid.data.tobytes()
+        result = run(method, a, *rest)
+        seen.append((method, lent, a.grid.data.tobytes() == before))
+        return result
+
+    monkeypatch.setattr(cli, "_run", spy)
+    for method in METHODS:
+        assert main(["analyze", "--method", method, "--out", str(tmp_path / method)]) == 0
+    assert main(["compare", "--out", str(tmp_path / "compare")]) == 0
+    assert seen == [(m, True, m in ("stft", "rm")) for m in METHODS] + \
+        [(m, False, True) for m in METHODS]
 
 
 def test_no_noise_is_drawn_without_a_finite_snr(tmp_path, capsys):

@@ -1,6 +1,9 @@
 import ast
 import dataclasses
+import io
 import json
+import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tfsqueeze as tq
+from tfsqueeze import io_export
 from tfsqueeze.errors import FormatError
 
 from conftest import half_circle, rewrite_grid
@@ -47,6 +51,36 @@ class Trap:
 
     def __reduce__(self):
         return _trip, ()
+
+
+def _blocks_full_empty_and_sparse():
+    # 128 bins take 512 frames per block: a full block, an empty one, and a
+    # sparse one whose -0.0 and subnormal cells must be kept
+    data = np.zeros((1100, 128), dtype=np.complex128)
+    data[:512] = random_grid(1, 512, 128).data
+    rng = np.random.default_rng(2)
+    data[1024:][rng.random((76, 128)) < 0.05] = 1 - 2j
+    data[1030, 3], data[1031, 4], data[1099, 127] = complex(-0.0, 0.0), 5e-324j, -1.0
+    return data
+
+
+def _negative_zeros():
+    data = np.zeros((600, 129), dtype=np.complex128)
+    data.ravel()[::7] = complex(-0.0, 0.0)
+    data.ravel()[3::11] = complex(0.0, -0.0)
+    return data
+
+
+# grids around the writer's block edges, and ones with no stored cell or only
+# signed zeros stored
+WRITER_GRIDS = {
+    "dense": lambda: random_grid(0, 600, 257).data,  # 255 frames per block
+    "blocks-full-empty-sparse": _blocks_full_empty_and_sparse,
+    "all-zero": lambda: np.zeros((70, 1000), dtype=np.complex128),
+    "negative-zeros": _negative_zeros,
+    "one-frame": lambda: random_grid(3, 1, 9).data,
+    "one-bin": lambda: random_grid(4, 65537, 1).data,  # two blocks of one bin
+}
 
 
 class TestGridCsv:
@@ -109,6 +143,36 @@ class TestGridCsv:
             assert npz["idx"].tolist() == [1, 4, 7, 10]
             assert np.array_equal(bits(npz["val"]), bits(data.ravel()[[1, 4, 7, 10]]))
         assert np.array_equal(bits(tq.import_grid_csv(path).data), bits(data))
+
+    @pytest.mark.parametrize("name", sorted(WRITER_GRIDS))
+    def test_bytes_are_np_savez_of_the_members(self, tmp_path, name):
+        # the writer streams block by block; np.savez of the same members,
+        # taken from the whole grid, on the running numpy writes the same bytes
+        grid = tq.TFRGrid(WRITER_GRIDS[name](), 0.5, 2.0, 1 / 3, name, 4.0)
+        path = tmp_path / "grid.npz"
+        tq.export_grid_csv(grid, path)
+        flat = grid.data.ravel()
+        idx = np.flatnonzero(bits(flat).reshape(-1, 2).any(axis=1))
+        members = io.BytesIO()
+        np.savez(members, method=grid.method_tag, fs=grid.source_fs_hz, t0=grid.t0_s,
+                 dfreq=grid.df_hz, rho=grid.rho,
+                 shape=np.array(grid.data.shape, dtype=np.int64), idx=idx, val=flat[idx])
+        assert path.read_bytes() == members.getvalue()
+        assert np.array_equal(bits(tq.import_grid_csv(path).data), bits(grid.data))
+
+    def test_dense_write_holds_no_whole_grid_array(self, tmp_path, monkeypatch):
+        # one block's mask and indices per thread, 0.016 grids on two CPUs;
+        # the whole-grid bit mask, index and copy of the cells read 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(io_export, "_quota_cpus", lambda: None)
+        grid = random_grid(n_frames=2048, n_bins=1024)
+        tracemalloc.start()
+        try:
+            tq.export_grid_csv(grid, tmp_path / "grid.npz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / grid.data.nbytes <= 0.05
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.npz", tmp_path / "b.npz"

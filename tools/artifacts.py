@@ -48,7 +48,9 @@ COMMANDS = (
     "analyze --method proposed --input fmam --snr-db 20 --seed 3 --gamma 0.2 --per-frame-max "
     "--out fmam-pf-proposed",
     *(f"analyze --method {m} --input fmam --snr-db 10 --seed 1 --out fmam-10db-{m}"
-      for m in ("rm", "sst", "set")),
+      for m in ("rm", "sst", "set", "lmsst")),
+    # a dense grid file: every cell of the STFT is stored
+    "analyze --method stft --input crossover --snr-db 20 --seed 1 --out crossover-20db-stft",
     # the roundtrip-crossover benchmark workload (perfbench/workloads.py)
     *(command for seed in (1, 2, 3) for command in (
         f"generate crossover --snr-db 20 --seed {seed} --out rt-{seed}/gen",
