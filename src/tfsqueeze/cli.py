@@ -151,8 +151,10 @@ def cmd_generate(args) -> int:
 def cmd_analyze(args) -> int:
     a, model, tracks = _prepare(args, [args.method])
     # nothing reads the STFT after its one method, so an in-frame method
-    # (tfr._output) writes its output over it: one grid, not two
-    a.grid.data.setflags(write=True)
+    # (tfr._output) writes its output over it: one grid, not two; stft
+    # returns the STFT itself and rm moves energy across frames
+    if args.method not in ("stft", "rm"):
+        a.grid.data.setflags(write=True)
     report, out, est, image = _run(args.method, a, model, tracks, args)
     del a  # the exports need only out and the pixels
 

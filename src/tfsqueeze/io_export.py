@@ -233,9 +233,8 @@ def export_grid_csv(grid: TFRGrid, path) -> None:
 
     The bytes are np.savez's, written block by block of frames: one block
     pass counts each block's nonzero cells, so that 'idx' and 'val' each
-    take one npy header, and each member then takes one write per block. A
-    full block's indices are a range and its cells are written as they are;
-    no whole-grid mask, index or copy is ever built.
+    take one npy header, and each member then takes one write per block. No
+    whole-grid mask, index or copy is ever built.
     """
     data, n_bins = grid.data, grid.n_bins
 
@@ -245,15 +244,11 @@ def export_grid_csv(grid: TFRGrid, path) -> None:
         halves = np.ascontiguousarray(data[rows]).view(np.uint64) != 0
         return halves.view(np.uint16).ravel() != 0
 
-    def idx(rows, n):
-        lo = rows.start * n_bins
-        if n == data[rows].size:
-            return np.arange(lo, lo + n, dtype=np.int64)
-        return np.flatnonzero(nonzero(rows)) + lo
+    def idx(rows):
+        return np.flatnonzero(nonzero(rows)) + rows.start * n_bins
 
-    def val(rows, n):
-        cells = np.ascontiguousarray(data[rows])
-        return cells if n == cells.size else cells.ravel()[nonzero(rows)]
+    def val(rows):
+        return data[rows].ravel()[nonzero(rows)]
 
     blocks = _by_frame_blocks(lambda rows: (rows, int(np.count_nonzero(nonzero(rows)))),
                               data.shape)
@@ -270,8 +265,8 @@ def export_grid_csv(grid: TFRGrid, path) -> None:
             with npz.open(f"{name}.npy", "w", force_zip64=True) as member:
                 npy.write_array_header_1_0(member, {"descr": npy.dtype_to_descr(np.dtype(dtype)),
                                                     "fortran_order": False, "shape": (count,)})
-                for rows, n in blocks:
-                    member.write(part(rows, n))
+                for rows, _ in blocks:
+                    member.write(part(rows))
 
 
 def import_grid_csv(path) -> TFRGrid:

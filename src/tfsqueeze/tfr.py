@@ -345,8 +345,7 @@ def regroup(grid: TFRGrid, rule: Callable[[slice], tuple[np.ndarray, np.ndarray]
         target += d.ravel()[starts]
         with np.errstate(over="ignore"):  # TFRGrid refuses an overflowed sum
             sums = np.add.reduceat(v.ravel(), starts)
-            if out is data:  # v may view the rows it summed: zero them only now
-                out[rows] = 0.0
+            out[rows] = 0.0  # v may view these rows when out is data: zero them only now
             np.add.at(out[rows].reshape(-1), target, sums)
 
     _by_frame_blocks(block, data.shape)
@@ -355,14 +354,15 @@ def regroup(grid: TFRGrid, rule: Callable[[slice], tuple[np.ndarray, np.ndarray]
 
 def _output(data: np.ndarray) -> np.ndarray:
     """Where an in-frame method writes its output: over data itself when it
-    is writable, else into a fresh zeroed array of its shape.
+    is writable, else into a fresh array of its shape. Either way the
+    method writes every row of it.
 
     A TFRGrid's data is always read-only, so a grid's cells are written over
     only where its owner has made them writable again: the CLI's analyze,
     which lends its STFT to the one method it runs, since nothing reads the
     STFT after it. Every other caller gets a fresh output and keeps its grid.
     """
-    return data if data.flags.writeable else np.zeros(data.shape, dtype=np.complex128)
+    return data if data.flags.writeable else np.empty(data.shape, dtype=np.complex128)
 
 
 def nearest_bins(values_hz: np.ndarray, grid: TFRGrid, what: str) -> np.ndarray:

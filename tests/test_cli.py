@@ -695,22 +695,25 @@ def run_capped(argv):
 
 def test_only_analyze_lends_its_stft(tmp_path, monkeypatch):
     # analyze runs one method and nothing reads its STFT after it, so it lends
-    # the STFT, which the in-frame methods write their outputs over; compare
-    # runs every method on the same STFT and keeps its bits
+    # the STFT to the in-frame methods, which write their outputs over it;
+    # stft and rm, and compare, which runs every method on the same STFT,
+    # keep its bits, and no output grid leaves with writable data
     seen, run = [], cli._run
 
     def spy(method, a, *rest):
         lent, before = a.grid.data.flags.writeable, a.grid.data.tobytes()
         result = run(method, a, *rest)
-        seen.append((method, lent, a.grid.data.tobytes() == before))
+        seen.append((method, lent, a.grid.data.tobytes() == before,
+                     result[1].data.flags.writeable))
         return result
 
     monkeypatch.setattr(cli, "_run", spy)
     for method in METHODS:
         assert main(["analyze", "--method", method, "--out", str(tmp_path / method)]) == 0
     assert main(["compare", "--out", str(tmp_path / "compare")]) == 0
-    assert seen == [(m, True, m in ("stft", "rm")) for m in METHODS] + \
-        [(m, False, True) for m in METHODS]
+    kept = ("stft", "rm")
+    assert seen == [(m, m not in kept, m in kept, False) for m in METHODS] + \
+        [(m, False, True, False) for m in METHODS]
 
 
 def test_no_noise_is_drawn_without_a_finite_snr(tmp_path, capsys):

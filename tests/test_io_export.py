@@ -161,7 +161,7 @@ class TestGridCsv:
         assert np.array_equal(bits(tq.import_grid_csv(path).data), bits(grid.data))
 
     def test_dense_write_holds_no_whole_grid_array(self, tmp_path, monkeypatch):
-        # one block's mask and indices per thread, 0.016 grids on two CPUs;
+        # one block's mask, indices and cells per thread, 0.034 grids on two CPUs;
         # the whole-grid bit mask, index and copy of the cells read 2
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(io_export, "_quota_cpus", lambda: None)
